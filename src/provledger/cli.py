@@ -19,9 +19,9 @@ from . import query as queries
 from .bench import run_benchmark
 from .canonical import canonical_json
 from .errors import ConfigInvalidError, IoFailureError, LedgerError
-from .ledger import CONFIG_FILE, SimConfig, init_ledger_dir, load_ledger, verify_chain
-from .scenario import load_scenario, resolve_client_hex, run_scenario
-from .tokens import ClientId
+from .ledger import CONFIG_FILE, SimConfig, init_ledger_dir, load_ledger, resolve_payload, verify_chain
+from .policy import resolve_client
+from .scenario import load_scenario, run_scenario
 
 _dir_option = click.option(
     "--dir",
@@ -66,15 +66,11 @@ def _read_json(path: str, label: str):
         raise ConfigInvalidError(f"{label} is not valid JSON: {exc}") from exc
 
 
-def _client(alias_or_hex: str) -> ClientId:
-    return ClientId.from_hex(resolve_client_hex(alias_or_hex))
-
-
 def _mutate(directory: str, alias: str, payload: dict, fee: int) -> None:
-    """Submit, auto-mine one block, persist, report the receipt."""
+    """Resolve, submit, auto-mine one block, persist, report the receipt."""
     ledger = load_ledger(directory)
-    sender = _client(alias)
-    tx = ledger.submit_payload(sender, payload, fee=fee)
+    sender = resolve_client(alias, "client reference")
+    tx = ledger.submit_payload(sender, resolve_payload(ledger.machine, payload), fee=fee)
     block, outcomes = ledger.produce_block()
     ledger.persist(directory)
     executed = next(o for o in outcomes if o.tx.hash == tx.hash)
@@ -129,16 +125,7 @@ def token_request(alias: str, pay: int, fee: int, directory: str):
 @_handle_errors
 def token_transfer(alias: str, token_id: int, to_client: str, fee: int, directory: str):
     """Transfer token ownership from its current owner."""
-    ledger = load_ledger(directory)
-    if not ledger.machine.tokens.exists(token_id):
-        _fail("TokenNotFound", f"token {token_id} not found")
-    payload = {
-        "op": "transfer",
-        "tokenId": token_id,
-        "from": ledger.machine.tokens.owner_of(token_id).hex,
-        "to": resolve_client_hex(to_client),
-    }
-    _mutate(directory, alias, payload, fee)
+    _mutate(directory, alias, {"op": "transfer", "tokenId": token_id, "to": to_client}, fee)
 
 
 @main.group()

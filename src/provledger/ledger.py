@@ -4,8 +4,11 @@ All mutations travel as transactions through a fee-prioritized mempool and
 are applied by deterministic block production on a simulated clock. Blocks
 are hash-linked (SHA-256 over canonical JSON) and persisted as an append-only
 JSON-lines log where every block line is followed by a post-state digest
-line, so any byte-level tampering as well as lost tail blocks are detectable
-by replay.
+line. Replay detects any edit that leaves a line inconsistent with the rest:
+a changed byte, a reordered or missing line, or a block without its digest.
+It cannot detect dropping whole trailing block/digest pairs, since what
+remains is a valid shorter chain, nor a rewrite that recomputes every hash
+and digest from some height on; the hashes are unkeyed.
 
 Failed transactions are recorded on-chain with their error code; they
 consume the sender's nonce but leave the state machine untouched.
@@ -15,9 +18,9 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from .canonical import ZERO_DIGEST, canonical_json, digest_of
 from .errors import (
@@ -28,7 +31,7 @@ from .errors import (
     LedgerError,
     MalformedPayloadError,
 )
-from .policy import PolicyLayer, UseCasePolicy, policy_from_dict
+from .policy import PolicyLayer, UseCasePolicy, policy_from_dict, resolve_client
 from .records import Context
 from .tokens import ClientId
 
@@ -94,7 +97,7 @@ class SimConfig:
         return digest_of(self.as_dict())
 
 
-# --- transaction payloads --------------------------------------------------
+# --- operations -------------------------------------------------------------
 
 def _check_uint(value: object, label: str) -> int:
     if type(value) is not int or value < 0:
@@ -112,9 +115,9 @@ def _check_address(value: object, label: str) -> str:
     return value
 
 
-def _check_context(value: object) -> dict:
+def _check_context(value: object, label: str) -> dict:
     if not isinstance(value, dict):
-        raise MalformedPayloadError("context must be an object of string keys and values")
+        raise MalformedPayloadError(f"{label} must be an object of string keys and values")
     try:
         Context(value)
     except ValueError as exc:
@@ -122,57 +125,129 @@ def _check_context(value: object) -> dict:
     return value
 
 
-def _check_inputs(value: object) -> list:
+def _check_inputs(value: object, label: str) -> list:
     if not isinstance(value, list):
-        raise MalformedPayloadError("inputs must be a list of record ids")
+        raise MalformedPayloadError(f"{label} must be a list of record ids")
     for item in value:
         _check_uint(item, "input id")
     return value
 
 
-# op name -> (field name -> checker); payloads must carry exactly these fields
-PAYLOAD_FIELDS = {
-    "requestToken": {"payment": lambda v: _check_uint(v, "payment")},
-    "transfer": {
-        "tokenId": lambda v: _check_uint(v, "tokenId"),
-        "from": lambda v: _check_address(v, "from"),
-        "to": lambda v: _check_address(v, "to"),
-    },
-    "approve": {
-        "tokenId": lambda v: _check_uint(v, "tokenId"),
-        "operator": lambda v: _check_address(v, "operator"),
-    },
-    "createProvenance": {
-        "tokenId": lambda v: _check_uint(v, "tokenId"),
-        "inputs": _check_inputs,
-        "context": _check_context,
-    },
-    "updateContext": {
-        "provId": lambda v: _check_uint(v, "provId"),
-        "context": _check_context,
-    },
-    "invalidate": {"provId": lambda v: _check_uint(v, "provId")},
-    "whitelistAdd": {"member": lambda v: _check_address(v, "member")},
-    "whitelistRemove": {"member": lambda v: _check_address(v, "member")},
+def _current_owner(machine: PolicyLayer, payload: dict) -> str:
+    token_id = _check_uint(payload.get("tokenId"), "tokenId")
+    return machine.tokens.owner_of(token_id).hex
+
+
+@dataclass(frozen=True)
+class Operation:
+    """Everything the stack knows about one transaction type.
+
+    ``fields`` maps each payload field to its checker, called with the value
+    and the field name; a payload carries exactly these fields plus ``op``.
+    ``client_fields`` hold addresses a client may write as aliases.
+    ``defaults`` compute, from the current state, fields a client may omit.
+    ``handler`` executes the op and returns its result value (``None`` for
+    none); it must look layer methods up when called, not when defined.
+    """
+
+    fields: Mapping[str, Callable[[object, str], object]]
+    handler: Callable[[PolicyLayer, ClientId, dict], dict | None]
+    client_fields: tuple[str, ...] = ()
+    defaults: Mapping[str, Callable[[PolicyLayer, dict], object]] = field(default_factory=dict)
+
+
+# The one place an operation is defined: adding an op means one entry here
+# plus the layer method its handler calls.
+OPS: dict[str, Operation] = {
+    "requestToken": Operation(
+        fields={"payment": _check_uint},
+        defaults={"payment": lambda machine, payload: 0},
+        handler=lambda m, sender, p: {"tokenId": m.request_token(sender, p["payment"])},
+    ),
+    "transfer": Operation(
+        fields={"tokenId": _check_uint, "from": _check_address, "to": _check_address},
+        client_fields=("from", "to"),
+        defaults={"from": _current_owner},
+        handler=lambda m, sender, p: m.tokens.transfer(
+            sender, ClientId.from_hex(p["from"]), ClientId.from_hex(p["to"]), p["tokenId"]
+        ),
+    ),
+    "approve": Operation(
+        fields={"tokenId": _check_uint, "operator": _check_address},
+        client_fields=("operator",),
+        handler=lambda m, sender, p: m.tokens.approve(
+            sender, ClientId.from_hex(p["operator"]), p["tokenId"]
+        ),
+    ),
+    "createProvenance": Operation(
+        fields={"tokenId": _check_uint, "inputs": _check_inputs, "context": _check_context},
+        defaults={"inputs": lambda machine, payload: []},
+        handler=lambda m, sender, p: {
+            "provId": m.create_provenance_checked(
+                sender, p["tokenId"], list(p["inputs"]), Context(p["context"])
+            )
+        },
+    ),
+    "updateContext": Operation(
+        fields={"provId": _check_uint, "context": _check_context},
+        handler=lambda m, sender, p: m.gate_update(sender, p["provId"], Context(p["context"])),
+    ),
+    "invalidate": Operation(
+        fields={"provId": _check_uint},
+        handler=lambda m, sender, p: m.gate_invalidate(sender, p["provId"]),
+    ),
+    "whitelistAdd": Operation(
+        fields={"member": _check_address},
+        client_fields=("member",),
+        handler=lambda m, sender, p: m.whitelist_add(sender, ClientId.from_hex(p["member"])),
+    ),
+    "whitelistRemove": Operation(
+        fields={"member": _check_address},
+        client_fields=("member",),
+        handler=lambda m, sender, p: m.whitelist_remove(sender, ClientId.from_hex(p["member"])),
+    ),
 }
+
+
+def _operation(payload: object) -> Operation:
+    if not isinstance(payload, dict):
+        raise MalformedPayloadError("payload must be a JSON object")
+    op = payload.get("op")
+    if type(op) is not str or op not in OPS:
+        raise MalformedPayloadError(f"unknown operation {op!r}")
+    return OPS[op]
 
 
 def validate_payload(payload: object) -> dict:
     """Strict structural check; returns the payload if well-formed."""
-    if not isinstance(payload, dict):
-        raise MalformedPayloadError("payload must be a JSON object")
-    op = payload.get("op")
-    if op not in PAYLOAD_FIELDS:
-        raise MalformedPayloadError(f"unknown operation {op!r}")
-    fields = PAYLOAD_FIELDS[op]
+    fields = _operation(payload).fields
     expected = set(fields) | {"op"}
     if set(payload) != expected:
         raise MalformedPayloadError(
-            f"{op} payload must have exactly fields {sorted(expected)}"
+            f"{payload['op']} payload must have exactly fields {sorted(expected)}"
         )
     for name, checker in fields.items():
-        checker(payload[name])
+        checker(payload[name], name)
     return payload
+
+
+def resolve_payload(machine: PolicyLayer, payload: object) -> dict:
+    """Complete a client-written payload before submission.
+
+    Aliases in client fields become 0x-hex addresses and omitted fields get
+    their defaults from the current state (a transfer's ``from`` is the
+    token's owner, so a missing token raises ``TokenNotFoundError``). The
+    result still goes through :func:`validate_payload` on submission.
+    """
+    operation = _operation(payload)
+    resolved = dict(payload)
+    for name in operation.client_fields:
+        if type(resolved.get(name)) is str:
+            resolved[name] = resolve_client(resolved[name], "client reference").hex
+    for name, default in operation.defaults.items():
+        if name not in resolved:
+            resolved[name] = default(machine, resolved)
+    return resolved
 
 
 # --- transactions and blocks ------------------------------------------------
@@ -374,11 +449,13 @@ class ExecutionOutcome:
 class ChainVerification:
     ok: bool
     first_corrupt_height: int | None = None
+    reason: str | None = None
 
     def as_dict(self) -> dict:
         data: dict = {"ok": self.ok}
         if not self.ok:
             data["firstCorruptHeight"] = self.first_corrupt_height
+            data["reason"] = self.reason
         return data
 
 
@@ -397,7 +474,6 @@ class Ledger:
         self.config = config
         self._machine = PolicyLayer.build(policy)
         self._mempool: list[Transaction] = []
-        self._pending_hashes: set[str] = set()
         self._next_nonce: dict[ClientId, int] = {}
         self._executed_nonce: dict[ClientId, int] = {}
         genesis = Block.seal(
@@ -505,7 +581,6 @@ class Ledger:
                 f"nonce {tx.nonce} for {tx.sender.hex}, expected {expected}"
             )
         self._mempool.append(tx)
-        self._pending_hashes.add(tx.hash)
         self._next_nonce[tx.sender] = tx.nonce + 1
         return tx.hash
 
@@ -519,46 +594,8 @@ class Ledger:
     # -- execution -----------------------------------------------------------
 
     def _execute(self, tx: Transaction) -> dict:
-        machine = self._machine
         payload = tx.payload
-        op = payload["op"]
-        if op == "requestToken":
-            token_id = machine.request_token(tx.sender, payload["payment"])
-            return {"tokenId": token_id}
-        if op == "transfer":
-            machine.tokens.transfer(
-                tx.sender,
-                ClientId.from_hex(payload["from"]),
-                ClientId.from_hex(payload["to"]),
-                payload["tokenId"],
-            )
-            return {}
-        if op == "approve":
-            machine.tokens.approve(
-                tx.sender, ClientId.from_hex(payload["operator"]), payload["tokenId"]
-            )
-            return {}
-        if op == "createProvenance":
-            prov_id = machine.create_provenance_checked(
-                tx.sender,
-                payload["tokenId"],
-                list(payload["inputs"]),
-                Context(payload["context"]),
-            )
-            return {"provId": prov_id}
-        if op == "updateContext":
-            machine.gate_update(tx.sender, payload["provId"], Context(payload["context"]))
-            return {}
-        if op == "invalidate":
-            machine.gate_invalidate(tx.sender, payload["provId"])
-            return {}
-        if op == "whitelistAdd":
-            machine.whitelist_add(tx.sender, ClientId.from_hex(payload["member"]))
-            return {}
-        if op == "whitelistRemove":
-            machine.whitelist_remove(tx.sender, ClientId.from_hex(payload["member"]))
-            return {}
-        raise MalformedPayloadError(f"unknown operation {op!r}")
+        return OPS[payload["op"]].handler(self._machine, tx.sender, payload) or {}
 
     def _select_transactions(self, timestamp: int) -> list[Transaction]:
         """Fee-priority selection respecting per-sender nonce order.
@@ -622,20 +659,9 @@ class Ledger:
         if selected:
             selected_hashes = {tx.hash for tx in selected}
             self._mempool = [tx for tx in self._mempool if tx.hash not in selected_hashes]
-            self._pending_hashes -= selected_hashes
         return block, outcomes
 
-    def run_until_drained(self, max_blocks: int) -> list[ExecutionOutcome]:
-        """Produce blocks until the mempool is empty, up to ``max_blocks``."""
-        outcomes: list[ExecutionOutcome] = []
-        produced = 0
-        while self._mempool and produced < max_blocks:
-            _, block_outcomes = self.produce_block()
-            outcomes.extend(block_outcomes)
-            produced += 1
-        return outcomes
-
-    # -- replay (trusted internal path; see _scan_chain for validation) ------
+    # -- replay (trusted internal path; see load_ledger for validation) ------
 
     def _append_replayed_block(self, block: Block) -> None:
         statuses = []
@@ -736,8 +762,8 @@ def init_ledger_dir(
     return ledger
 
 
-def _scan_chain(directory: str | Path) -> Ledger:
-    """Replay and fully validate a persisted chain.
+def load_ledger(directory: str | Path) -> Ledger:
+    """Reconstruct a ledger by replaying and fully validating its directory.
 
     Raises :class:`CorruptLogError` carrying the height of the first bad
     block pair. Validation covers: canonical line encoding, strict wire
@@ -772,7 +798,7 @@ def _scan_chain(directory: str | Path) -> Ledger:
         parsed = _parse_canonical_line(block_line, height)
         if height == 0:
             # the genesis block is fully determined by policy and config
-            if parsed != ledger.blocks[0].wire_dict():
+            if parsed != ledger._blocks[0].wire_dict():
                 raise CorruptLogError("genesis block mismatch", height=0)
         else:
             try:
@@ -783,7 +809,7 @@ def _scan_chain(directory: str | Path) -> Ledger:
                 raise CorruptLogError(
                     f"expected height {height}, found {block.height}", height=height
                 )
-            previous = ledger.blocks[-1]
+            previous = ledger._blocks[-1]
             if block.parent_hash != previous.block_hash:
                 raise CorruptLogError("broken parent link", height=height)
             if block.timestamp <= previous.timestamp:
@@ -793,11 +819,11 @@ def _scan_chain(directory: str | Path) -> Ledger:
             ledger._append_replayed_block(block)
 
         digest_parsed = _parse_canonical_line(digest_line, height)
-        if set(digest_parsed) != {"stateDigest"} or digest_parsed["stateDigest"] != ledger.digests[height]:
+        if set(digest_parsed) != {"stateDigest"} or digest_parsed["stateDigest"] != ledger._digests[height]:
             raise CorruptLogError(
                 f"state digest mismatch after height {height}", height=height
             )
-    ledger._persisted_blocks = len(ledger.blocks)
+    ledger._persisted_blocks = len(ledger._blocks)
     return ledger
 
 
@@ -812,16 +838,11 @@ def _parse_canonical_line(raw: bytes, height: int) -> Any:
     return parsed
 
 
-def load_ledger(directory: str | Path) -> Ledger:
-    """Reconstruct a ledger by replaying its directory; fails on any corruption."""
-    return _scan_chain(directory)
-
-
 def verify_chain(directory: str | Path) -> ChainVerification:
     """Check integrity of a persisted ledger without raising on corruption."""
     try:
-        _scan_chain(directory)
+        load_ledger(directory)
     except CorruptLogError as exc:
         height = exc.height if exc.height is not None else 0
-        return ChainVerification(ok=False, first_corrupt_height=height)
+        return ChainVerification(ok=False, first_corrupt_height=height, reason=str(exc))
     return ChainVerification(ok=True)

@@ -122,8 +122,9 @@ class UseCasePolicy:
         return digest_of(self.as_dict())
 
 
-def _resolve_client(value: object, label: str) -> ClientId:
-    """Policy files may name clients by 0x-hex address or by alias."""
+def resolve_client(value: object, label: str) -> ClientId:
+    """A client named by 0x-hex address or by alias, as policy files,
+    scenario scripts and the CLI accept them."""
     if type(value) is not str or not value:
         raise ConfigInvalidError(f"{label} must be a non-empty string")
     try:
@@ -131,7 +132,14 @@ def _resolve_client(value: object, label: str) -> ClientId:
             return ClientId.from_hex(value)
         return ClientId.from_alias(value)
     except ValueError as exc:
-        raise ConfigInvalidError(f"bad {label}: {exc}") from exc
+        raise ConfigInvalidError(f"bad {label} {value!r}: {exc}") from exc
+
+
+def _flag(data: dict, key: str) -> bool:
+    value = data.get(key, True)
+    if type(value) is not bool:
+        raise ConfigInvalidError(f"exposure.{key} must be a boolean")
+    return value
 
 
 def policy_from_dict(data: object) -> UseCasePolicy:
@@ -152,8 +160,11 @@ def policy_from_dict(data: object) -> UseCasePolicy:
         value = schema_data.get(key_list, [])
         if not isinstance(value, list) or any(type(k) is not str or not k for k in value):
             raise ConfigInvalidError(f"schema.{key_list} must be a list of non-empty strings")
+    name = schema_data["name"]
+    if type(name) is not str or not name:
+        raise ConfigInvalidError("schema.name must be a non-empty string")
     schema = ContextSchema(
-        name=str(schema_data["name"]),
+        name=name,
         required=frozenset(schema_data.get("required", [])),
         optional=frozenset(schema_data.get("optional", [])),
     )
@@ -165,8 +176,8 @@ def policy_from_dict(data: object) -> UseCasePolicy:
     if unknown:
         raise ConfigInvalidError(f"unknown exposure fields: {sorted(unknown)}")
     exposure = ExposureFlags(
-        allow_update=bool(exposure_data.get("allowUpdate", True)),
-        allow_invalidate=bool(exposure_data.get("allowInvalidate", True)),
+        allow_update=_flag(exposure_data, "allowUpdate"),
+        allow_invalidate=_flag(exposure_data, "allowInvalidate"),
     )
 
     assignment_data = data.get("assignment", {"type": OPEN})
@@ -192,12 +203,12 @@ def policy_from_dict(data: object) -> UseCasePolicy:
             raise ConfigInvalidError("fee assignment requires integer price >= 1")
         assignment = AssignmentStrategy(FEE, price=price, initial_balance=initial_balance)
     elif kind == WHITELIST:
-        admin = _resolve_client(assignment_data.get("admin"), "assignment.admin")
+        admin = resolve_client(assignment_data.get("admin"), "assignment.admin")
         members_data = assignment_data.get("members", [])
         if not isinstance(members_data, list):
             raise ConfigInvalidError("assignment.members must be a list")
         members = frozenset(
-            _resolve_client(member, "assignment.member") for member in members_data
+            resolve_client(member, "assignment.member") for member in members_data
         )
         assignment = AssignmentStrategy(
             WHITELIST, admin=admin, members=members, initial_balance=initial_balance
@@ -267,9 +278,6 @@ class PolicyLayer:
             return self._balances[client]
         return self.policy.assignment.initial_balance
 
-    def whitelist_members(self) -> set[ClientId]:
-        return set(self._whitelist)
-
     def _touch_balance(self, client: ClientId) -> None:
         if client not in self._balances:
             seed = self.policy.assignment.initial_balance
@@ -323,9 +331,9 @@ class PolicyLayer:
         Error order is fixed: token existence, authorization, input validity,
         then schema.
         """
-        self._provenance.validate_create(caller, token_id, inputs)
-        self.policy.schema.validate(context)
-        return self._provenance.create_provenance(caller, token_id, inputs, context)
+        return self._provenance.create_provenance(
+            caller, token_id, inputs, context, context_check=self.policy.schema.validate
+        )
 
     def gate_update(self, caller: ClientId, prov_id: int, new_context: Context) -> None:
         if not self.policy.exposure.allow_update:

@@ -70,14 +70,23 @@ class ProvenanceLayer:
         return normalized
 
     def create_provenance(
-        self, caller: ClientId, token_id: int, inputs: Iterable[int], context: Context
+        self,
+        caller: ClientId,
+        token_id: int,
+        inputs: Iterable[int],
+        context: Context,
+        context_check: Callable[[Context], None] | None = None,
     ) -> int:
         """Store a new record for the token and return its fresh id.
 
         Inputs may reference records of other tokens (derivation across data
         points); authorization is checked on the target token only.
+        ``context_check`` runs after :meth:`validate_create` so schema errors
+        surface last, per the fixed error order.
         """
         normalized = self.validate_create(caller, token_id, inputs)
+        if context_check is not None:
+            context_check(context)
         prov_id = self._next_prov_id
         self._next_prov_id += 1
         self._store.create_record(self._store_key, prov_id, token_id, normalized, context)

@@ -13,22 +13,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigInvalidError, IoFailureError, LedgerError
-from .ledger import Ledger
+from .ledger import Ledger, resolve_payload
 from .tokens import ClientId
-
-# payload fields that hold client references, by operation
-_CLIENT_FIELDS = {
-    "transfer": ("from", "to"),
-    "approve": ("operator",),
-    "whitelistAdd": ("member",),
-    "whitelistRemove": ("member",),
-}
-
-# optional payload fields filled in when a step omits them
-_PAYLOAD_DEFAULTS = {
-    "requestToken": {"payment": 0},
-    "createProvenance": {"inputs": []},
-}
 
 
 @dataclass(frozen=True)
@@ -69,18 +55,6 @@ class StepOutcome:
         return data
 
 
-def resolve_client_hex(value: str) -> str:
-    """Alias or 0x-hex to the canonical hex address."""
-    if type(value) is not str or not value:
-        raise ConfigInvalidError("client reference must be a non-empty string")
-    try:
-        if value.startswith("0x"):
-            return ClientId.from_hex(value).hex
-        return ClientId.from_alias(value).hex
-    except ValueError as exc:
-        raise ConfigInvalidError(f"bad client reference {value!r}: {exc}") from exc
-
-
 def load_scenario(path: str | Path) -> list[ScenarioStep]:
     path = Path(path)
     try:
@@ -116,34 +90,18 @@ def load_scenario(path: str | Path) -> list[ScenarioStep]:
     return steps
 
 
-def _resolve_payload(ledger: Ledger, payload: dict) -> dict:
-    resolved = dict(payload)
-    op = resolved.get("op")
-    for key, value in _PAYLOAD_DEFAULTS.get(op, {}).items():
-        resolved.setdefault(key, value)
-    for field in _CLIENT_FIELDS.get(op, ()):
-        if field in resolved and type(resolved[field]) is str:
-            resolved[field] = resolve_client_hex(resolved[field])
-    # transfer steps may omit 'from'; it defaults to the current owner
-    if op == "transfer" and "from" not in resolved:
-        token_id = resolved.get("tokenId")
-        if type(token_id) is int and ledger.machine.tokens.exists(token_id):
-            resolved["from"] = ledger.machine.tokens.owner_of(token_id).hex
-    return resolved
-
-
 def run_scenario(ledger: Ledger, steps: list[ScenarioStep]) -> list[StepOutcome]:
     """Execute steps one block each; stops after the first expectation mismatch.
 
-    Submission-time rejections (bad nonce, malformed payload) never reach a
-    block; they are reported with the current height so a step may expect
-    them too.
+    Submission-time rejections (bad nonce, malformed payload, a transfer of
+    a missing token) never reach a block; they are reported with the current
+    height so a step may expect them too.
     """
     outcomes: list[StepOutcome] = []
     for index, step in enumerate(steps):
         sender = ClientId.from_alias(step.alias)
-        payload = _resolve_payload(ledger, step.payload)
         try:
+            payload = resolve_payload(ledger.machine, step.payload)
             tx = ledger.submit_payload(sender, payload, fee=step.fee)
         except LedgerError as exc:
             outcome = StepOutcome(

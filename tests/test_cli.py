@@ -145,6 +145,33 @@ def test_token_transfer(runner, ledger_dir):
     assert json.loads(result.stderr.strip())["error"] == "NotAuthorized"
 
 
+def test_token_transfer_replays_once_and_rejects_missing_token(runner, ledger_dir, monkeypatch):
+    from provledger import cli
+
+    d = str(ledger_dir)
+    runner.invoke(main, ["token", "request", "--as", "alice", "--dir", d])
+    loads = []
+    real_load = cli.load_ledger
+
+    def counting(directory):
+        loads.append(directory)
+        return real_load(directory)
+
+    monkeypatch.setattr(cli, "load_ledger", counting)
+    result = runner.invoke(
+        main, ["token", "transfer", "--as", "alice", "--id", "1", "--to", "bob", "--dir", d]
+    )
+    assert result.exit_code == 0, result.output
+    assert len(loads) == 1
+    log = (ledger_dir / "blocks.jsonl").read_bytes()
+    result = runner.invoke(
+        main, ["token", "transfer", "--as", "bob", "--id", "7", "--to", "carol", "--dir", d]
+    )
+    assert result.exit_code == 1
+    assert json.loads(result.stderr.strip())["error"] == "TokenNotFound"
+    assert (ledger_dir / "blocks.jsonl").read_bytes() == log
+
+
 def test_update_and_invalidate(runner, ledger_dir):
     d = str(ledger_dir)
     runner.invoke(main, ["token", "request", "--as", "alice", "--dir", d])
@@ -216,6 +243,7 @@ def test_verify_detects_corruption(runner, ledger_dir):
     verdict = out_json(result)
     assert verdict["ok"] is False
     assert "firstCorruptHeight" in verdict
+    assert isinstance(verdict["reason"], str) and verdict["reason"]
 
 
 def test_dir_from_environment(runner, ledger_dir):

@@ -16,7 +16,7 @@ from provledger.errors import (
     IoFailureError,
     MalformedPayloadError,
 )
-from provledger.ledger import BLOCKS_FILE
+from provledger.ledger import BLOCKS_FILE, OPS, resolve_payload
 from support import ALICE, BOB, CAROL, MALLORY, quick_ledger
 
 REQUEST = {"op": "requestToken", "payment": 0}
@@ -65,11 +65,63 @@ def test_malformed_payloads_rejected():
         {"op": "invalidate", "provId": True},  # bools are not ids
         {"op": "transfer", "tokenId": 1, "from": "alice", "to": BOB.hex},
         {"op": "createProvenance", "tokenId": 1, "inputs": [1], "context": {"k": 2}},
+        {"op": ["requestToken"]},  # an op name must be a string
         "not even an object",
     ]
     for payload in bad:
         with pytest.raises(MalformedPayloadError):
             ledger.submit_payload(ALICE, payload)  # type: ignore[arg-type]
+
+
+# per op: the form a client may write (aliases, defaults omitted) and the
+# fully spelled-out hex form it must resolve to, given token 1 owned by alice
+CLIENT_AND_FULL_PAYLOADS = {
+    "requestToken": ({"op": "requestToken"}, REQUEST),
+    "transfer": (
+        {"op": "transfer", "tokenId": 1, "to": "bob"},
+        {"op": "transfer", "tokenId": 1, "from": ALICE.hex, "to": BOB.hex},
+    ),
+    "approve": (
+        {"op": "approve", "tokenId": 1, "operator": "carol"},
+        {"op": "approve", "tokenId": 1, "operator": CAROL.hex},
+    ),
+    "createProvenance": (
+        {"op": "createProvenance", "tokenId": 1, "context": {"agent": "a"}},
+        create_payload(),
+    ),
+    "updateContext": (
+        {"op": "updateContext", "provId": 1, "context": {"agent": "b"}},
+        {"op": "updateContext", "provId": 1, "context": {"agent": "b"}},
+    ),
+    "invalidate": ({"op": "invalidate", "provId": 1}, {"op": "invalidate", "provId": 1}),
+    "whitelistAdd": (
+        {"op": "whitelistAdd", "member": "mallory"},
+        {"op": "whitelistAdd", "member": MALLORY.hex},
+    ),
+    "whitelistRemove": (
+        {"op": "whitelistRemove", "member": "mallory"},
+        {"op": "whitelistRemove", "member": MALLORY.hex},
+    ),
+}
+
+
+@pytest.mark.parametrize("op", sorted(OPS))
+def test_operation_registry_entry(op):
+    """Every registered op resolves client forms to its full form, and its
+    payloads must carry exactly its fields."""
+    ledger = quick_ledger()
+    ledger.submit_payload(ALICE, REQUEST)
+    ledger.produce_block()
+    client_form, full = CLIENT_AND_FULL_PAYLOADS[op]
+    assert resolve_payload(ledger.machine, client_form) == full
+    assert resolve_payload(ledger.machine, full) == full
+    for name in set(full) - {"op"}:
+        missing = {key: value for key, value in full.items() if key != name}
+        with pytest.raises(MalformedPayloadError):
+            ledger.submit_payload(ALICE, missing)
+    with pytest.raises(MalformedPayloadError):
+        ledger.submit_payload(ALICE, dict(full, extra=1))
+    ledger.submit_payload(ALICE, full)
 
 
 def test_zero_sender_rejected():

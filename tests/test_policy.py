@@ -263,6 +263,27 @@ def test_multi_fault_error_order_for_create():
         stack.create_provenance_checked(ALICE, token, [55], bad_context)
 
 
+def test_create_validates_once(monkeypatch):
+    """Checked creation runs the creation preconditions exactly once."""
+    from provledger.provenance import ProvenanceLayer
+
+    calls = []
+    real_validate = ProvenanceLayer.validate_create
+
+    def counting(self, *args):
+        calls.append(1)
+        return real_validate(self, *args)
+
+    monkeypatch.setattr(ProvenanceLayer, "validate_create", counting)
+    stack = vaccine_stack()
+    token = stack.request_token(ALICE)
+    stack.create_provenance_checked(ALICE, token, [], full_context())
+    assert len(calls) == 1
+    with pytest.raises(SchemaViolationError):
+        stack.create_provenance_checked(ALICE, token, [], Context({"agent": "x"}))
+    assert len(calls) == 2
+
+
 def test_update_error_order_includes_status():
     stack = vaccine_stack()
     token = stack.request_token(ALICE)
@@ -293,3 +314,10 @@ def test_policy_parsing_rejects_bad_shapes():
         policy_from_dict({"schema": {"name": "x"}, "assignment": {"type": "open", "price": 3}})
     with pytest.raises(ConfigInvalidError):
         ContextSchema(name="x", required=frozenset({"a"}), optional=frozenset({"a"}))
+    # no silent coercion: "false" is not a boolean, 5 is not a name
+    for key in ("allowUpdate", "allowInvalidate"):
+        with pytest.raises(ConfigInvalidError):
+            policy_from_dict({"schema": {"name": "x"}, "exposure": {key: "false"}})
+    for name in (5, ""):
+        with pytest.raises(ConfigInvalidError):
+            policy_from_dict({"schema": {"name": name}})

@@ -102,3 +102,22 @@ def test_transfer_step_fills_owner(tmp_path):
     from provledger import ClientId
 
     assert ledger.machine.tokens.owner_of(1) == ClientId.from_alias("bob")
+
+
+def test_transfer_step_of_missing_token(tmp_path):
+    """Defaulting 'from' needs the token, so the step is rejected before
+    submission, like the CLI command, and the script keeps running."""
+    ledger = fixture_ledger()
+    script = {
+        "steps": [
+            {"as": "alice", "op": {"op": "transfer", "tokenId": 4, "to": "bob"},
+             "expect": "TokenNotFound"},
+            {"as": "alice", "op": {"op": "requestToken"}, "expect": "ok"},
+        ]
+    }
+    path = tmp_path / "missing.json"
+    path.write_text(json.dumps(script), encoding="utf-8")
+    outcomes = run_scenario(ledger, load_scenario(path))
+    assert [o.status for o in outcomes] == ["TokenNotFound", "ok"]
+    assert outcomes[0].block_height == 0 and outcomes[0].tx_hash == ""
+    assert ledger.height == 1
