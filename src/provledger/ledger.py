@@ -16,11 +16,13 @@ consume the sender's nonce but leave the state machine untouched.
 
 from __future__ import annotations
 
+import heapq
 import json
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .canonical import ZERO_DIGEST, canonical_json, digest_of
 from .errors import (
@@ -473,8 +475,9 @@ class Ledger:
         self.policy = policy
         self.config = config
         self._machine = PolicyLayer.build(policy)
-        self._mempool: list[Transaction] = []
-        self._next_nonce: dict[ClientId, int] = {}
+        # pending transactions per sender in nonce order: each queue's head
+        # carries its sender's next unexecuted nonce; empty queues are dropped
+        self._mempool: dict[ClientId, deque[Transaction]] = {}
         self._executed_nonce: dict[ClientId, int] = {}
         genesis = Block.seal(
             height=0, parent_hash=ZERO_DIGEST, timestamp=0, transactions=(), results=()
@@ -507,10 +510,10 @@ class Ledger:
         return self._blocks[-1].height
 
     def pending_count(self) -> int:
-        return len(self._mempool)
+        return sum(len(queue) for queue in self._mempool.values())
 
     def next_nonce(self, sender: ClientId) -> int:
-        return self._next_nonce.get(sender, 0)
+        return self._executed_nonce.get(sender, 0) + len(self._mempool.get(sender, ()))
 
     def state_snapshot(self) -> dict:
         machine = self._machine
@@ -566,30 +569,33 @@ class Ledger:
         return Transaction.build(sender, nonce, payload, fee, submitted_at)
 
     def submit(self, tx: Transaction) -> str:
-        """Queue a transaction; returns its hash.
+        """Queue an externally built transaction; returns its hash.
 
-        The nonce must be the sender's next one counting both executed and
-        pending transactions, which also rejects resubmission of an identical
-        transaction.
+        Its fields are re-checked and re-hashed first, since nothing vouches
+        for them; then it is queued as by :meth:`_enqueue`.
         """
         rebuilt = Transaction.build(tx.sender, tx.nonce, tx.payload, tx.fee, tx.submitted_at)
         if rebuilt.hash != tx.hash:
             raise MalformedPayloadError("transaction hash does not match its fields")
-        expected = self._next_nonce.get(tx.sender, 0)
-        if tx.nonce != expected:
-            raise BadNonceError(
-                f"nonce {tx.nonce} for {tx.sender.hex}, expected {expected}"
-            )
-        self._mempool.append(tx)
-        self._next_nonce[tx.sender] = tx.nonce + 1
+        self._enqueue(tx)
         return tx.hash
 
     def submit_payload(
         self, sender: ClientId, payload: dict, fee: int = 1, submitted_at: int | None = None
     ) -> Transaction:
         tx = self.build_transaction(sender, payload, fee=fee, submitted_at=submitted_at)
-        self.submit(tx)
+        self._enqueue(tx)
         return tx
+
+    def _enqueue(self, tx: Transaction) -> None:
+        """Queue a well-formed transaction. Its nonce must be the sender's next
+        counting executed and pending ones, which also rejects a resubmission."""
+        expected = self.next_nonce(tx.sender)
+        if tx.nonce != expected:
+            raise BadNonceError(
+                f"nonce {tx.nonce} for {tx.sender.hex}, expected {expected}"
+            )
+        self._mempool.setdefault(tx.sender, deque()).append(tx)
 
     # -- execution -----------------------------------------------------------
 
@@ -598,33 +604,32 @@ class Ledger:
         return OPS[payload["op"]].handler(self._machine, tx.sender, payload) or {}
 
     def _select_transactions(self, timestamp: int) -> list[Transaction]:
-        """Fee-priority selection respecting per-sender nonce order.
+        """Take the next block's transactions off the mempool, in order.
 
-        Candidates are ordered by (fee desc, submitted_at asc, hash asc); a
-        transaction is selectable only once all lower nonces of its sender
-        are executed or already selected, so passes repeat until the block is
-        full or no candidate qualifies.
+        The rule: repeatedly take the best-ranked transaction, by (fee desc,
+        submitted_at asc, hash asc), among those submitted by ``timestamp``
+        whose nonce is its sender's next. Only queue heads qualify, so a heap
+        of the ready heads holds every candidate; hashes are unique, so heap
+        entries never compare their queues.
         """
-        candidates = [tx for tx in self._mempool if tx.submitted_at <= timestamp]
-        candidates.sort(key=lambda tx: (-tx.fee, tx.submitted_at, tx.hash))
-        capacity = self.config.block_capacity
+
+        def entry(queue: deque[Transaction]) -> tuple:
+            head = queue[0]
+            return (-head.fee, head.submitted_at, head.hash, queue)
+
+        heap = [
+            entry(queue) for queue in self._mempool.values() if queue[0].submitted_at <= timestamp
+        ]
+        heapq.heapify(heap)
         selected: list[Transaction] = []
-        selected_hashes: set[str] = set()
-        sender_next = dict(self._executed_nonce)
-        progress = True
-        while len(selected) < capacity and progress:
-            progress = False
-            for tx in candidates:
-                if len(selected) >= capacity:
-                    break
-                if tx.hash in selected_hashes:
-                    continue
-                if tx.nonce != sender_next.get(tx.sender, 0):
-                    continue
-                selected.append(tx)
-                selected_hashes.add(tx.hash)
-                sender_next[tx.sender] = tx.nonce + 1
-                progress = True
+        while heap and len(selected) < self.config.block_capacity:
+            queue = heapq.heappop(heap)[-1]
+            tx = queue.popleft()
+            selected.append(tx)
+            if not queue:
+                del self._mempool[tx.sender]
+            elif queue[0].submitted_at <= timestamp:
+                heapq.heappush(heap, entry(queue))
         return selected
 
     def produce_block(self) -> tuple[Block, list[ExecutionOutcome]]:
@@ -634,58 +639,42 @@ class Ledger:
         recorded with their error code and leave state untouched. An empty
         mempool still yields an (empty) block.
         """
-        height = len(self._blocks)
         timestamp = self.next_block_timestamp()
-        selected = self._select_transactions(timestamp)
+        return self._append_block(timestamp, self._select_transactions(timestamp))
+
+    def _append_block(
+        self, timestamp: int, transactions: Sequence[Transaction], block: Block | None = None
+    ) -> tuple[Block, list[ExecutionOutcome]]:
+        """Execute ``transactions`` as the next block, then append it and its
+        post-state digest: the one execution loop of production and replay.
+
+        Replay passes the logged ``block``, whose nonces and results the
+        execution must reproduce; production passes none and seals one.
+        """
+        height = len(self._blocks)
         outcomes: list[ExecutionOutcome] = []
-        for tx in selected:
+        for tx in transactions:
+            if tx.nonce != self._executed_nonce.get(tx.sender, 0):
+                raise CorruptLogError(
+                    f"nonce gap for {tx.sender.hex} at height {height}", height=height
+                )
             try:
                 value = self._execute(tx)
                 outcomes.append(ExecutionOutcome(tx=tx, status="ok", value=value))
             except LedgerError as exc:
-                outcomes.append(
-                    ExecutionOutcome(tx=tx, status=exc.code, message=str(exc))
-                )
+                outcomes.append(ExecutionOutcome(tx=tx, status=exc.code, message=str(exc)))
             self._executed_nonce[tx.sender] = tx.nonce + 1
-        block = Block.seal(
-            height=height,
-            parent_hash=self._blocks[-1].block_hash,
-            timestamp=timestamp,
-            transactions=tuple(selected),
-            results=tuple(outcome.status for outcome in outcomes),
-        )
-        self._blocks.append(block)
-        self._digests.append(self.state_digest())
-        if selected:
-            selected_hashes = {tx.hash for tx in selected}
-            self._mempool = [tx for tx in self._mempool if tx.hash not in selected_hashes]
-        return block, outcomes
-
-    # -- replay (trusted internal path; see load_ledger for validation) ------
-
-    def _append_replayed_block(self, block: Block) -> None:
-        statuses = []
-        for tx in block.transactions:
-            expected = self._executed_nonce.get(tx.sender, 0)
-            if tx.nonce != expected:
-                raise CorruptLogError(
-                    f"nonce gap for {tx.sender.hex} at height {block.height}",
-                    height=block.height,
-                )
-            try:
-                self._execute(tx)
-                statuses.append("ok")
-            except LedgerError as exc:
-                statuses.append(exc.code)
-            self._executed_nonce[tx.sender] = tx.nonce + 1
-            self._next_nonce[tx.sender] = tx.nonce + 1
-        if tuple(statuses) != block.results:
+        results = tuple(outcome.status for outcome in outcomes)
+        if block is None:
+            parent_hash = self._blocks[-1].block_hash
+            block = Block.seal(height, parent_hash, timestamp, tuple(transactions), results)
+        elif results != block.results:
             raise CorruptLogError(
-                f"recorded results diverge from replay at height {block.height}",
-                height=block.height,
+                f"recorded results diverge from replay at height {height}", height=height
             )
         self._blocks.append(block)
         self._digests.append(self.state_digest())
+        return block, outcomes
 
     # -- persistence ----------------------------------------------------------
 
@@ -816,7 +805,9 @@ def load_ledger(directory: str | Path) -> Ledger:
                 raise CorruptLogError("timestamps must strictly increase", height=height)
             if len(block.transactions) > config.block_capacity:
                 raise CorruptLogError("block over capacity", height=height)
-            ledger._append_replayed_block(block)
+            if any(tx.submitted_at > block.timestamp for tx in block.transactions):
+                raise CorruptLogError("transaction submitted after its block", height=height)
+            ledger._append_block(block.timestamp, block.transactions, block)
 
         digest_parsed = _parse_canonical_line(digest_line, height)
         if set(digest_parsed) != {"stateDigest"} or digest_parsed["stateDigest"] != ledger._digests[height]:
@@ -839,10 +830,14 @@ def _parse_canonical_line(raw: bytes, height: int) -> Any:
 
 
 def verify_chain(directory: str | Path) -> ChainVerification:
-    """Check integrity of a persisted ledger without raising on corruption."""
+    """Check integrity of a persisted ledger without raising on corruption.
+
+    An unparseable policy or config file fails at height 0, since both feed
+    the genesis state digest.
+    """
     try:
         load_ledger(directory)
-    except CorruptLogError as exc:
-        height = exc.height if exc.height is not None else 0
+    except (CorruptLogError, ConfigInvalidError) as exc:
+        height = getattr(exc, "height", None) or 0
         return ChainVerification(ok=False, first_corrupt_height=height, reason=str(exc))
     return ChainVerification(ok=True)

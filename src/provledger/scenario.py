@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .errors import ConfigInvalidError, IoFailureError, LedgerError
 from .ledger import Ledger, resolve_payload
-from .tokens import ClientId
+from .policy import resolve_client
 
 
 @dataclass(frozen=True)
@@ -99,8 +99,8 @@ def run_scenario(ledger: Ledger, steps: list[ScenarioStep]) -> list[StepOutcome]
     """
     outcomes: list[StepOutcome] = []
     for index, step in enumerate(steps):
-        sender = ClientId.from_alias(step.alias)
         try:
+            sender = resolve_client(step.alias, "step client")
             payload = resolve_payload(ledger.machine, step.payload)
             tx = ledger.submit_payload(sender, payload, fee=step.fee)
         except LedgerError as exc:

@@ -142,6 +142,34 @@ def schedule_confirmations(
     return [c for c in confirm]
 
 
+# --- block selection ----------------------------------------------------------------
+
+def naive_select(
+    pending: list[dict], next_nonce: dict[str, int], timestamp: int, capacity: int
+) -> list[dict]:
+    """One block under the stated selection rule, over wire-form transactions.
+
+    Repeatedly rescans all of ``pending`` for the best-ranked transaction,
+    by (fee desc, submittedAt asc, hash asc), among those submitted by
+    ``timestamp`` whose nonce is its sender's next. Picks are removed from
+    ``pending`` and advance ``next_nonce`` (sender hex -> next nonce).
+    """
+    chosen: list[dict] = []
+    while len(chosen) < capacity:
+        ready = [
+            tx
+            for tx in pending
+            if tx["submittedAt"] <= timestamp and tx["nonce"] == next_nonce.get(tx["sender"], 0)
+        ]
+        if not ready:
+            break
+        best = min(ready, key=lambda tx: (-tx["fee"], tx["submittedAt"], tx["hash"]))
+        chosen.append(best)
+        pending.remove(best)
+        next_nonce[best["sender"]] = best["nonce"] + 1
+    return chosen
+
+
 # --- random DAG generation --------------------------------------------------------
 
 def random_dag_plan(rng: random.Random, max_records: int):

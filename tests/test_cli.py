@@ -246,6 +246,19 @@ def test_verify_detects_corruption(runner, ledger_dir):
     assert isinstance(verdict["reason"], str) and verdict["reason"]
 
 
+@pytest.mark.parametrize(
+    "name, text", [("policy.json", '{"schema": 5}'), ("config.json", "not json")]
+)
+def test_verify_reports_unparseable_policy_or_config(runner, ledger_dir, name, text):
+    (ledger_dir / name).write_text(text, encoding="utf-8")
+    result = runner.invoke(main, ["verify", str(ledger_dir)])
+    assert result.exit_code == 1
+    verdict = out_json(result)
+    assert verdict["ok"] is False
+    assert verdict["firstCorruptHeight"] == 0
+    assert isinstance(verdict["reason"], str) and verdict["reason"]
+
+
 def test_dir_from_environment(runner, ledger_dir):
     result = runner.invoke(
         main,

@@ -17,6 +17,7 @@ from provledger.errors import (
     MalformedPayloadError,
 )
 from provledger.ledger import BLOCKS_FILE, OPS, resolve_payload
+from oracles import naive_select
 from support import ALICE, BOB, CAROL, MALLORY, quick_ledger
 
 REQUEST = {"op": "requestToken", "payment": 0}
@@ -147,6 +148,49 @@ def test_tampered_transaction_hash_rejected():
         ledger.submit(forged)
 
 
+def test_submit_payload_validates_and_hashes_once(monkeypatch):
+    """A transaction built by the ledger is not rebuilt on submission; one
+    passed in from outside still is."""
+    from provledger import ledger as ledger_mod
+
+    calls = {"validate": 0, "hash": 0}
+    real_validate = ledger_mod.validate_payload
+    real_hash = Transaction.compute_hash
+
+    def counting_validate(payload):
+        calls["validate"] += 1
+        return real_validate(payload)
+
+    def counting_hash(*args):
+        calls["hash"] += 1
+        return real_hash(*args)
+
+    monkeypatch.setattr(ledger_mod, "validate_payload", counting_validate)
+    monkeypatch.setattr(Transaction, "compute_hash", staticmethod(counting_hash))
+    ledger = quick_ledger()
+    ledger.submit_payload(ALICE, REQUEST)
+    assert calls == {"validate": 1, "hash": 1}
+    external = Transaction.build(BOB, 0, REQUEST, 1, 0)
+    ledger.submit(external)
+    assert calls == {"validate": 3, "hash": 3}
+
+
+def test_replay_rejects_transaction_submitted_after_its_block(tmp_path):
+    """Production never includes a transaction stamped after the block, so a
+    log holding one is corrupt at that height."""
+    ledger = quick_ledger(interval=1000)
+    future = Transaction.build(ALICE, 0, REQUEST, 1, 1_000_001_000)
+    ledger._append_block(ledger.next_block_timestamp(), [future])
+    directory = tmp_path / "future"
+    ledger.persist(directory)
+    result = verify_chain(directory)
+    assert result.ok is False
+    assert result.first_corrupt_height == 1
+    assert "submitted after" in result.reason
+    with pytest.raises(CorruptLogError):
+        load_ledger(directory)
+
+
 # --- block production -------------------------------------------------------------
 
 def test_fee_priority_selection():
@@ -259,7 +303,7 @@ def test_priority_invariant_random_loads():
     for i, sender in enumerate(senders):
         ledger.submit_payload(sender, REQUEST, fee=rng.randint(1, 20))
     while ledger.pending_count():
-        pending_before = {tx.hash: tx for tx in ledger._mempool}
+        pending_before = {tx.hash: tx for queue in ledger._mempool.values() for tx in queue}
         block, _ = ledger.produce_block()
         fees = [tx.fee for tx in block.transactions]
         assert fees == sorted(fees, reverse=True)
@@ -271,6 +315,51 @@ def test_priority_invariant_random_loads():
                 and tx.submitted_at <= block.timestamp
             ]
             assert all(fee <= min(fees) for fee in leftover)
+
+
+def test_selection_takes_best_ready_transaction():
+    """Capacity 3, A0 fee 1, A1 fee 5, B0 fee 3, C0 fee 0: A1 is ready once A0
+    is taken and outranks C0, so the block is [B0, A0, A1]."""
+    ledger = quick_ledger(capacity=3)
+    a0 = ledger.submit_payload(ALICE, REQUEST, fee=1)
+    a1 = ledger.submit_payload(ALICE, REQUEST, fee=5)
+    b0 = ledger.submit_payload(BOB, REQUEST, fee=3)
+    c0 = ledger.submit_payload(CAROL, REQUEST, fee=0)
+    block, _ = ledger.produce_block()
+    assert [tx.hash for tx in block.transactions] == [b0.hash, a0.hash, a1.hash]
+    block2, _ = ledger.produce_block()
+    assert [tx.hash for tx in block2.transactions] == [c0.hash]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_selection_matches_naive_oracle(seed):
+    """Random schedules of several senders with multi-nonce chains, random
+    fees and some future stamps, submitted between blocks: every block holds
+    exactly the transactions the naive rescanning oracle picks, in order."""
+    rng = random.Random(seed)
+    capacity = rng.randint(1, 5)
+    ledger = quick_ledger(capacity=capacity, interval=1000)
+    senders = [ClientId.from_alias(f"sel{seed}-{i}") for i in range(rng.randint(2, 6))]
+    pending: list[dict] = []
+    next_nonce: dict[str, int] = {}
+
+    def produce_and_compare():
+        block, _ = ledger.produce_block()
+        expected = naive_select(pending, next_nonce, block.timestamp, capacity)
+        assert [tx.hash for tx in block.transactions] == [tx["hash"] for tx in expected]
+
+    for _ in range(rng.randint(10, 60)):
+        if rng.random() < 0.7:
+            submitted_at = ledger.now + (rng.randint(1, 4000) if rng.random() < 0.2 else 0)
+            tx = ledger.submit_payload(
+                rng.choice(senders), REQUEST, fee=rng.randint(0, 4), submitted_at=submitted_at
+            )
+            pending.append(tx.wire_dict())
+        else:
+            produce_and_compare()
+    while ledger.pending_count():
+        produce_and_compare()
+    assert pending == []
 
 
 def test_throughput_ceiling():

@@ -121,3 +121,18 @@ def test_transfer_step_of_missing_token(tmp_path):
     assert [o.status for o in outcomes] == ["TokenNotFound", "ok"]
     assert outcomes[0].block_height == 0 and outcomes[0].tx_hash == ""
     assert ledger.height == 1
+
+
+def test_step_client_may_be_hex_address(tmp_path):
+    """'as' resolves like --as and payload client fields: a 0x-hex address
+    names that client, not the alias spelled by the same string."""
+    from provledger import ClientId
+
+    alice = ClientId.from_alias("alice")
+    ledger = fixture_ledger()
+    script = {"steps": [{"as": alice.hex, "op": {"op": "requestToken"}, "expect": "ok"}]}
+    path = tmp_path / "hex.json"
+    path.write_text(json.dumps(script), encoding="utf-8")
+    outcomes = run_scenario(ledger, load_scenario(path))
+    assert [o.status for o in outcomes] == ["ok"]
+    assert ledger.machine.tokens.owner_of(1) == alice
