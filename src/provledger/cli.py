@@ -18,8 +18,16 @@ import click
 from . import query as queries
 from .bench import run_benchmark
 from .canonical import canonical_json
-from .errors import ConfigInvalidError, IoFailureError, LedgerError
-from .ledger import CONFIG_FILE, SimConfig, init_ledger_dir, load_ledger, resolve_payload, verify_chain
+from .errors import ConfigInvalidError, LedgerError
+from .ledger import (
+    CONFIG_FILE,
+    SimConfig,
+    init_ledger_dir,
+    load_ledger,
+    read_json_file,
+    resolve_payload,
+    verify_chain,
+)
 from .policy import resolve_client
 from .scenario import load_scenario, run_scenario
 
@@ -55,17 +63,6 @@ def _handle_errors(fn):
     return wrapper
 
 
-def _read_json(path: str, label: str):
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoFailureError(f"cannot read {label}: {exc}") from exc
-    try:
-        return json.loads(text)
-    except ValueError as exc:
-        raise ConfigInvalidError(f"{label} is not valid JSON: {exc}") from exc
-
-
 def _mutate(directory: str, alias: str, payload: dict, fee: int) -> None:
     """Resolve, submit, auto-mine one block, persist, report the receipt."""
     ledger = load_ledger(directory)
@@ -94,8 +91,8 @@ def main():
 @_handle_errors
 def init(policy_path: str, config_path: str, directory: str):
     """Create a genesis ledger from a policy and a simulation config."""
-    policy_data = _read_json(policy_path, "policy file")
-    config_data = _read_json(config_path, "config file")
+    policy_data = read_json_file(policy_path, "policy file")
+    config_data = read_json_file(config_path, "config file")
     ledger = init_ledger_dir(policy_data, config_data, directory)
     _emit({"ok": True, "dir": str(directory), "stateDigest": ledger.digests[0]})
 
@@ -270,7 +267,7 @@ def scenario_run(script: str, directory: str):
 @_handle_errors
 def bench(tx_count: int, window_ms: int, fee: int, directory: str):
     """Run the throughput benchmark using the ledger's sim config."""
-    config = SimConfig.from_dict(_read_json(str(Path(directory) / CONFIG_FILE), "config file"))
+    config = SimConfig.from_dict(read_json_file(Path(directory) / CONFIG_FILE, "config file"))
     report = run_benchmark(config, tx_count=tx_count, window_ms=window_ms, fee=fee)
     _emit(report.as_dict())
 

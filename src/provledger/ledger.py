@@ -2,13 +2,14 @@
 
 All mutations travel as transactions through a fee-prioritized mempool and
 are applied by deterministic block production on a simulated clock. Blocks
-are hash-linked (SHA-256 over canonical JSON) and persisted as an append-only
-JSON-lines log where every block line is followed by a post-state digest
-line. Replay detects any edit that leaves a line inconsistent with the rest:
-a changed byte, a reordered or missing line, or a block without its digest.
-It cannot detect dropping whole trailing block/digest pairs, since what
-remains is a valid shorter chain, nor a rewrite that recomputes every hash
-and digest from some height on; the hashes are unkeyed.
+are hash-linked (SHA-256 over canonical JSON), each block hash covering the
+block's post-state digest, and persisted as an append-only JSON-lines log of
+one block per line; the genesis digest covers the policy and the config.
+Replay detects any edit that leaves a line inconsistent with the rest: a
+changed byte, a reordered or missing line, or a torn final line. It cannot
+detect dropping whole trailing lines, since what remains is a valid shorter
+chain, nor a rewrite that recomputes every hash and digest from some height
+on; the hashes are unkeyed.
 
 Failed transactions are recorded on-chain with their error code; they
 consume the sender's nonce but leave the state machine untouched.
@@ -349,13 +350,15 @@ class Transaction:
 
 @dataclass(frozen=True)
 class Block:
-    """Hash-linked batch of executed transactions with per-tx results."""
+    """Hash-linked batch of executed transactions with per-tx results and the
+    post-state digest; ``block_hash`` covers every other field."""
 
     height: int
     parent_hash: str
     timestamp: int
     transactions: tuple[Transaction, ...]
     results: tuple[str, ...]
+    state_digest: str
     block_hash: str
 
     @staticmethod
@@ -365,12 +368,14 @@ class Block:
         timestamp: int,
         tx_hashes: Iterable[str],
         results: Iterable[str],
+        state_digest: str,
     ) -> str:
         return digest_of(
             {
                 "height": height,
                 "parentHash": parent_hash,
                 "results": list(results),
+                "stateDigest": state_digest,
                 "timestamp": timestamp,
                 "txHashes": list(tx_hashes),
             }
@@ -384,11 +389,12 @@ class Block:
         timestamp: int,
         transactions: tuple[Transaction, ...],
         results: tuple[str, ...],
+        state_digest: str,
     ) -> "Block":
         block_hash = cls.compute_block_hash(
-            height, parent_hash, timestamp, (tx.hash for tx in transactions), results
+            height, parent_hash, timestamp, (tx.hash for tx in transactions), results, state_digest
         )
-        return cls(height, parent_hash, timestamp, transactions, results, block_hash)
+        return cls(height, parent_hash, timestamp, transactions, results, state_digest, block_hash)
 
     def wire_dict(self) -> dict:
         return {
@@ -396,6 +402,7 @@ class Block:
             "height": self.height,
             "parentHash": self.parent_hash,
             "results": list(self.results),
+            "stateDigest": self.state_digest,
             "timestamp": self.timestamp,
             "transactions": [tx.wire_dict() for tx in self.transactions],
         }
@@ -404,12 +411,16 @@ class Block:
     def from_wire(cls, data: object) -> "Block":
         if not isinstance(data, dict):
             raise MalformedPayloadError("block must be a JSON object")
-        expected = {"blockHash", "height", "parentHash", "results", "timestamp", "transactions"}
+        expected = {
+            "blockHash", "height", "parentHash", "results", "stateDigest", "timestamp",
+            "transactions",
+        }
         if set(data) != expected:
             raise MalformedPayloadError(f"block must have exactly fields {sorted(expected)}")
         _check_uint(data["height"], "height")
         _check_uint(data["timestamp"], "timestamp")
         _check_hash_hex(data["parentHash"], "parentHash")
+        _check_hash_hex(data["stateDigest"], "stateDigest")
         _check_hash_hex(data["blockHash"], "blockHash")
         if not isinstance(data["transactions"], list):
             raise MalformedPayloadError("transactions must be a list")
@@ -427,6 +438,7 @@ class Block:
             timestamp=data["timestamp"],
             transactions=transactions,
             results=tuple(results),
+            state_digest=data["stateDigest"],
         )
         if block.block_hash != data["blockHash"]:
             raise MalformedPayloadError("block hash does not match its contents")
@@ -479,11 +491,10 @@ class Ledger:
         # carries its sender's next unexecuted nonce; empty queues are dropped
         self._mempool: dict[ClientId, deque[Transaction]] = {}
         self._executed_nonce: dict[ClientId, int] = {}
-        genesis = Block.seal(
-            height=0, parent_hash=ZERO_DIGEST, timestamp=0, transactions=(), results=()
-        )
+        # the genesis digest covers the policy and config digests, so every
+        # block hash commits to the rules the chain runs under
+        genesis = Block.seal(0, ZERO_DIGEST, 0, (), (), self.state_digest())
         self._blocks: list[Block] = [genesis]
-        self._digests: list[str] = [self.state_digest()]
         self._persisted_blocks = 0
 
     # -- read access --------------------------------------------------------
@@ -499,7 +510,7 @@ class Ledger:
     @property
     def digests(self) -> tuple[str, ...]:
         """Post-state digest per block height."""
-        return tuple(self._digests)
+        return tuple(block.state_digest for block in self._blocks)
 
     @property
     def now(self) -> int:
@@ -645,11 +656,12 @@ class Ledger:
     def _append_block(
         self, timestamp: int, transactions: Sequence[Transaction], block: Block | None = None
     ) -> tuple[Block, list[ExecutionOutcome]]:
-        """Execute ``transactions`` as the next block, then append it and its
-        post-state digest: the one execution loop of production and replay.
+        """Execute ``transactions`` as the next block and append it: the one
+        execution loop of production and replay.
 
-        Replay passes the logged ``block``, whose nonces and results the
-        execution must reproduce; production passes none and seals one.
+        Replay passes the logged ``block``, whose nonces, results and state
+        digest the execution must reproduce; production passes none and
+        seals one with the post-state digest.
         """
         height = len(self._blocks)
         outcomes: list[ExecutionOutcome] = []
@@ -667,23 +679,28 @@ class Ledger:
         results = tuple(outcome.status for outcome in outcomes)
         if block is None:
             parent_hash = self._blocks[-1].block_hash
-            block = Block.seal(height, parent_hash, timestamp, tuple(transactions), results)
+            block = Block.seal(
+                height, parent_hash, timestamp, tuple(transactions), results, self.state_digest()
+            )
         elif results != block.results:
             raise CorruptLogError(
                 f"recorded results diverge from replay at height {height}", height=height
             )
+        elif self.state_digest() != block.state_digest:
+            raise CorruptLogError(f"state digest mismatch after height {height}", height=height)
         self._blocks.append(block)
-        self._digests.append(self.state_digest())
         return block, outcomes
 
     # -- persistence ----------------------------------------------------------
 
     def persist(self, directory: str | Path) -> Path:
-        """Append blocks not yet on disk, each followed by its state digest.
+        """Append blocks not yet on disk, one line each; the only writer of a
+        ledger directory.
 
-        Writes the policy and config files on first use so the directory is
+        The first call starts the directory: it refuses an existing block
+        log, then writes the policy and config files so the directory is
         self-contained for :func:`load_ledger`. The log only ever grows; a
-        second persist call with no new blocks is a no-op.
+        call with no new blocks is a no-op.
         """
         directory = Path(directory)
         path = directory / BLOCKS_FILE
@@ -691,23 +708,18 @@ class Ledger:
         if not new_blocks:
             return path
         try:
-            directory.mkdir(parents=True, exist_ok=True)
-            policy_path = directory / POLICY_FILE
-            if not policy_path.exists():
-                policy_path.write_text(
-                    canonical_json(self.policy.as_dict()) + "\n", encoding="utf-8"
-                )
-            config_path = directory / CONFIG_FILE
-            if not config_path.exists():
-                config_path.write_text(
-                    canonical_json(self.config.as_dict()) + "\n", encoding="utf-8"
-                )
+            if not self._persisted_blocks:
+                if path.exists():
+                    raise IoFailureError(f"ledger already exists at {directory}")
+                directory.mkdir(parents=True, exist_ok=True)
+                for name, data in (
+                    (POLICY_FILE, self.policy.as_dict()),
+                    (CONFIG_FILE, self.config.as_dict()),
+                ):
+                    (directory / name).write_text(canonical_json(data) + "\n", encoding="utf-8")
             with open(path, "a", encoding="utf-8") as handle:
                 for block in new_blocks:
                     handle.write(canonical_json(block.wire_dict()) + "\n")
-                    handle.write(
-                        canonical_json({"stateDigest": self._digests[block.height]}) + "\n"
-                    )
         except OSError as exc:
             raise IoFailureError(f"cannot write block log: {exc}") from exc
         self._persisted_blocks = len(self._blocks)
@@ -716,37 +728,25 @@ class Ledger:
 
 # --- ledger directories ------------------------------------------------------
 
-def _read_json_file(path: Path, label: str) -> Any:
+def read_json_file(path: str | Path, label: str) -> Any:
+    """The one reader of JSON input files: an unreadable file raises
+    ``IoFailureError``, one that is not UTF-8 JSON ``ConfigInvalidError``."""
     try:
-        text = path.read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise IoFailureError(f"cannot read {label}: {exc}") from exc
     try:
-        return json.loads(text)
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise ConfigInvalidError(f"{label} is not valid JSON: {exc}") from exc
+        return json.loads(data.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError is a ValueError
+        raise ConfigInvalidError(f"{label} is not valid UTF-8 JSON: {exc}") from exc
 
 
 def init_ledger_dir(
     policy_data: object, config_data: object, directory: str | Path
 ) -> Ledger:
-    """Create a fresh ledger directory: policy, config, and the genesis block."""
-    directory = Path(directory)
-    policy = policy_from_dict(policy_data)
-    config = SimConfig.from_dict(config_data)
-    if (directory / BLOCKS_FILE).exists():
-        raise IoFailureError(f"ledger already exists at {directory}")
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-        (directory / POLICY_FILE).write_text(
-            canonical_json(policy.as_dict()) + "\n", encoding="utf-8"
-        )
-        (directory / CONFIG_FILE).write_text(
-            canonical_json(config.as_dict()) + "\n", encoding="utf-8"
-        )
-    except OSError as exc:
-        raise IoFailureError(f"cannot initialise ledger dir: {exc}") from exc
-    ledger = Ledger(policy, config)
+    """Create a fresh ledger directory: policy, config, and the genesis block.
+    Refuses a directory that already holds a block log."""
+    ledger = Ledger(policy_from_dict(policy_data), SimConfig.from_dict(config_data))
     ledger.persist(directory)
     return ledger
 
@@ -755,14 +755,14 @@ def load_ledger(directory: str | Path) -> Ledger:
     """Reconstruct a ledger by replaying and fully validating its directory.
 
     Raises :class:`CorruptLogError` carrying the height of the first bad
-    block pair. Validation covers: canonical line encoding, strict wire
-    structure, per-transaction hashes, block hashes and parent links,
-    strictly increasing timestamps, result agreement under re-execution, and
-    the recorded post-state digest of every block.
+    line; line ``h`` holds block ``h``. Validation covers: canonical line
+    encoding, strict wire structure, per-transaction hashes, block hashes and
+    parent links, strictly increasing timestamps, result agreement under
+    re-execution, and the post-state digest of every block.
     """
     directory = Path(directory)
-    policy = policy_from_dict(_read_json_file(directory / POLICY_FILE, "policy file"))
-    config = SimConfig.from_dict(_read_json_file(directory / CONFIG_FILE, "config file"))
+    policy = policy_from_dict(read_json_file(directory / POLICY_FILE, "policy file"))
+    config = SimConfig.from_dict(read_json_file(directory / CONFIG_FILE, "config file"))
     path = directory / BLOCKS_FILE
     if not path.exists():
         raise IoFailureError(f"no block log at {path}")
@@ -778,13 +778,8 @@ def load_ledger(directory: str | Path) -> Ledger:
         raise CorruptLogError("empty block log", height=0)
 
     ledger = Ledger(policy, config)
-    for height in range(0, (len(lines) + 1) // 2):
-        block_line = lines[2 * height]
-        if 2 * height + 1 >= len(lines):
-            raise CorruptLogError("block without state digest record", height=height)
-        digest_line = lines[2 * height + 1]
-
-        parsed = _parse_canonical_line(block_line, height)
+    for height, line in enumerate(lines):
+        parsed = _parse_canonical_line(line, height)
         if height == 0:
             # the genesis block is fully determined by policy and config
             if parsed != ledger._blocks[0].wire_dict():
@@ -808,12 +803,6 @@ def load_ledger(directory: str | Path) -> Ledger:
             if any(tx.submitted_at > block.timestamp for tx in block.transactions):
                 raise CorruptLogError("transaction submitted after its block", height=height)
             ledger._append_block(block.timestamp, block.transactions, block)
-
-        digest_parsed = _parse_canonical_line(digest_line, height)
-        if set(digest_parsed) != {"stateDigest"} or digest_parsed["stateDigest"] != ledger._digests[height]:
-            raise CorruptLogError(
-                f"state digest mismatch after height {height}", height=height
-            )
     ledger._persisted_blocks = len(ledger._blocks)
     return ledger
 

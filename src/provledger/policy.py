@@ -68,8 +68,8 @@ class AssignmentStrategy:
 
     ``open`` mints to anyone, ``fee`` charges ``price`` from an internal
     balance ledger, ``whitelist`` restricts minting to members managed by a
-    fixed admin. ``initial_balance`` is credited to each client the first
-    time the fee ledger sees them.
+    fixed admin. ``initial_balance`` is each client's balance until its first
+    successful fee request, which credits it to the fee ledger.
     """
 
     kind: str
@@ -278,24 +278,19 @@ class PolicyLayer:
             return self._balances[client]
         return self.policy.assignment.initial_balance
 
-    def _touch_balance(self, client: ClientId) -> None:
-        if client not in self._balances:
-            seed = self.policy.assignment.initial_balance
-            self._balances[client] = seed
-            self._seeded_total += seed
-
     def request_token(self, caller: ClientId, payment: int = 0) -> int:
-        """Assign a fresh token to the caller, subject to the strategy."""
+        """Assign a fresh token to the caller, subject to the strategy.
+        Every check runs before the first write."""
         assignment = self.policy.assignment
         if assignment.kind == FEE:
             if payment < assignment.price:
                 raise InsufficientFeeError(
                     f"payment {payment} below token price {assignment.price}"
                 )
-            self._touch_balance(caller)
-            if self._balances[caller] < assignment.price:
+            balance = self.balance_of(caller)
+            if balance < assignment.price:
                 raise InsufficientFeeError(
-                    f"balance {self._balances[caller]} below token price {assignment.price}"
+                    f"balance {balance} below token price {assignment.price}"
                 )
         elif assignment.kind == WHITELIST:
             if caller not in self._whitelist:
@@ -305,7 +300,9 @@ class PolicyLayer:
         self._registry.mint(self._mint_key, caller, token_id)
         self._next_token_id += 1
         if assignment.kind == FEE:
-            self._balances[caller] -= assignment.price
+            if caller not in self._balances:
+                self._seeded_total += balance  # the initial balance, credited now
+            self._balances[caller] = balance - assignment.price
             self._treasury += assignment.price
         return token_id
 

@@ -88,8 +88,8 @@ class ProvenanceLayer:
         if context_check is not None:
             context_check(context)
         prov_id = self._next_prov_id
-        self._next_prov_id += 1
         self._store.create_record(self._store_key, prov_id, token_id, normalized, context)
+        self._next_prov_id += 1
         self._associated.setdefault(token_id, []).append(prov_id)
         return prov_id
 

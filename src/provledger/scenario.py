@@ -8,12 +8,11 @@ produces the same chain on a fresh ledger.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigInvalidError, IoFailureError, LedgerError
-from .ledger import Ledger, resolve_payload
+from .errors import ConfigInvalidError, LedgerError
+from .ledger import Ledger, read_json_file, resolve_payload
 from .policy import resolve_client
 
 
@@ -56,15 +55,7 @@ class StepOutcome:
 
 
 def load_scenario(path: str | Path) -> list[ScenarioStep]:
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoFailureError(f"cannot read scenario: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except ValueError as exc:
-        raise ConfigInvalidError(f"scenario is not valid JSON: {exc}") from exc
+    data = read_json_file(path, "scenario")
     if not isinstance(data, dict) or not isinstance(data.get("steps"), list):
         raise ConfigInvalidError("scenario must be an object with a steps list")
     steps = []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -247,10 +248,16 @@ def test_verify_detects_corruption(runner, ledger_dir):
 
 
 @pytest.mark.parametrize(
-    "name, text", [("policy.json", '{"schema": 5}'), ("config.json", "not json")]
+    "name, text",
+    [
+        ("policy.json", '{"schema": 5}'),
+        ("config.json", "not json"),
+        ("policy.json", b"\xff\xfe{}"),
+        ("config.json", b"\xff\xfe{}"),
+    ],
 )
 def test_verify_reports_unparseable_policy_or_config(runner, ledger_dir, name, text):
-    (ledger_dir / name).write_text(text, encoding="utf-8")
+    (ledger_dir / name).write_bytes(text if isinstance(text, bytes) else text.encode())
     result = runner.invoke(main, ["verify", str(ledger_dir)])
     assert result.exit_code == 1
     verdict = out_json(result)
@@ -267,3 +274,55 @@ def test_dir_from_environment(runner, ledger_dir):
     )
     assert result.exit_code == 0, result.output
     assert out_json(result)["tokenId"] == 1
+
+
+def assert_config_invalid(result):
+    """Exit 1 through the JSON error path, not an uncaught exception."""
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert json.loads(result.stderr.strip())["error"] == "ConfigInvalid"
+
+
+def test_init_rejects_non_utf8_policy(runner, tmp_path):
+    policy = tmp_path / "policy.json"
+    policy.write_bytes(b"\xff\xfe{}")
+    result = runner.invoke(
+        main,
+        [
+            "init",
+            "--policy",
+            str(policy),
+            "--config",
+            str(FIXTURES / "sim_config.json"),
+            "--out",
+            str(tmp_path / "ledger"),
+        ],
+    )
+    assert_config_invalid(result)
+    assert not (tmp_path / "ledger").exists()
+
+
+def test_scenario_run_rejects_non_utf8_script(runner, ledger_dir, tmp_path):
+    script = tmp_path / "script.json"
+    script.write_bytes(b"\xff\xfe{}")
+    result = runner.invoke(main, ["scenario", "run", str(script), "--dir", str(ledger_dir)])
+    assert_config_invalid(result)
+
+
+# SHA-256 of blocks.jsonl after the cold-chain scenario on a fresh init. A
+# change to any consensus rule (selection, the digest, the wire format)
+# changes it; such a change must be stated in README and CHANGES.
+COLD_CHAIN_LOG_SHA256 = "c6e2f85e8e4f92a58a09f8b761b31396365692ba9d62b5d2c021cd4008a4b645"
+
+
+def test_cold_chain_log_is_pinned(runner, ledger_dir):
+    d = str(ledger_dir)
+    result = runner.invoke(
+        main, ["scenario", "run", str(FIXTURES / "vaccine_cold_chain.json"), "--dir", d]
+    )
+    assert result.exit_code == 0, result.output
+    log = (ledger_dir / "blocks.jsonl").read_bytes()
+    assert hashlib.sha256(log).hexdigest() == COLD_CHAIN_LOG_SHA256
+    assert len(log.splitlines()) == 19  # genesis plus one block per step
+    assert out_json(runner.invoke(main, ["verify", d])) == {"ok": True}

@@ -16,9 +16,18 @@ from provledger.errors import (
     IoFailureError,
     MalformedPayloadError,
 )
-from provledger.ledger import BLOCKS_FILE, OPS, resolve_payload
+from provledger.ledger import BLOCKS_FILE, OPS, Block, resolve_payload
 from oracles import naive_select
-from support import ALICE, BOB, CAROL, MALLORY, quick_ledger
+from support import (
+    ALICE,
+    BOB,
+    CAROL,
+    MALLORY,
+    fee_policy,
+    open_policy,
+    quick_ledger,
+    whitelist_policy,
+)
 
 REQUEST = {"op": "requestToken", "payment": 0}
 
@@ -429,7 +438,7 @@ def test_loaded_ledger_continues_producing(tmp_path):
 
 def test_byte_flip_fuzz_detects_everything(tmp_path):
     """Mini version of the acceptance fuzz: flip every byte of a 4-block log
-    and require detection with the damaged pair's height."""
+    and require detection at the damaged line's height."""
     _, directory = busy_ledger(tmp_path, blocks=4)
     path = directory / BLOCKS_FILE
     original = path.read_bytes()
@@ -445,13 +454,13 @@ def test_byte_flip_fuzz_detects_everything(tmp_path):
         path.write_bytes(bytes(damaged))
         result = verify_chain(directory)
         assert result.ok is False, f"flip at offset {offset} went undetected"
-        assert result.first_corrupt_height == line_of_offset[offset] // 2
+        assert result.first_corrupt_height == line_of_offset[offset]
     path.write_bytes(original)
     assert verify_chain(directory).ok is True
 
 
 def test_truncated_log_detected(tmp_path):
-    """Removing the final block line leaves its digest dangling."""
+    """Removing the next-to-last block line breaks the last block's parent link."""
     _, directory = busy_ledger(tmp_path)
     path = directory / BLOCKS_FILE
     lines = path.read_bytes().decode().splitlines()
@@ -460,14 +469,66 @@ def test_truncated_log_detected(tmp_path):
     assert result.ok is False
 
 
-def test_dropped_digest_line_detected(tmp_path):
+def test_torn_final_line_detected(tmp_path):
+    """A write cut anywhere inside the last line fails at that line's height."""
     _, directory = busy_ledger(tmp_path)
     path = directory / BLOCKS_FILE
-    lines = path.read_bytes().decode().splitlines()
-    path.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
+    original = path.read_bytes()
+    lines = original.splitlines(keepends=True)
+    last_start = len(original) - len(lines[-1])
+    last_end = len(original) - 1  # the final newline
+    for cut in range(last_start + 1, last_end):
+        path.write_bytes(original[:cut])
+        result = verify_chain(directory)
+        assert result.ok is False, f"cut at offset {cut} went undetected"
+        assert result.first_corrupt_height == len(lines) - 1
+
+
+def test_log_holds_one_line_per_block(tmp_path):
+    ledger, directory = busy_ledger(tmp_path)
+    lines = [json.loads(line) for line in (directory / BLOCKS_FILE).read_bytes().splitlines()]
+    assert [line["height"] for line in lines] == list(range(ledger.height + 1))
+    assert [line["stateDigest"] for line in lines] == list(ledger.digests)
+    assert [line["blockHash"] for line in lines] == [block.block_hash for block in ledger.blocks]
+
+
+def test_genesis_hash_commits_to_policy_and_config():
+    genesis = quick_ledger().blocks[0].block_hash
+    assert quick_ledger(policy=open_policy(allow_update=False)).blocks[0].block_hash != genesis
+    assert quick_ledger(capacity=11).blocks[0].block_hash != genesis
+    assert quick_ledger().blocks[0].block_hash == genesis
+
+
+def test_replay_rejects_wrong_state_digest(tmp_path):
+    """A last block whose hash matches its fields but whose stateDigest is
+    not the replayed post-state fails at its own height."""
+    ledger, directory = busy_ledger(tmp_path)
+    path = directory / BLOCKS_FILE
+    lines = path.read_bytes().splitlines()
+    last = json.loads(lines[-1])
+    last["stateDigest"] = ledger.digests[-2]
+    last["blockHash"] = Block.compute_block_hash(
+        last["height"],
+        last["parentHash"],
+        last["timestamp"],
+        [tx["hash"] for tx in last["transactions"]],
+        last["results"],
+        last["stateDigest"],
+    )
+    path.write_bytes(b"\n".join(lines[:-1] + [canonical_json(last).encode()]) + b"\n")
     result = verify_chain(directory)
     assert result.ok is False
-    assert result.first_corrupt_height == (len(lines) - 1) // 2
+    assert result.first_corrupt_height == ledger.height
+    assert result.reason == f"state digest mismatch after height {ledger.height}"
+
+
+def test_fresh_ledger_refuses_existing_log(tmp_path):
+    """Only the ledger that started a directory's log may append to it."""
+    _, directory = busy_ledger(tmp_path)
+    before = {path.name: path.read_bytes() for path in directory.iterdir()}
+    with pytest.raises(IoFailureError):
+        quick_ledger(capacity=3).persist(directory)
+    assert {path.name: path.read_bytes() for path in directory.iterdir()} == before
 
 
 def test_load_rejects_corruption(tmp_path):
@@ -597,3 +658,63 @@ def test_prior_context_recoverable_from_log(tmp_path):
     log_text = (directory / BLOCKS_FILE).read_text(encoding="utf-8")
     assert "original-agent" in log_text
     assert "replacement" in log_text
+
+
+# --- failed transactions leave state untouched ------------------------------------
+
+FAILURE_POLICIES = {
+    "open": open_policy(),
+    "fee": fee_policy(price=2, initial_balance=5),
+    "fee-underfunded": fee_policy(price=5, initial_balance=3),
+    "whitelist": whitelist_policy(admin=CAROL, members=[ALICE]),
+}
+
+
+def random_payload(rng, ledger, clients):
+    """Any of the eight ops, with ids and clients that are often invalid."""
+    machine = ledger.machine
+    records = machine.provenance.records.record_count()
+    token_id = rng.randint(1, machine.next_token_id)
+    prov_id = rng.randint(1, records + 1)
+    context = rng.choice([{"agent": "a"}, {"agent": "b", "unit": "C"}, {"bogus": "x"}])
+    client = rng.choice(clients).hex
+    op = rng.choice(sorted(OPS))
+    if op == "requestToken":
+        return {"op": op, "payment": rng.randint(0, 6)}
+    if op == "transfer":
+        return {"op": op, "tokenId": token_id, "from": client, "to": rng.choice(clients).hex}
+    if op == "approve":
+        return {"op": op, "tokenId": token_id, "operator": client}
+    if op == "createProvenance":
+        inputs = rng.sample(range(1, records + 2), k=min(rng.randint(0, 2), records + 1))
+        return {"op": op, "tokenId": token_id, "inputs": inputs, "context": context}
+    if op == "updateContext":
+        return {"op": op, "provId": prov_id, "context": context}
+    if op == "invalidate":
+        return {"op": op, "provId": prov_id}
+    return {"op": op, "member": client}
+
+
+def state_without_nonces(ledger):
+    snapshot = ledger.state_snapshot()
+    del snapshot["nonces"]  # a failed transaction still consumes its nonce
+    return snapshot
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("policy_name", sorted(FAILURE_POLICIES))
+def test_failed_transactions_leave_state_untouched(policy_name, seed):
+    rng = random.Random(seed)
+    ledger = quick_ledger(policy=FAILURE_POLICIES[policy_name])
+    clients = [ALICE, BOB, CAROL, MALLORY]
+    failures = 0
+    for _ in range(60):
+        before = state_without_nonces(ledger)
+        ledger.submit_payload(rng.choice(clients), random_payload(rng, ledger, clients))
+        _, (outcome,) = ledger.produce_block()
+        if not outcome.ok:
+            failures += 1
+            assert state_without_nonces(ledger) == before, (
+                f"failed {outcome.tx.payload} ({outcome.status}) changed state"
+            )
+    assert failures
