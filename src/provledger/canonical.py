@@ -20,14 +20,6 @@ def canonical_json(value: Any) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
-def canonical_bytes(value: Any) -> bytes:
-    return canonical_json(value).encode("utf-8")
-
-
-def sha256_hex(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def digest_of(value: Any) -> str:
     """SHA-256 hex digest of a value's canonical JSON form."""
-    return sha256_hex(canonical_bytes(value))
+    return hashlib.sha256(canonical_json(value).encode("utf-8")).hexdigest()

@@ -94,7 +94,7 @@ def init(policy_path: str, config_path: str, directory: str):
     policy_data = read_json_file(policy_path, "policy file")
     config_data = read_json_file(config_path, "config file")
     ledger = init_ledger_dir(policy_data, config_data, directory)
-    _emit({"ok": True, "dir": str(directory), "stateDigest": ledger.digests[0]})
+    _emit({"ok": True, "dir": str(directory), "stateDigest": ledger.head.state_digest})
 
 
 @main.group()

@@ -23,7 +23,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .canonical import ZERO_DIGEST, canonical_json, digest_of
 from .errors import (
@@ -480,7 +480,8 @@ class Ledger:
 
     One instance owns all state; mutations happen only inside
     :meth:`produce_block`, strictly sequentially. Reads may happen at any
-    time between blocks.
+    time between blocks. The log on disk is the one copy of the chain: in
+    memory a ledger holds only its head and the blocks not yet persisted.
     """
 
     def __init__(self, policy: UseCasePolicy, config: SimConfig):
@@ -495,7 +496,7 @@ class Ledger:
         # block hash commits to the rules the chain runs under
         genesis = Block.seal(0, ZERO_DIGEST, 0, (), (), self.state_digest())
         self._blocks: list[Block] = [genesis]
-        self._persisted_blocks = 0
+        self._directory: Path | None = None
 
     # -- read access --------------------------------------------------------
 
@@ -505,20 +506,26 @@ class Ledger:
 
     @property
     def blocks(self) -> tuple[Block, ...]:
+        """The blocks held in memory, oldest first: the last persisted one, if
+        any, and every block after it."""
         return tuple(self._blocks)
 
     @property
     def digests(self) -> tuple[str, ...]:
-        """Post-state digest per block height."""
+        """Post-state digest of each block in :attr:`blocks`."""
         return tuple(block.state_digest for block in self._blocks)
 
     @property
+    def head(self) -> Block:
+        return self._blocks[-1]
+
+    @property
     def now(self) -> int:
-        return self._blocks[-1].timestamp
+        return self.head.timestamp
 
     @property
     def height(self) -> int:
-        return self._blocks[-1].height
+        return self.head.height
 
     def pending_count(self) -> int:
         return sum(len(queue) for queue in self._mempool.values())
@@ -560,7 +567,7 @@ class Ledger:
         return max(1, base + rng.randint(-spread, spread))
 
     def next_block_timestamp(self) -> int:
-        return self.now + self._interval_for(len(self._blocks))
+        return self.now + self._interval_for(self.height + 1)
 
     # -- submission ----------------------------------------------------------
 
@@ -660,10 +667,10 @@ class Ledger:
         execution loop of production and replay.
 
         Replay passes the logged ``block``, whose nonces, results and state
-        digest the execution must reproduce; production passes none and
-        seals one with the post-state digest.
+        digest the execution must reproduce, and keeps only it, as it is on
+        disk; production passes none and seals one with the post-state digest.
         """
-        height = len(self._blocks)
+        height = self.height + 1
         outcomes: list[ExecutionOutcome] = []
         for tx in transactions:
             if tx.nonce != self._executed_nonce.get(tx.sender, 0):
@@ -678,9 +685,9 @@ class Ledger:
             self._executed_nonce[tx.sender] = tx.nonce + 1
         results = tuple(outcome.status for outcome in outcomes)
         if block is None:
-            parent_hash = self._blocks[-1].block_hash
             block = Block.seal(
-                height, parent_hash, timestamp, tuple(transactions), results, self.state_digest()
+                height, self.head.block_hash, timestamp, tuple(transactions), results,
+                self.state_digest(),
             )
         elif results != block.results:
             raise CorruptLogError(
@@ -688,27 +695,32 @@ class Ledger:
             )
         elif self.state_digest() != block.state_digest:
             raise CorruptLogError(f"state digest mismatch after height {height}", height=height)
+        else:
+            self._blocks.clear()
         self._blocks.append(block)
         return block, outcomes
 
     # -- persistence ----------------------------------------------------------
 
     def persist(self, directory: str | Path) -> Path:
-        """Append blocks not yet on disk, one line each; the only writer of a
-        ledger directory.
+        """Append blocks not yet on disk, one line each, then drop all but
+        the head from memory; the only writer of a ledger directory.
 
-        The first call starts the directory: it refuses an existing block
-        log, then writes the policy and config files so the directory is
-        self-contained for :func:`load_ledger`. The log only ever grows; a
-        call with no new blocks is a no-op.
+        The first call starts the directory and binds the ledger to it: it
+        refuses an existing block log, then writes the policy and config
+        files. A ledger refuses every directory but its own. The log only
+        ever grows; a call with no new blocks is a no-op.
         """
         directory = Path(directory)
         path = directory / BLOCKS_FILE
-        new_blocks = self._blocks[self._persisted_blocks :]
+        resolved = directory.resolve()
+        if self._directory not in (None, resolved):
+            raise IoFailureError(f"ledger belongs to {self._directory}, not {resolved}")
+        new_blocks = self._blocks if self._directory is None else self._blocks[1:]
         if not new_blocks:
             return path
         try:
-            if not self._persisted_blocks:
+            if self._directory is None:
                 if path.exists():
                     raise IoFailureError(f"ledger already exists at {directory}")
                 directory.mkdir(parents=True, exist_ok=True)
@@ -722,7 +734,8 @@ class Ledger:
                     handle.write(canonical_json(block.wire_dict()) + "\n")
         except OSError as exc:
             raise IoFailureError(f"cannot write block log: {exc}") from exc
-        self._persisted_blocks = len(self._blocks)
+        self._directory = resolved
+        del self._blocks[:-1]
         return path
 
 
@@ -752,7 +765,9 @@ def init_ledger_dir(
 
 
 def load_ledger(directory: str | Path) -> Ledger:
-    """Reconstruct a ledger by replaying and fully validating its directory.
+    """Reconstruct a ledger by replaying and fully validating its directory,
+    read one line at a time; the result holds only its head and is bound to
+    ``directory`` as :meth:`Ledger.persist` binds a ledger.
 
     Raises :class:`CorruptLogError` carrying the height of the first bad
     line; line ``h`` holds block ``h``. Validation covers: canonical line
@@ -764,25 +779,15 @@ def load_ledger(directory: str | Path) -> Ledger:
     policy = policy_from_dict(read_json_file(directory / POLICY_FILE, "policy file"))
     config = SimConfig.from_dict(read_json_file(directory / CONFIG_FILE, "config file"))
     path = directory / BLOCKS_FILE
-    if not path.exists():
-        raise IoFailureError(f"no block log at {path}")
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise IoFailureError(f"cannot read block log: {exc}") from exc
-
-    lines = data.split(b"\n")
-    if lines and lines[-1] == b"":
-        lines.pop()
-    if not lines:
-        raise CorruptLogError("empty block log", height=0)
 
     ledger = Ledger(policy, config)
-    for height, line in enumerate(lines):
+    ledger._directory = directory.resolve()
+    height = -1
+    for height, line in enumerate(_log_lines(path)):
         parsed = _parse_canonical_line(line, height)
         if height == 0:
             # the genesis block is fully determined by policy and config
-            if parsed != ledger._blocks[0].wire_dict():
+            if parsed != ledger.head.wire_dict():
                 raise CorruptLogError("genesis block mismatch", height=0)
         else:
             try:
@@ -793,7 +798,7 @@ def load_ledger(directory: str | Path) -> Ledger:
                 raise CorruptLogError(
                     f"expected height {height}, found {block.height}", height=height
                 )
-            previous = ledger._blocks[-1]
+            previous = ledger.head
             if block.parent_hash != previous.block_hash:
                 raise CorruptLogError("broken parent link", height=height)
             if block.timestamp <= previous.timestamp:
@@ -803,8 +808,19 @@ def load_ledger(directory: str | Path) -> Ledger:
             if any(tx.submitted_at > block.timestamp for tx in block.transactions):
                 raise CorruptLogError("transaction submitted after its block", height=height)
             ledger._append_block(block.timestamp, block.transactions, block)
-    ledger._persisted_blocks = len(ledger._blocks)
+    if height < 0:
+        raise CorruptLogError("empty block log", height=0)
     return ledger
+
+
+def _log_lines(path: Path) -> Iterator[bytes]:
+    """The log's lines, read one at a time, without their newlines."""
+    try:
+        with open(path, "rb") as handle:
+            for line in handle:
+                yield line.removesuffix(b"\n")
+    except OSError as exc:
+        raise IoFailureError(f"cannot read block log: {exc}") from exc
 
 
 def _parse_canonical_line(raw: bytes, height: int) -> Any:

@@ -36,10 +36,6 @@ class ProvenanceLayer:
         return self._store
 
     @property
-    def tokens(self) -> TokenRegistry:
-        return self._registry
-
-    @property
     def next_prov_id(self) -> int:
         return self._next_prov_id
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 from provledger import (
@@ -13,7 +14,9 @@ from provledger import (
     PolicyLayer,
     SimConfig,
     UseCasePolicy,
+    load_ledger,
 )
+from provledger.ledger import BLOCKS_FILE
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -68,3 +71,17 @@ def quick_config(interval=1000, capacity=10, seed=0, jitter=False) -> SimConfig:
 
 def quick_ledger(policy=None, **config_kwargs) -> Ledger:
     return Ledger(policy or open_policy(), quick_config(**config_kwargs))
+
+
+def assert_log_matches(ledger: Ledger, directory: Path, produced: list) -> Ledger:
+    """``produced`` holds the genesis and every block ``produce_block``
+    returned. Their state digests and block hashes must equal the log's
+    lines, height by height, and the log must replay to the ledger's head and
+    state. Returns the reloaded ledger."""
+    lines = [json.loads(line) for line in (directory / BLOCKS_FILE).read_bytes().splitlines()]
+    assert [line["stateDigest"] for line in lines] == [block.state_digest for block in produced]
+    assert [line["blockHash"] for line in lines] == [block.block_hash for block in produced]
+    loaded = load_ledger(directory)
+    assert loaded.head == ledger.head
+    assert loaded.state_snapshot() == ledger.state_snapshot()
+    return loaded

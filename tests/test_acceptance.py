@@ -23,7 +23,6 @@ from provledger import (
     canonical_json,
     derivation_graph,
     lineage,
-    load_ledger,
     load_scenario,
     policy_from_dict,
     run_benchmark,
@@ -41,7 +40,7 @@ from oracles import (
     random_dag_plan,
     serialize_graph,
 )
-from support import FIXTURES, layer, open_policy, quick_ledger
+from support import FIXTURES, assert_log_matches, layer, open_policy, quick_ledger
 
 
 @contextmanager
@@ -315,6 +314,7 @@ def test_criterion_8_replay_determinism(tmp_path):
         for run in range(50):
             rng = random.Random(40_000 + run)
             ledger = quick_ledger(interval=500, capacity=7, seed=run, jitter=run % 2 == 0)
+            produced = [ledger.head]
             clients = [ClientId.from_alias(f"r{run}-c{i}") for i in range(4)]
             submitted = 0
             while submitted < 200:
@@ -364,12 +364,12 @@ def test_criterion_8_replay_determinism(tmp_path):
                 ledger.submit_payload(sender, payload, fee=rng.randint(1, 9))
                 submitted += 1
                 if rng.random() < 0.25:
-                    ledger.produce_block()
+                    produced.append(ledger.produce_block()[0])
             while ledger.pending_count():
-                ledger.produce_block()
+                produced.append(ledger.produce_block()[0])
 
             directory = tmp_path / f"run{run}"
             ledger.persist(directory)
-            loaded = load_ledger(directory)
-            assert loaded.digests == ledger.digests  # state digest equal after every block
+            # state digest equal after every block
+            loaded = assert_log_matches(ledger, directory, produced)
             assert loaded.state_snapshot() == ledger.state_snapshot()

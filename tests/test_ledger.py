@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -23,6 +25,7 @@ from support import (
     BOB,
     CAROL,
     MALLORY,
+    assert_log_matches,
     fee_policy,
     open_policy,
     quick_ledger,
@@ -388,27 +391,33 @@ def test_throughput_ceiling():
 # --- persistence and tamper evidence ----------------------------------------------
 
 
-def busy_ledger(tmp_path, blocks=4):
+def busy_chain(tmp_path, blocks=4):
+    """A persisted ledger, its directory, and its genesis followed by every
+    block it produced."""
     ledger = quick_ledger()
+    produced = [ledger.head]
     ledger.submit_payload(ALICE, REQUEST)
-    ledger.produce_block()
+    produced.append(ledger.produce_block()[0])
     ledger.submit_payload(ALICE, create_payload(token_id=1))
-    ledger.produce_block()
+    produced.append(ledger.produce_block()[0])
     for i in range(blocks - 2):
         ledger.submit_payload(
             ALICE, create_payload(token_id=1, inputs=[], agent=f"agent{i}")
         )
-        ledger.produce_block()
+        produced.append(ledger.produce_block()[0])
     directory = tmp_path / "ledger"
     ledger.persist(directory)
+    return ledger, directory, produced
+
+
+def busy_ledger(tmp_path, blocks=4):
+    ledger, directory, _ = busy_chain(tmp_path, blocks)
     return ledger, directory
 
 
 def test_persist_load_roundtrip(tmp_path):
-    ledger, directory = busy_ledger(tmp_path)
-    loaded = load_ledger(directory)
-    assert loaded.digests == ledger.digests
-    assert loaded.blocks == ledger.blocks
+    ledger, directory, produced = busy_chain(tmp_path)
+    loaded = assert_log_matches(ledger, directory, produced)
     assert loaded.state_snapshot() == ledger.state_snapshot()
     assert verify_chain(directory).ok is True
 
@@ -485,11 +494,10 @@ def test_torn_final_line_detected(tmp_path):
 
 
 def test_log_holds_one_line_per_block(tmp_path):
-    ledger, directory = busy_ledger(tmp_path)
+    ledger, directory, produced = busy_chain(tmp_path)
     lines = [json.loads(line) for line in (directory / BLOCKS_FILE).read_bytes().splitlines()]
     assert [line["height"] for line in lines] == list(range(ledger.height + 1))
-    assert [line["stateDigest"] for line in lines] == list(ledger.digests)
-    assert [line["blockHash"] for line in lines] == [block.block_hash for block in ledger.blocks]
+    assert_log_matches(ledger, directory, produced)
 
 
 def test_genesis_hash_commits_to_policy_and_config():
@@ -502,11 +510,11 @@ def test_genesis_hash_commits_to_policy_and_config():
 def test_replay_rejects_wrong_state_digest(tmp_path):
     """A last block whose hash matches its fields but whose stateDigest is
     not the replayed post-state fails at its own height."""
-    ledger, directory = busy_ledger(tmp_path)
+    ledger, directory, produced = busy_chain(tmp_path)
     path = directory / BLOCKS_FILE
     lines = path.read_bytes().splitlines()
     last = json.loads(lines[-1])
-    last["stateDigest"] = ledger.digests[-2]
+    last["stateDigest"] = produced[-2].state_digest
     last["blockHash"] = Block.compute_block_hash(
         last["height"],
         last["parentHash"],
@@ -529,6 +537,111 @@ def test_fresh_ledger_refuses_existing_log(tmp_path):
     with pytest.raises(IoFailureError):
         quick_ledger(capacity=3).persist(directory)
     assert {path.name: path.read_bytes() for path in directory.iterdir()} == before
+
+
+def test_persist_refuses_a_second_directory(tmp_path):
+    """A ledger appends only to the directory it started or was loaded from."""
+    ledger, directory = busy_ledger(tmp_path)
+    ledger.submit_payload(ALICE, create_payload(token_id=1, agent="later"))
+    block, _ = ledger.produce_block()
+    other = tmp_path / "other"
+    other.mkdir()
+    with pytest.raises(IoFailureError):
+        ledger.persist(other)
+    with pytest.raises(IoFailureError):
+        load_ledger(directory).persist(other)
+    assert list(other.iterdir()) == []
+    ledger.persist(directory / ".." / directory.name)  # the same directory
+    last = json.loads((directory / BLOCKS_FILE).read_bytes().splitlines()[-1])
+    assert last["blockHash"] == block.block_hash
+    assert verify_chain(directory).ok is True
+
+
+def fixed_store_chain(directory, blocks):
+    """A chain whose store stays at 10 records: after the token and the
+    records, each block updates every record once. Persists after each block."""
+    ledger = quick_ledger()
+    ledger.submit_payload(ALICE, REQUEST)
+    ledger.produce_block()
+    ledger.persist(directory)
+    for i in range(10):
+        ledger.submit_payload(ALICE, create_payload(token_id=1, agent=f"r{i}"))
+    ledger.produce_block()
+    ledger.persist(directory)
+    for height in range(3, blocks + 1):
+        for prov_id in range(1, 11):
+            context = {"agent": f"h{height}"}
+            ledger.submit_payload(
+                ALICE, {"op": "updateContext", "provId": prov_id, "context": context}
+            )
+        ledger.produce_block()
+        ledger.persist(directory)
+        assert len(ledger.blocks) == 1
+    return ledger
+
+
+def held_and_load_peak(directory, blocks):
+    """Bytes a producing ledger holds after ``blocks`` blocks (what deleting
+    it frees), and the peak bytes of reloading its log."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        ledger = fixed_store_chain(directory, blocks)
+        head = canonical_json(ledger.head.wire_dict())
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        del ledger
+        gc.collect()
+        held -= tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        loaded = load_ledger(directory)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert len(loaded.blocks) == 1
+    assert canonical_json(loaded.head.wire_dict()) == head
+    return held, peak
+
+
+def test_memory_is_bounded_by_state_not_chain_length(tmp_path):
+    """At a fixed store size, an 8x longer chain costs no more memory to hold
+    or to reload: the log on disk is the one copy of the chain."""
+    fixed_store_chain(tmp_path / "warm-up", 5)  # fills one-off caches before measuring
+    short_held, short_peak = held_and_load_peak(tmp_path / "short", 25)
+    long_held, long_peak = held_and_load_peak(tmp_path / "long", 200)
+    assert long_held / short_held < 1.5
+    assert long_peak / short_peak < 1.5
+
+
+@pytest.mark.parametrize(
+    "edit, verdict",
+    [
+        ("empty", {"ok": False, "firstCorruptHeight": 0, "reason": "empty block log"}),
+        ("no final newline", {"ok": True}),
+        ("blank line", {"ok": False, "firstCorruptHeight": 2}),
+        (
+            "crlf",
+            {"ok": False, "firstCorruptHeight": 0, "reason": "log line is not in canonical form"},
+        ),
+    ],
+)
+def test_log_line_edge_cases(tmp_path, edit, verdict):
+    _, directory = busy_ledger(tmp_path)
+    path = directory / BLOCKS_FILE
+    data = path.read_bytes()
+    lines = data.splitlines(keepends=True)
+    edited = {
+        "empty": b"",
+        "no final newline": data[:-1],
+        "blank line": b"".join(lines[:2] + [b"\n"] + lines[2:]),
+        "crlf": data.replace(b"\n", b"\r\n"),
+    }[edit]
+    path.write_bytes(edited)
+    result = verify_chain(directory).as_dict()
+    if edit == "blank line":
+        assert result.pop("reason").startswith("unparseable log line")
+    assert result == verdict
 
 
 def test_load_rejects_corruption(tmp_path):
@@ -566,22 +679,22 @@ def test_determinism_identical_schedules_identical_logs(tmp_path):
 def test_replay_digest_equality_each_block(tmp_path):
     rng = random.Random(3)
     ledger = quick_ledger(capacity=3)
+    produced = [ledger.head]
     clients = [ALICE, BOB, CAROL]
     for client in clients:
         ledger.submit_payload(client, REQUEST)
-    ledger.produce_block()
+    produced.append(ledger.produce_block()[0])
     for step in range(30):
         client = rng.choice(clients)
         token = rng.randint(1, 3)
         ledger.submit_payload(client, create_payload(token_id=token, agent=f"s{step}"))
         if rng.random() < 0.5:
-            ledger.produce_block()
+            produced.append(ledger.produce_block()[0])
     while ledger.pending_count():
-        ledger.produce_block()
+        produced.append(ledger.produce_block()[0])
     directory = tmp_path / "replayed"
     ledger.persist(directory)
-    loaded = load_ledger(directory)
-    assert loaded.digests == ledger.digests
+    assert_log_matches(ledger, directory, produced)
 
 
 # --- config -----------------------------------------------------------------------
