@@ -1,10 +1,10 @@
 """Canonical serialization and hashing.
 
-All hashes in the system (transaction hashes, block hashes, state digests)
-are SHA-256 over the canonical JSON form: sorted keys, no insignificant
-whitespace, UTF-8 bytes. Two semantically equal values always produce
-byte-identical encodings, which is what makes logs replayable and
-tamper-evident.
+Every hash in the system is taken over the canonical JSON form: sorted
+keys, no insignificant whitespace, UTF-8 bytes. Transaction and block hashes
+are SHA-256 of it; the state digest hashes its leaves' canonical forms (see
+``statehash``). Two semantically equal values always produce byte-identical
+encodings, which is what makes logs replayable and tamper-evident.
 """
 
 from __future__ import annotations
@@ -15,9 +15,13 @@ from typing import Any
 
 ZERO_DIGEST = "0" * 64
 
+# one encoder for every call: json.dumps builds a new one per call when given
+# options, which is a measurable share of hashing a small value
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
 
 def canonical_json(value: Any) -> str:
-    return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return _ENCODER.encode(value)
 
 
 def digest_of(value: Any) -> str:

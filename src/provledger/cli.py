@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -42,6 +43,9 @@ _dir_option = click.option(
 
 _fee_option = click.option("--fee", default=1, show_default=True, help="Transaction fee.")
 
+# ASCII decimal ids ([0-9], not \d, which also matches other scripts' digits)
+_ID_LIST = re.compile(r" *[0-9]+ *(?:, *[0-9]+ *)*")
+
 
 def _emit(data) -> None:
     click.echo(canonical_json(data))
@@ -61,6 +65,16 @@ def _handle_errors(fn):
             _fail(exc.code, str(exc))
 
     return wrapper
+
+
+def _parse_inputs(text: str) -> list[int]:
+    """Comma-separated ASCII decimal ids, each with optional surrounding
+    spaces; the empty string is no inputs."""
+    if not text:
+        return []
+    if not _ID_LIST.fullmatch(text):
+        raise ConfigInvalidError(f"bad inputs {text!r}: expected comma-separated decimal ids")
+    return [int(part) for part in text.split(",")]
 
 
 def _mutate(directory: str, alias: str, payload: dict, fee: int) -> None:
@@ -140,11 +154,11 @@ def prov():
 @_handle_errors
 def prov_create(alias: str, token_id: int, inputs: str, context_json: str, fee: int, directory: str):
     """Create a provenance record for a token."""
+    input_ids = _parse_inputs(inputs)
     try:
-        input_ids = [int(part) for part in inputs.split(",") if part.strip()]
         context = json.loads(context_json)
     except ValueError as exc:
-        raise ConfigInvalidError(f"bad inputs or context: {exc}") from exc
+        raise ConfigInvalidError(f"bad context: {exc}") from exc
     payload = {
         "op": "createProvenance",
         "tokenId": token_id,
@@ -215,6 +229,8 @@ def query_lineage(prov_id: int, directory: str):
 @_handle_errors
 def query_graph(prov_id: int, depth: int, as_dot: bool, directory: str):
     """Derivation graph of a record up to a depth bound."""
+    if depth < 0:
+        raise ConfigInvalidError(f"--depth must be non-negative, got {depth}")
     ledger = load_ledger(directory)
     graph = queries.derivation_graph(ledger.machine.provenance, prov_id, depth)
     if as_dot:

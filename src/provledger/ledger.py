@@ -36,6 +36,7 @@ from .errors import (
 )
 from .policy import PolicyLayer, UseCasePolicy, policy_from_dict, resolve_client
 from .records import Context
+from .statehash import StateAccumulator, snapshot_digest
 from .tokens import ClientId
 
 BLOCKS_FILE = "blocks.jsonl"
@@ -487,7 +488,11 @@ class Ledger:
     def __init__(self, policy: UseCasePolicy, config: SimConfig):
         self.policy = policy
         self.config = config
-        self._machine = PolicyLayer.build(policy)
+        self._policy_digest = policy.digest()
+        self._config_digest = config.digest()
+        # the multiset hash of the collection state, kept current by every write
+        self._accumulator = StateAccumulator()
+        self._machine = PolicyLayer.build(policy, self._accumulator.write)
         # pending transactions per sender in nonce order: each queue's head
         # carries its sender's next unexecuted nonce; empty queues are dropped
         self._mempool: dict[ClientId, deque[Transaction]] = {}
@@ -533,28 +538,38 @@ class Ledger:
     def next_nonce(self, sender: ClientId) -> int:
         return self._executed_nonce.get(sender, 0) + len(self._mempool.get(sender, ()))
 
+    def _scalars(self) -> dict:
+        machine = self._machine
+        return {
+            "configDigest": self._config_digest,
+            "nextProvId": machine.provenance.next_prov_id,
+            "nextTokenId": machine.next_token_id,
+            "policyDigest": self._policy_digest,
+            "seededTotal": machine.seeded_total,
+            "treasury": machine.treasury,
+        }
+
     def state_snapshot(self) -> dict:
+        """The whole state as plain data: O(state), for tests, tools and
+        :func:`~provledger.statehash.snapshot_digest`."""
         machine = self._machine
         policy_state = machine.snapshot()
         return {
+            **self._scalars(),
             "associated": machine.provenance.snapshot_association(),
             "balances": policy_state["balances"],
-            "configDigest": self.config.digest(),
-            "nextProvId": machine.provenance.next_prov_id,
-            "nextTokenId": policy_state["nextTokenId"],
             "nonces": {
                 sender.hex: nonce for sender, nonce in sorted(self._executed_nonce.items())
             },
-            "policyDigest": policy_state["policyDigest"],
             "records": machine.provenance.records.snapshot(),
-            "seededTotal": policy_state["seededTotal"],
             "tokens": machine.tokens.snapshot(),
-            "treasury": policy_state["treasury"],
             "whitelist": policy_state["whitelist"],
         }
 
     def state_digest(self) -> str:
-        return digest_of(self.state_snapshot())
+        """The post-state digest, from the incrementally kept accumulator and
+        the scalars: O(1) in the size of the state."""
+        return self._accumulator.digest(self._scalars())
 
     # -- clock ---------------------------------------------------------------
 
@@ -682,6 +697,9 @@ class Ledger:
                 outcomes.append(ExecutionOutcome(tx=tx, status="ok", value=value))
             except LedgerError as exc:
                 outcomes.append(ExecutionOutcome(tx=tx, status=exc.code, message=str(exc)))
+            self._accumulator.write(
+                "nonces", tx.sender.hex, self._executed_nonce.get(tx.sender), tx.nonce + 1
+            )
             self._executed_nonce[tx.sender] = tx.nonce + 1
         results = tuple(outcome.status for outcome in outcomes)
         if block is None:
@@ -837,12 +855,21 @@ def _parse_canonical_line(raw: bytes, height: int) -> Any:
 def verify_chain(directory: str | Path) -> ChainVerification:
     """Check integrity of a persisted ledger without raising on corruption.
 
-    An unparseable policy or config file fails at height 0, since both feed
-    the genesis state digest.
+    Beyond :func:`load_ledger`'s checks, the head's logged state digest must
+    equal the digest recomputed from scratch over the replayed state, which
+    ties the incrementally kept digest to its definition. An unparseable
+    policy or config file fails at height 0, since both feed the genesis
+    state digest.
     """
     try:
-        load_ledger(directory)
+        ledger = load_ledger(directory)
     except (CorruptLogError, ConfigInvalidError) as exc:
         height = getattr(exc, "height", None) or 0
         return ChainVerification(ok=False, first_corrupt_height=height, reason=str(exc))
+    if snapshot_digest(ledger.state_snapshot()) != ledger.head.state_digest:
+        return ChainVerification(
+            ok=False,
+            first_corrupt_height=ledger.height,
+            reason="head state digest differs from its from-scratch value",
+        )
     return ChainVerification(ok=True)

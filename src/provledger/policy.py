@@ -21,6 +21,7 @@ from .errors import (
 )
 from .provenance import ProvenanceLayer
 from .records import Context, RecordStore
+from .statehash import WriteHook, ignore_write
 from .tokens import ClientId, TokenRegistry
 
 OPEN = "open"
@@ -223,7 +224,9 @@ class PolicyLayer:
 
     Also owns the token counter and, under fee assignment, the internal
     balance ledger (balances, treasury, and the cumulative seeded total for
-    conservation checks).
+    conservation checks). Each balance and whitelist write, including the
+    policy's initial members, is reported to ``on_write`` as a ``balances``
+    or ``whitelist`` leaf.
     """
 
     def __init__(
@@ -232,26 +235,31 @@ class PolicyLayer:
         provenance: ProvenanceLayer,
         registry: TokenRegistry,
         mint_key: object,
+        on_write: WriteHook = ignore_write,
     ):
         self.policy = policy
         self._provenance = provenance
         self._registry = registry
         self._mint_key = mint_key
+        self._on_write = on_write
         self._next_token_id = 1
         self._balances: dict[ClientId, int] = {}
         self._treasury = 0
         self._seeded_total = 0
         self._whitelist: set[ClientId] = set(policy.assignment.members)
+        for member in self._whitelist:
+            on_write("whitelist", member.hex, None, True)
 
     @classmethod
-    def build(cls, policy: UseCasePolicy) -> "PolicyLayer":
-        """Wire a fresh store/registry/provenance stack under this policy."""
+    def build(cls, policy: UseCasePolicy, on_write: WriteHook = ignore_write) -> "PolicyLayer":
+        """Wire a fresh store/registry/provenance stack under this policy,
+        every layer reporting its writes to ``on_write``."""
         store_key = object()
         mint_key = object()
-        store = RecordStore(store_key)
-        registry = TokenRegistry(mint_key)
-        provenance = ProvenanceLayer(store, registry, store_key)
-        return cls(policy, provenance, registry, mint_key)
+        store = RecordStore(store_key, on_write)
+        registry = TokenRegistry(mint_key, on_write)
+        provenance = ProvenanceLayer(store, registry, store_key, on_write)
+        return cls(policy, provenance, registry, mint_key, on_write)
 
     @property
     def provenance(self) -> ProvenanceLayer:
@@ -302,6 +310,9 @@ class PolicyLayer:
         if assignment.kind == FEE:
             if caller not in self._balances:
                 self._seeded_total += balance  # the initial balance, credited now
+            self._on_write(
+                "balances", caller.hex, self._balances.get(caller), balance - assignment.price
+            )
             self._balances[caller] = balance - assignment.price
             self._treasury += assignment.price
         return token_id
@@ -313,12 +324,16 @@ class PolicyLayer:
 
     def whitelist_add(self, caller: ClientId, member: ClientId) -> None:
         self._require_admin(caller)
-        self._whitelist.add(member)
+        if member not in self._whitelist:
+            self._whitelist.add(member)
+            self._on_write("whitelist", member.hex, None, True)
 
     def whitelist_remove(self, caller: ClientId, member: ClientId) -> None:
         """Removal only blocks future token requests; minted tokens are untouched."""
         self._require_admin(caller)
-        self._whitelist.discard(member)
+        if member in self._whitelist:
+            self._whitelist.remove(member)
+            self._on_write("whitelist", member.hex, True, None)
 
     def create_provenance_checked(
         self, caller: ClientId, token_id: int, inputs: list[int], context: Context

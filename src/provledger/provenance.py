@@ -18,16 +18,29 @@ from .errors import (
     TokenNotFoundError,
 )
 from .records import Context, ProvenanceRecord, RecordStatus, RecordStore
+from .statehash import WriteHook, ignore_write
 from .tokens import ClientId, TokenRegistry
 
 
 class ProvenanceLayer:
-    """Create/update/invalidate workflows plus the token-to-records map."""
+    """Create/update/invalidate workflows plus the token-to-records map.
 
-    def __init__(self, store: RecordStore, registry: TokenRegistry, store_key: object):
+    Each association entry is reported to ``on_write`` as an ``associated``
+    leaf keyed ``[tokenId, provId]``; a token's list is in ascending id
+    order, so its entries fix it.
+    """
+
+    def __init__(
+        self,
+        store: RecordStore,
+        registry: TokenRegistry,
+        store_key: object,
+        on_write: WriteHook = ignore_write,
+    ):
         self._store = store
         self._registry = registry
         self._store_key = store_key
+        self._on_write = on_write
         self._associated: dict[int, list[int]] = {}
         self._next_prov_id = 1
 
@@ -87,6 +100,7 @@ class ProvenanceLayer:
         self._store.create_record(self._store_key, prov_id, token_id, normalized, context)
         self._next_prov_id += 1
         self._associated.setdefault(token_id, []).append(prov_id)
+        self._on_write("associated", [token_id, prov_id], None, True)
         return prov_id
 
     def get_associated_provenance(self, token_id: int) -> list[int]:

@@ -18,6 +18,7 @@ from .errors import (
     RecordInvalidatedError,
     RecordNotFoundError,
 )
+from .statehash import WriteHook, ignore_write
 
 MAX_ID = 2**64 - 1
 
@@ -79,12 +80,13 @@ class Context:
         return f"Context({self._entries!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProvenanceRecord:
     """One creation or modification event of a data point.
 
     ``input_ids`` reference strictly earlier records; ``index`` is the fixed
-    position in the global insertion index.
+    position in the global insertion index. Slots keep a record to one small
+    object, which queries walking many records read faster.
     """
 
     id: int
@@ -110,11 +112,13 @@ class RecordStore:
 
     Reads are public. Mutations check ``internal_key`` by identity: only the
     holder of the key object given at construction time (the provenance
-    layer) may create, update, or invalidate records.
+    layer) may create, update, or invalidate records. Each write is reported
+    to ``on_write`` as a ``records`` leaf.
     """
 
-    def __init__(self, internal_key: object):
+    def __init__(self, internal_key: object, on_write: WriteHook = ignore_write):
         self._key = internal_key
+        self._on_write = on_write
         self._records: dict[int, ProvenanceRecord] = {}
         self._index: list[int] = []
 
@@ -152,6 +156,7 @@ class RecordStore:
         )
         self._records[prov_id] = record
         self._index.append(prov_id)
+        self._on_write("records", prov_id, None, record.as_dict())
         return index
 
     def get_record(self, prov_id: int) -> ProvenanceRecord:
@@ -169,7 +174,7 @@ class RecordStore:
         record = self.get_record(prov_id)
         if record.status is not RecordStatus.VALID:
             raise RecordInvalidatedError(f"record {prov_id} is invalidated")
-        self._records[prov_id] = replace(record, context=new_context)
+        self._replace(record, replace(record, context=new_context))
 
     def invalidate_record(self, key: object, prov_id: int) -> None:
         """Mark a record invalidated. It stays readable but is no longer a legal input."""
@@ -177,7 +182,11 @@ class RecordStore:
         record = self.get_record(prov_id)
         if record.status is not RecordStatus.VALID:
             raise RecordInvalidatedError(f"record {prov_id} is already invalidated")
-        self._records[prov_id] = replace(record, status=RecordStatus.INVALIDATED)
+        self._replace(record, replace(record, status=RecordStatus.INVALIDATED))
+
+    def _replace(self, old: ProvenanceRecord, new: ProvenanceRecord) -> None:
+        self._records[new.id] = new
+        self._on_write("records", new.id, old.as_dict(), new.as_dict())
 
     def record_count(self) -> int:
         return len(self._index)

@@ -1,0 +1,81 @@
+"""Incremental state commitment: a multiset hash over keyed leaves.
+
+Every piece of collection state is one leaf ``[kind, key, value]``, where
+``kind`` names the :meth:`Ledger.state_snapshot` field it belongs to. The
+accumulator is the sum, mod 2^16384, of SHAKE-256 of each live leaf's
+canonical JSON, read as a 2048-byte little-endian integer (AdHash, Bellare &
+Micciancio 1997, sized as LtHash, Lewi et al. 2019). A write subtracts the
+old leaf and adds the new one, so keeping the sum current costs O(writes),
+and equal states give equal sums whatever order they were written in. The
+state digest is SHA-256 over the accumulator followed by the canonical JSON
+of the scalar fields.
+
+The layers report each write through one hook, ``(kind, key, old, new)``
+with ``None`` for an absent leaf; a set member's value is ``True``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from typing import Any, Callable
+
+from .canonical import canonical_json
+
+LEAF_BYTES = 2048
+_MASK = (1 << (8 * LEAF_BYTES)) - 1
+
+# scalar snapshot fields, hashed beside the accumulator instead of as leaves
+SCALARS = ("configDigest", "nextProvId", "nextTokenId", "policyDigest", "seededTotal", "treasury")
+
+WriteHook = Callable[[str, Any, Any, Any], None]
+
+
+def ignore_write(kind: str, key: Any, old: Any, new: Any) -> None:
+    """The hook of a layer built outside a ledger: nothing is committed."""
+
+
+def _leaf(kind: str, key: Any, value: Any) -> int:
+    data = canonical_json([kind, key, value]).encode("utf-8")
+    return int.from_bytes(hashlib.shake_256(data).digest(LEAF_BYTES), "little")
+
+
+class StateAccumulator:
+    """The multiset hash of the live leaves."""
+
+    __slots__ = ("_sum",)
+
+    def __init__(self):
+        self._sum = 0
+
+    def write(self, kind: str, key: Any, old: Any, new: Any) -> None:
+        """Replace leaf ``[kind, key, old]`` with ``[kind, key, new]``."""
+        if old == new:
+            return
+        if old is not None:
+            self._sum -= _leaf(kind, key, old)
+        if new is not None:
+            self._sum += _leaf(kind, key, new)
+
+    def digest(self, scalars: dict) -> str:
+        self._sum &= _MASK  # also maps a negative sum to its residue
+        data = self._sum.to_bytes(LEAF_BYTES, "little") + canonical_json(scalars).encode("utf-8")
+        return hashlib.sha256(data).hexdigest()
+
+
+def snapshot_digest(snapshot: dict) -> str:
+    """The state digest computed from scratch out of a full
+    :meth:`Ledger.state_snapshot`: the oracle of the incremental one, and
+    O(state), so it is kept off the per-block path."""
+    accumulator = StateAccumulator()
+    for kind in ("records", "tokens"):
+        for item in snapshot[kind]:
+            accumulator.write(kind, item["id"], None, item)
+    for token_id, prov_ids in snapshot["associated"].items():
+        for prov_id in prov_ids:
+            accumulator.write("associated", [int(token_id), prov_id], None, True)
+    for kind in ("balances", "nonces"):
+        for client, amount in snapshot[kind].items():
+            accumulator.write(kind, client, None, amount)
+    for client in snapshot["whitelist"]:
+        accumulator.write("whitelist", client, None, True)
+    return accumulator.digest({name: snapshot[name] for name in SCALARS})

@@ -19,6 +19,7 @@ from .errors import (
     ZeroAddressError,
 )
 from .records import validate_id
+from .statehash import WriteHook, ignore_write
 
 ADDRESS_BYTES = 32
 
@@ -70,16 +71,25 @@ class Token:
     owner: ClientId
     approved: set[ClientId] = field(default_factory=set)
 
+    def as_dict(self) -> dict:
+        return {
+            "id": self.id,
+            "owner": self.owner.hex,
+            "approved": sorted(client.hex for client in self.approved),
+        }
+
 
 class TokenRegistry:
     """Token ownership state: exactly one owner per minted token.
 
     Minting requires the assignment key held by the policy layer; transfer
-    and approve authenticate through the explicit ``caller`` argument.
+    and approve authenticate through the explicit ``caller`` argument. Each
+    write is reported to ``on_write`` as a ``tokens`` leaf.
     """
 
-    def __init__(self, mint_key: object):
+    def __init__(self, mint_key: object, on_write: WriteHook = ignore_write):
         self._mint_key = mint_key
+        self._on_write = on_write
         self._tokens: dict[int, Token] = {}
         self._order: list[int] = []
 
@@ -91,8 +101,9 @@ class TokenRegistry:
             raise ZeroAddressError("cannot mint to the zero address")
         if token_id in self._tokens:
             raise DuplicateTokenError(f"token {token_id} already minted")
-        self._tokens[token_id] = Token(id=token_id, owner=to)
+        token = self._tokens[token_id] = Token(id=token_id, owner=to)
         self._order.append(token_id)
+        self._on_write("tokens", token_id, None, token.as_dict())
 
     def exists(self, token_id: int) -> bool:
         return token_id in self._tokens
@@ -115,14 +126,18 @@ class TokenRegistry:
             raise NotAuthorizedError(f"{caller.hex} may not transfer token {token_id}")
         if to.is_zero:
             raise ZeroAddressError("cannot transfer to the zero address")
+        old = token.as_dict()
         token.owner = to
         token.approved.clear()
+        self._on_write("tokens", token_id, old, token.as_dict())
 
     def approve(self, caller: ClientId, operator: ClientId, token_id: int) -> None:
         token = self._get(token_id)
         if caller != token.owner:
             raise NotAuthorizedError(f"{caller.hex} does not own token {token_id}")
+        old = token.as_dict()
         token.approved.add(operator)
+        self._on_write("tokens", token_id, old, token.as_dict())
 
     def is_authorized(self, caller: ClientId, token_id: int) -> bool:
         """True iff caller is the owner or approved for the token."""
@@ -133,12 +148,4 @@ class TokenRegistry:
         return list(self._order)
 
     def snapshot(self) -> list[dict]:
-        return [
-            {
-                "id": token.id,
-                "owner": token.owner.hex,
-                "approved": sorted(client.hex for client in token.approved),
-            }
-            for token_id in sorted(self._tokens)
-            for token in (self._tokens[token_id],)
-        ]
+        return [self._tokens[token_id].as_dict() for token_id in sorted(self._tokens)]

@@ -310,10 +310,58 @@ def test_scenario_run_rejects_non_utf8_script(runner, ledger_dir, tmp_path):
     assert_config_invalid(result)
 
 
+def test_graph_rejects_negative_depth(runner, ledger_dir):
+    d = str(ledger_dir)
+    runner.invoke(main, ["token", "request", "--as", "alice", "--dir", d])
+    runner.invoke(
+        main,
+        ["prov", "create", "--as", "alice", "--token", "1", "--context",
+         '{"agent": "a", "time": "1am"}', "--dir", d],
+    )
+    result = runner.invoke(main, ["query", "graph", "--id", "1", "--depth", "-1", "--dir", d])
+    assert_config_invalid(result)
+    assert "depth" in json.loads(result.stderr.strip())["message"]
+
+
+def create_with_inputs(runner, directory, inputs):
+    return runner.invoke(
+        main,
+        ["prov", "create", "--as", "alice", "--token", "1", "--inputs", inputs,
+         "--context", '{"agent": "a", "time": "1am"}', "--dir", directory],
+    )
+
+
+@pytest.mark.parametrize(
+    "inputs", ["1_0", "+1", "-1", "١", "1,,2", "1,", ",1", "1 2", "1;2", "0x1", " ", "1.0"]
+)
+def test_create_rejects_inputs_that_are_not_decimal_ids(runner, ledger_dir, inputs):
+    d = str(ledger_dir)
+    runner.invoke(main, ["token", "request", "--as", "alice", "--dir", d])
+    result = create_with_inputs(runner, d, inputs)
+    assert_config_invalid(result)
+    assert result.stdout == ""  # rejected before anything was submitted
+
+
+@pytest.mark.parametrize("inputs, expected", [("", []), ("1", [1]), (" 1 , 2 ", [1, 2])])
+def test_create_accepts_decimal_ids(runner, ledger_dir, inputs, expected):
+    d = str(ledger_dir)
+    runner.invoke(main, ["token", "request", "--as", "alice", "--dir", d])
+    for agent in ("first", "second"):
+        runner.invoke(
+            main,
+            ["prov", "create", "--as", "alice", "--token", "1", "--context",
+             json.dumps({"agent": agent, "time": "1am"}), "--dir", d],
+        )
+    result = create_with_inputs(runner, d, inputs)
+    assert result.exit_code == 0, result.output
+    record = out_json(runner.invoke(main, ["prov", "get", "--id", "3", "--dir", d]))
+    assert record["inputProvenanceIds"] == expected
+
+
 # SHA-256 of blocks.jsonl after the cold-chain scenario on a fresh init. A
 # change to any consensus rule (selection, the digest, the wire format)
 # changes it; such a change must be stated in README and CHANGES.
-COLD_CHAIN_LOG_SHA256 = "c6e2f85e8e4f92a58a09f8b761b31396365692ba9d62b5d2c021cd4008a4b645"
+COLD_CHAIN_LOG_SHA256 = "c1a8115ea9e15b554b182e504eae3c007030b7347c752c129544911eef4e728d"
 
 
 def test_cold_chain_log_is_pinned(runner, ledger_dir):

@@ -3,13 +3,25 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import random
 import tracemalloc
 
 import pytest
 
-from provledger import ClientId, SimConfig, Transaction, load_ledger, verify_chain
+from provledger import (
+    ClientId,
+    Ledger,
+    PolicyLayer,
+    ProvenanceLayer,
+    RecordStore,
+    SimConfig,
+    TokenRegistry,
+    Transaction,
+    load_ledger,
+    verify_chain,
+)
 from provledger.canonical import ZERO_DIGEST, canonical_json
 from provledger.errors import (
     BadNonceError,
@@ -19,6 +31,7 @@ from provledger.errors import (
     MalformedPayloadError,
 )
 from provledger.ledger import BLOCKS_FILE, OPS, Block, resolve_payload
+from provledger.statehash import StateAccumulator, snapshot_digest
 from oracles import naive_select
 from support import (
     ALICE,
@@ -831,3 +844,148 @@ def test_failed_transactions_leave_state_untouched(policy_name, seed):
                 f"failed {outcome.tx.payload} ({outcome.status}) changed state"
             )
     assert failures
+
+
+# --- incremental state digest ------------------------------------------------------
+
+DIGEST_POLICIES = {
+    **FAILURE_POLICIES,
+    "closed": open_policy(allow_update=False, allow_invalidate=False),
+}
+
+
+def plausible_sender(rng, ledger, payload, clients):
+    """Usually the client a payload needs to succeed: the whitelist admin, or
+    the owner of the token it names or of its record's token."""
+    machine = ledger.machine
+    records = machine.provenance.records
+    if rng.random() < 0.25:
+        return rng.choice(clients)
+    if payload["op"].startswith("whitelist"):
+        return machine.policy.assignment.admin or rng.choice(clients)
+    token_id = payload.get("tokenId")
+    if records.has_record(payload.get("provId")):
+        token_id = records.get_record(payload["provId"]).token_id
+    if machine.tokens.exists(token_id):
+        return machine.tokens.owner_of(token_id)
+    return rng.choice(clients)
+
+
+def digest_from_scratch(ledger):
+    """The ledger's incremental digest, checked against the oracle."""
+    digest = ledger.state_digest()
+    assert digest == snapshot_digest(ledger.state_snapshot())
+    return digest
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("policy_name", sorted(DIGEST_POLICIES))
+def test_incremental_digest_matches_from_scratch(tmp_path, policy_name, seed):
+    rng = random.Random(seed)
+    ledger = quick_ledger(policy=DIGEST_POLICIES[policy_name], capacity=4)
+    clients = [ALICE, BOB, CAROL, MALLORY]
+    directory = tmp_path / "ledger"
+    assert ledger.head.state_digest == digest_from_scratch(ledger)
+    results = set()
+    for height in range(1, 61):
+        for _ in range(rng.randint(0, 4)):
+            payload = random_payload(rng, ledger, clients)
+            sender = plausible_sender(rng, ledger, payload, clients)
+            ledger.submit_payload(sender, payload, fee=rng.randint(1, 3))
+        block, outcomes = ledger.produce_block()
+        results.update(outcome.ok for outcome in outcomes)
+        assert block.state_digest == digest_from_scratch(ledger)
+        if height % 20 == 0:
+            ledger.persist(directory)
+            loaded = load_ledger(directory)
+            assert digest_from_scratch(loaded) == block.state_digest
+    # an underfunded fee policy mints nothing, so every op there fails
+    assert results == ({False} if policy_name == "fee-underfunded" else {True, False})
+
+
+def test_digest_follows_its_definition():
+    """The README definition, computed here with hashlib alone."""
+    ledger = quick_ledger(policy=whitelist_policy(admin=CAROL, members=[ALICE]))
+    ledger.submit_payload(ALICE, REQUEST)
+    ledger.submit_payload(ALICE, create_payload(token_id=1))
+    ledger.submit_payload(ALICE, {"op": "approve", "tokenId": 1, "operator": BOB.hex})
+    ledger.produce_block()
+    snapshot = ledger.state_snapshot()
+    leaves = [["records", item["id"], item] for item in snapshot["records"]]
+    leaves += [["tokens", item["id"], item] for item in snapshot["tokens"]]
+    leaves += [
+        ["associated", [int(token_id), prov_id], True]
+        for token_id, prov_ids in snapshot["associated"].items()
+        for prov_id in prov_ids
+    ]
+    leaves += [["nonces", client, nonce] for client, nonce in snapshot["nonces"].items()]
+    leaves += [["whitelist", client, True] for client in snapshot["whitelist"]]
+    assert len(leaves) == 5
+    total = sum(
+        int.from_bytes(hashlib.shake_256(canonical_json(leaf).encode()).digest(2048), "little")
+        for leaf in leaves
+    )
+    scalars = {
+        name: snapshot[name]
+        for name in (
+            "configDigest", "nextProvId", "nextTokenId", "policyDigest", "seededTotal", "treasury"
+        )
+    }
+    data = (total % 2**16384).to_bytes(2048, "little") + canonical_json(scalars).encode()
+    assert ledger.state_digest() == hashlib.sha256(data).hexdigest()
+
+
+def test_accumulator_is_order_free_and_undoes_writes():
+    empty = StateAccumulator().digest({})
+    writes = [("nonces", "a", None, 1), ("nonces", "b", None, 1), ("nonces", "a", 1, 2)]
+    forward, direct = StateAccumulator(), StateAccumulator()
+    for write in writes:
+        forward.write(*write)
+    direct.write("nonces", "b", None, 1)
+    direct.write("nonces", "a", None, 2)
+    assert forward.digest({}) == direct.digest({}) != empty
+    for kind, key, old, new in reversed(writes):
+        forward.write(kind, key, new, old)
+    assert forward.digest({}) == empty
+
+
+def test_block_production_and_replay_never_snapshot_the_state(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a full state snapshot on the per-block path")
+
+    for owner, name in (
+        (Ledger, "state_snapshot"),
+        (RecordStore, "snapshot"),
+        (TokenRegistry, "snapshot"),
+        (PolicyLayer, "snapshot"),
+        (ProvenanceLayer, "snapshot_association"),
+    ):
+        monkeypatch.setattr(owner, name, refuse)
+    rng = random.Random(5)
+    ledger = quick_ledger(policy=FAILURE_POLICIES["fee"])
+    clients = [ALICE, BOB, CAROL]
+    for _ in range(40):
+        for _ in range(3):
+            payload = random_payload(rng, ledger, clients)
+            ledger.submit_payload(plausible_sender(rng, ledger, payload, clients), payload)
+        ledger.produce_block()
+    directory = tmp_path / "ledger"
+    ledger.persist(directory)
+    assert load_ledger(directory).head == ledger.head
+
+
+def test_verify_recomputes_the_head_digest_from_scratch(tmp_path, monkeypatch):
+    _, directory, _ = busy_chain(tmp_path)
+    assert verify_chain(directory).ok
+    # a store that never reports its writes: replay reproduces the logged
+    # digests, but they are not the digests of the state
+    real_init = RecordStore.__init__
+    monkeypatch.setattr(
+        RecordStore, "__init__", lambda self, key, on_write=None: real_init(self, key)
+    )
+    lossy, lossy_dir, _ = busy_chain(tmp_path / "lossy")
+    assert load_ledger(lossy_dir).head == lossy.head
+    result = verify_chain(lossy_dir)
+    assert not result.ok
+    assert result.first_corrupt_height == lossy.height
+    assert "from-scratch" in result.reason
