@@ -3,13 +3,18 @@
 
 The ledger directory is given with --dir or the PROVLEDGER_DIR environment
 variable. Mutating commands submit one transaction, mine one block
-(auto-mine), persist, and print {txHash, blockHeight, result, ...}.
+(auto-mine), persist, and print {txHash, blockHeight, blockHash, result, ...}.
+They hold an exclusive advisory lock on the ledger directory from loading
+the ledger until it is persisted, so concurrent writers take turns.
 """
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import functools
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -19,7 +24,7 @@ import click
 from . import query as queries
 from .bench import run_benchmark
 from .canonical import canonical_json
-from .errors import ConfigInvalidError, LedgerError
+from .errors import ConfigInvalidError, IoFailureError, LedgerError
 from .ledger import (
     CONFIG_FILE,
     SimConfig,
@@ -77,15 +82,36 @@ def _parse_inputs(text: str) -> list[int]:
     return [int(part) for part in text.split(",")]
 
 
+@contextlib.contextmanager
+def _writer_lock(directory: str):
+    """Hold an exclusive ``flock`` on the ledger directory itself; without
+    it two writers that load the same head append two blocks at one height."""
+    try:
+        fd = os.open(directory, os.O_RDONLY | os.O_DIRECTORY)
+    except OSError as exc:
+        raise IoFailureError(f"cannot open ledger directory: {exc}") from exc
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        yield
+    finally:
+        os.close(fd)
+
+
 def _mutate(directory: str, alias: str, payload: dict, fee: int) -> None:
     """Resolve, submit, auto-mine one block, persist, report the receipt."""
-    ledger = load_ledger(directory)
-    sender = resolve_client(alias, "client reference")
-    tx = ledger.submit_payload(sender, resolve_payload(ledger.machine, payload), fee=fee)
-    block, outcomes = ledger.produce_block()
-    ledger.persist(directory)
+    with _writer_lock(directory):
+        ledger = load_ledger(directory)
+        sender = resolve_client(alias, "client reference")
+        tx = ledger.submit_payload(sender, resolve_payload(ledger.machine, payload), fee=fee)
+        block, outcomes = ledger.produce_block()
+        ledger.persist(directory)
     executed = next(o for o in outcomes if o.tx.hash == tx.hash)
-    receipt = {"txHash": tx.hash, "blockHeight": block.height, "result": executed.status}
+    receipt = {
+        "txHash": tx.hash,
+        "blockHeight": block.height,
+        "blockHash": block.block_hash,
+        "result": executed.status,
+    }
     if executed.value:
         receipt.update(executed.value)
     _emit(receipt)
@@ -261,10 +287,11 @@ def scenario():
 @_handle_errors
 def scenario_run(script: str, directory: str):
     """Replay a scenario script; exits nonzero on the first mismatch."""
-    ledger = load_ledger(directory)
-    steps = load_scenario(script)
-    outcomes = run_scenario(ledger, steps)
-    ledger.persist(directory)
+    with _writer_lock(directory):
+        ledger = load_ledger(directory)
+        steps = load_scenario(script)
+        outcomes = run_scenario(ledger, steps)
+        ledger.persist(directory)
     for outcome in outcomes:
         _emit(outcome.as_dict())
     if outcomes and not outcomes[-1].matched:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import heapq
 import json
 import random
+import re
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -256,12 +257,12 @@ def resolve_payload(machine: PolicyLayer, payload: object) -> dict:
 
 # --- transactions and blocks ------------------------------------------------
 
+# used with fullmatch: a match ending in "$" would accept a trailing newline
+_HASH_HEX = re.compile(r"[0-9a-f]{64}")
+
+
 def _check_hash_hex(value: object, label: str) -> str:
-    if (
-        type(value) is not str
-        or len(value) != 64
-        or any(c not in "0123456789abcdef" for c in value)
-    ):
+    if type(value) is not str or not _HASH_HEX.fullmatch(value):
         raise MalformedPayloadError(f"{label} must be 64 lowercase hex chars")
     return value
 

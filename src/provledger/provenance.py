@@ -9,7 +9,7 @@ link between them.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping
 
 from .errors import (
     InvalidInputError,
@@ -28,6 +28,11 @@ class ProvenanceLayer:
     Each association entry is reported to ``on_write`` as an ``associated``
     leaf keyed ``[tokenId, provId]``; a token's list is in ascending id
     order, so its entries fix it.
+
+    A record's same-token link is fixed at creation, since its inputs and
+    every token id never change, so it is derived once there for the
+    queries. The links are not hashed; replay rebuilds them by re-executing
+    every create.
     """
 
     def __init__(
@@ -42,6 +47,7 @@ class ProvenanceLayer:
         self._store_key = store_key
         self._on_write = on_write
         self._associated: dict[int, list[int]] = {}
+        self._same_token_parent: dict[int, int] = {}
         self._next_prov_id = 1
 
     @property
@@ -51,6 +57,14 @@ class ProvenanceLayer:
     @property
     def next_prov_id(self) -> int:
         return self._next_prov_id
+
+    @property
+    def same_token_parents(self) -> Mapping[int, int]:
+        """Read-only map from every record id to its same-token parent: the
+        id of its unique input with the same token, ``0`` (the nil id) when
+        it has none, or ``-n`` when ``n`` >= 2 inputs share its token and
+        the record has no linear history."""
+        return self._same_token_parent
 
     def validate_create(
         self, caller: ClientId, token_id: int, inputs: Iterable[int]
@@ -99,6 +113,14 @@ class ProvenanceLayer:
         prov_id = self._next_prov_id
         self._store.create_record(self._store_key, prov_id, token_id, normalized, context)
         self._next_prov_id += 1
+        same_token = [
+            input_id
+            for input_id in normalized
+            if self._store.get_record(input_id).token_id == token_id
+        ]
+        self._same_token_parent[prov_id] = (
+            same_token[0] if len(same_token) == 1 else -len(same_token)
+        )
         self._associated.setdefault(token_id, []).append(prov_id)
         self._on_write("associated", [token_id, prov_id], None, True)
         return prov_id

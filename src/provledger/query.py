@@ -7,7 +7,6 @@ identical bytes.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .canonical import canonical_json
@@ -55,84 +54,75 @@ class Trace:
         return {"head": self.head, "records": list(self.records)}
 
 
-def _same_token_inputs(layer: ProvenanceLayer, record: ProvenanceRecord) -> list[int]:
-    store = layer.records
-    return [
-        input_id
-        for input_id in record.input_ids
-        if store.get_record(input_id).token_id == record.token_id
-    ]
-
-
 def lineage(layer: ProvenanceLayer, prov_id: int) -> list[int]:
     """Linear same-token history of a record, oldest first.
 
-    Walks backwards along the unique same-token input at each step. A record
-    with more than one same-token input has no linear history and is reported
-    as ambiguous rather than silently resolved.
+    Walks backwards along each record's same-token parent (see
+    :attr:`ProvenanceLayer.same_token_parents`). A record with more than one
+    same-token input has no linear history and is reported as ambiguous
+    rather than silently resolved.
     """
-    store = layer.records
+    layer.records.get_record(prov_id)  # RecordNotFoundError for an unknown id
+    parents = layer.same_token_parents
     chain = [prov_id]
-    record = store.get_record(prov_id)
-    while True:
-        predecessors = _same_token_inputs(layer, record)
-        if len(predecessors) > 1:
-            raise AmbiguousLineageError(
-                f"record {record.id} has {len(predecessors)} same-token inputs"
-            )
-        if not predecessors:
-            break
-        record = store.get_record(predecessors[0])
-        chain.append(record.id)
+    parent = parents[prov_id]
+    while parent > 0:
+        chain.append(parent)
+        parent = parents[parent]
+    if parent < 0:
+        raise AmbiguousLineageError(f"record {chain[-1]} has {-parent} same-token inputs")
     chain.reverse()
     return chain
 
 
 def derivation_graph(layer: ProvenanceLayer, prov_id: int, max_depth: int) -> ProvenanceGraph:
-    """Breadth-first expansion through input edges up to ``max_depth`` hops.
+    """Level-by-level expansion through input edges up to ``max_depth`` hops.
 
     Depth 0 is the record alone. Edges are included only when both endpoints
-    fall within the depth bound.
+    fall within the depth bound. Each node is expanded once and a record's
+    inputs are distinct, so no edge is found twice.
     """
     if max_depth < 0:
         raise ValueError("max_depth must be non-negative")
-    store = layer.records
-    store.get_record(prov_id)
-    visited = {prov_id}
-    edges: set[tuple[int, int]] = set()
-    frontier = deque([(prov_id, 0)])
-    while frontier:
-        current, depth = frontier.popleft()
-        if depth == max_depth:
-            continue
-        for input_id in store.get_record(current).input_ids:
-            edges.add((current, input_id))
-            if input_id not in visited:
-                visited.add(input_id)
-                frontier.append((input_id, depth + 1))
-    nodes = tuple(store.get_record(rid) for rid in sorted(visited))
-    return ProvenanceGraph(nodes=nodes, edges=tuple(sorted(edges)))
+    get_record = layer.records.get_record
+    found = {prov_id: get_record(prov_id)}
+    edges: list[tuple[int, int]] = []
+    level = [prov_id]
+    for _ in range(max_depth):
+        next_level = []
+        for current in level:
+            for input_id in found[current].input_ids:
+                edges.append((current, input_id))
+                if input_id not in found:
+                    found[input_id] = get_record(input_id)
+                    next_level.append(input_id)
+        if not next_level:
+            break
+        level = next_level
+    edges.sort()
+    nodes = tuple(found[rid] for rid in sorted(found))
+    return ProvenanceGraph(nodes=nodes, edges=tuple(edges))
 
 
 def traces(layer: ProvenanceLayer, token_id: int) -> list[Trace]:
     """Partition a token's records into maximal same-token chains.
 
     Records are processed in creation order; a record extends the chain whose
-    tail is its unique same-token input, otherwise it starts a new chain. This
+    tail is its same-token parent, otherwise it starts a new chain. This
     puts every associated record in exactly one trace, with forks and
     ambiguous merges opening fresh chains.
     """
     associated = layer.get_associated_provenance(token_id)
+    parents = layer.same_token_parents
     chains: list[list[int]] = []
     tail_chain: dict[int, int] = {}
     for prov_id in associated:
-        record = layer.records.get_record(prov_id)
-        predecessors = _same_token_inputs(layer, record)
-        if len(predecessors) == 1 and predecessors[0] in tail_chain:
-            chain_index = tail_chain.pop(predecessors[0])
-            chains[chain_index].append(prov_id)
-        else:
+        # a parent of 0 or below is never a tail: tails are record ids
+        chain_index = tail_chain.pop(parents[prov_id], None)
+        if chain_index is None:
             chain_index = len(chains)
             chains.append([prov_id])
+        else:
+            chains[chain_index].append(prov_id)
         tail_chain[prov_id] = chain_index
     return [Trace(head=chain[-1], records=tuple(chain)) for chain in chains]

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import provledger
 from provledger.cli import main
 from support import FIXTURES
 
@@ -71,8 +77,14 @@ def test_token_and_prov_flow(runner, ledger_dir):
     result = runner.invoke(main, ["token", "request", "--as", "alice", "--dir", d])
     assert result.exit_code == 0, result.output
     receipt = out_json(result)
-    assert receipt["tokenId"] == 1 and receipt["result"] == "ok"
-    assert receipt["blockHeight"] == 1
+    head = json.loads((ledger_dir / "blocks.jsonl").read_text().splitlines()[-1])
+    assert receipt == {
+        "txHash": head["transactions"][0]["hash"],
+        "blockHeight": 1,
+        "blockHash": head["blockHash"],
+        "result": "ok",
+        "tokenId": 1,
+    }
 
     result = runner.invoke(
         main,
@@ -171,6 +183,34 @@ def test_token_transfer_replays_once_and_rejects_missing_token(runner, ledger_di
     assert result.exit_code == 1
     assert json.loads(result.stderr.strip())["error"] == "TokenNotFound"
     assert (ledger_dir / "blocks.jsonl").read_bytes() == log
+
+
+def test_mutating_command_waits_for_the_directory_lock(runner, ledger_dir):
+    """A writer holds an exclusive flock on the ledger directory from load to
+    persist, so a second one starts only from the first one's head."""
+    d = str(ledger_dir)
+    runner.invoke(main, ["token", "request", "--as", "alice", "--dir", d])
+    src = str(Path(provledger.__file__).resolve().parent.parent)
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    command = [sys.executable, "-m", "provledger.cli", "prov", "create", "--as", "alice",
+               "--token", "1", "--context", '{"agent": "a", "time": "1am"}', "--dir", d]
+    fd = os.open(d, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        writer = subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            with pytest.raises(subprocess.TimeoutExpired):
+                writer.wait(timeout=1.5)
+        except BaseException:
+            writer.kill()
+            writer.wait()
+            raise
+    finally:
+        os.close(fd)
+    out, err = writer.communicate(timeout=60)
+    assert writer.returncode == 0, err
+    assert json.loads(out)["blockHeight"] == 2
 
 
 def test_update_and_invalidate(runner, ledger_dir):

@@ -158,6 +158,25 @@ def test_zero_sender_rejected():
         ledger.submit_payload(ZERO_CLIENT, REQUEST)
 
 
+HEX = "0123456789abcdef" * 4
+
+
+@pytest.mark.parametrize("field", ["parentHash", "stateDigest", "blockHash"])
+@pytest.mark.parametrize(
+    "value",
+    [HEX.upper(), HEX[:63], HEX + "\n", "\u0661" + HEX[1:], "\uff10" + HEX[1:], int(HEX, 16)],
+    ids=["uppercase", "63-chars", "trailing-newline", "arabic-indic-digit", "fullwidth-digit",
+         "integer"],
+)
+def test_block_hash_fields_must_be_lowercase_ascii_hex(field, value):
+    ledger = quick_ledger()
+    ledger.submit_payload(ALICE, REQUEST)
+    block, _ = ledger.produce_block()
+    assert Block.from_wire(block.wire_dict()) == block
+    with pytest.raises(MalformedPayloadError, match=f"^{field} must be 64 lowercase hex chars$"):
+        Block.from_wire(dict(block.wire_dict(), **{field: value}))
+
+
 def test_tampered_transaction_hash_rejected():
     ledger = quick_ledger()
     tx = ledger.build_transaction(ALICE, REQUEST)

@@ -6,7 +6,15 @@ import random
 
 import pytest
 
-from provledger import Context, derivation_graph, lineage, traces
+from provledger import (
+    ClientId,
+    Context,
+    RecordStore,
+    derivation_graph,
+    lineage,
+    load_ledger,
+    traces,
+)
 from provledger.errors import AmbiguousLineageError, RecordNotFoundError, TokenNotFoundError
 from oracles import (
     export_records,
@@ -16,7 +24,7 @@ from oracles import (
     random_dag_plan,
     serialize_graph,
 )
-from support import ALICE, BOB, layer, open_policy
+from support import ALICE, BOB, layer, open_policy, quick_ledger
 
 
 def build_vaccine_story():
@@ -82,8 +90,36 @@ def test_lineage_diamond_is_ambiguous(stack):
     a = stack.provenance.create_provenance(ALICE, token, [], Context())
     b = stack.provenance.create_provenance(ALICE, token, [], Context())
     merged = stack.provenance.create_provenance(ALICE, token, [a, b], Context())
-    with pytest.raises(AmbiguousLineageError):
-        lineage(stack.provenance, merged)
+    above = stack.provenance.create_provenance(ALICE, token, [merged], Context())
+    c = stack.provenance.create_provenance(ALICE, token, [], Context())
+    triple = stack.provenance.create_provenance(ALICE, token, [a, b, c], Context())
+    # the error names the first record on the way back that has no unique parent
+    for start, named, count in ((merged, merged, 2), (above, merged, 2), (triple, triple, 3)):
+        with pytest.raises(AmbiguousLineageError) as caught:
+            lineage(stack.provenance, start)
+        assert str(caught.value) == f"record {named} has {count} same-token inputs"
+
+
+def test_lineage_and_traces_lookups_do_not_grow_with_the_chain(stack, monkeypatch):
+    """Both queries follow the links fixed at creation instead of fetching
+    each record's inputs again."""
+    token = stack.request_token(ALICE)
+    chain: list[int] = []
+    for _ in range(50):
+        chain.append(stack.provenance.create_provenance(ALICE, token, chain[-1:], Context()))
+    lookups: list[int] = []
+    get_record = RecordStore.get_record
+
+    def counting(self, prov_id):
+        lookups.append(prov_id)
+        return get_record(self, prov_id)
+
+    monkeypatch.setattr(RecordStore, "get_record", counting)
+    assert lineage(stack.provenance, chain[-1]) == chain
+    assert len(lookups) <= 2
+    lookups.clear()
+    assert [trace.records for trace in traces(stack.provenance, token)] == [tuple(chain)]
+    assert len(lookups) <= 2
 
 
 def test_derivation_graph_of_converted_average():
@@ -216,3 +252,90 @@ def test_oracle_equivalence_on_random_dags():
             expected_chains = naive_traces(records, associated)
             actual = [list(trace.records) for trace in traces(stack.provenance, token)]
             assert actual == expected_chains
+
+
+def random_ledger(rng: random.Random):
+    """A ledger built through blocks of random transactions: token requests,
+    transfers, creates with same-token and cross-token fan-in, updates and
+    invalidations. Some fail (an input invalidated earlier in the block, a
+    sender that lost its token), and a failed create must leave no link."""
+    ledger = quick_ledger(capacity=6)
+    clients = [ClientId.from_alias(f"q{i}") for i in range(3)]
+    machine = ledger.machine
+    for _ in range(60):
+        for _ in range(rng.randint(1, 6)):
+            tokens = machine.tokens.token_ids()
+            count = machine.provenance.records.record_count()
+            roll = rng.random()
+            sender = rng.choice(clients)
+            if not tokens or roll < 0.06:
+                payload = {"op": "requestToken", "payment": 0}
+            elif roll < 0.12:
+                token = rng.choice(tokens)
+                sender = machine.tokens.owner_of(token)
+                payload = {"op": "transfer", "tokenId": token, "from": sender.hex,
+                           "to": rng.choice(clients).hex}
+            elif roll < 0.24 and count:
+                prov_id = rng.randint(1, count)
+                token = machine.provenance.records.get_record(prov_id).token_id
+                sender = machine.tokens.owner_of(token)
+                payload = (
+                    {"op": "invalidate", "provId": prov_id}
+                    if roll < 0.18
+                    else {"op": "updateContext", "provId": prov_id, "context": {"agent": "u"}}
+                )
+            else:
+                token = rng.choice(tokens)
+                sender = machine.tokens.owner_of(token)
+                own = machine.provenance.get_associated_provenance(token)[-4:]
+                inputs = set(rng.sample(own, min(len(own), rng.choice((0, 1, 1, 1, 2, 3)))))
+                if count and rng.random() < 0.3:
+                    inputs.add(rng.randint(1, count))
+                payload = {"op": "createProvenance", "tokenId": token,
+                           "inputs": sorted(inputs), "context": {"agent": "c"}}
+            ledger.submit_payload(sender, payload, fee=rng.randint(1, 5))
+        ledger.produce_block()
+    while ledger.pending_count():
+        ledger.produce_block()
+    return ledger
+
+
+def assert_queries_match_oracles(machine, rng: random.Random) -> set[str]:
+    """Every record's lineage and a random-depth graph, and every token's
+    traces, against the plain-data oracles; returns the lineage kinds seen."""
+    provenance = machine.provenance
+    records = export_records(provenance)
+    seen = set()
+    for prov_id in records:
+        expected = naive_lineage(records, prov_id)
+        if expected == "ambiguous":
+            with pytest.raises(AmbiguousLineageError, match=r"^record \d+ has \d+ same-token inputs$"):
+                lineage(provenance, prov_id)
+            seen.add("ambiguous")
+        else:
+            assert lineage(provenance, prov_id) == expected
+            seen.add("chain" if len(expected) > 2 else "short")
+        depth = rng.randint(0, 4)
+        nodes, edges = naive_derivation(records, prov_id, depth)
+        assert derivation_graph(provenance, prov_id, depth).to_json() == serialize_graph(
+            records, nodes, edges
+        )
+    for token in machine.tokens.token_ids():
+        associated = provenance.get_associated_provenance(token)
+        actual = [list(trace.records) for trace in traces(provenance, token)]
+        assert actual == naive_traces(records, associated)
+    return seen
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_queries_match_oracles_on_ledger_and_replay(tmp_path, seed):
+    """The links are derived state: a replayed ledger rebuilds the same ones,
+    and both answer every query as the oracles do."""
+    ledger = random_ledger(random.Random(5_000 + seed))
+    ledger.persist(tmp_path)
+    reloaded = load_ledger(tmp_path)
+    assert reloaded.state_snapshot() == ledger.state_snapshot()
+    assert reloaded.machine.provenance.same_token_parents == ledger.machine.provenance.same_token_parents
+    for machine in (ledger.machine, reloaded.machine):
+        seen = assert_queries_match_oracles(machine, random.Random(seed))
+        assert seen == {"ambiguous", "chain", "short"}
