@@ -305,11 +305,13 @@ def assert_queries_match_oracles(machine, rng: random.Random) -> set[str]:
     traces, against the plain-data oracles; returns the lineage kinds seen."""
     provenance = machine.provenance
     records = export_records(provenance)
+    assert provenance.same_token_parents.keys() == records.keys()
     seen = set()
     for prov_id in records:
         expected = naive_lineage(records, prov_id)
         if expected == "ambiguous":
-            with pytest.raises(AmbiguousLineageError, match=r"^record \d+ has \d+ same-token inputs$"):
+            message = r"^record \d+ has \d+ same-token inputs$"
+            with pytest.raises(AmbiguousLineageError, match=message):
                 lineage(provenance, prov_id)
             seen.add("ambiguous")
         else:
