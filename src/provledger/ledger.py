@@ -557,7 +557,6 @@ class Ledger:
         policy_state = machine.snapshot()
         return {
             **self._scalars(),
-            "associated": machine.provenance.snapshot_association(),
             "balances": policy_state["balances"],
             "nonces": {
                 sender.hex: nonce for sender, nonce in sorted(self._executed_nonce.items())
@@ -698,9 +697,7 @@ class Ledger:
                 outcomes.append(ExecutionOutcome(tx=tx, status="ok", value=value))
             except LedgerError as exc:
                 outcomes.append(ExecutionOutcome(tx=tx, status=exc.code, message=str(exc)))
-            self._accumulator.write(
-                "nonces", tx.sender.hex, self._executed_nonce.get(tx.sender), tx.nonce + 1
-            )
+            self._accumulator.count("nonces", tx.sender.hex, 1)
             self._executed_nonce[tx.sender] = tx.nonce + 1
         results = tuple(outcome.status for outcome in outcomes)
         if block is None:

@@ -253,12 +253,12 @@ class PolicyLayer:
     @classmethod
     def build(cls, policy: UseCasePolicy, on_write: WriteHook = ignore_write) -> "PolicyLayer":
         """Wire a fresh store/registry/provenance stack under this policy,
-        every layer reporting its writes to ``on_write``."""
+        every layer that stores facts reporting its writes to ``on_write``."""
         store_key = object()
         mint_key = object()
         store = RecordStore(store_key, on_write)
         registry = TokenRegistry(mint_key, on_write)
-        provenance = ProvenanceLayer(store, registry, store_key, on_write)
+        provenance = ProvenanceLayer(store, registry, store_key)
         return cls(policy, provenance, registry, mint_key, on_write)
 
     @property

@@ -5,6 +5,10 @@ and valid inputs, record ids are drawn from a single monotonic counter, and
 every record is appended to its token's association list. Parallel traces of
 one data point are simply multiple associated records without a same-token
 link between them.
+
+The records are the stored facts; the association lists and same-token
+links are indexes derived from them, so only the record store reports
+writes to the state digest.
 """
 
 from __future__ import annotations
@@ -18,21 +22,18 @@ from .errors import (
     TokenNotFoundError,
 )
 from .records import Context, ProvenanceRecord, RecordStatus, RecordStore
-from .statehash import WriteHook, ignore_write
 from .tokens import ClientId, TokenRegistry
 
 
 class ProvenanceLayer:
     """Create/update/invalidate workflows plus the token-to-records map.
 
-    Each association entry is reported to ``on_write`` as an ``associated``
-    leaf keyed ``[tokenId, provId]``; a token's list is in ascending id
-    order, so its entries fix it.
-
-    A record's same-token link is fixed at creation, since its inputs and
-    every token id never change, so it is derived once there for the
-    queries. The links are not hashed; replay rebuilds them by re-executing
-    every create.
+    A token's association list is the ascending ids of the records naming
+    it, and a record's same-token link is fixed at creation, since its
+    inputs and every token id never change; records are never deleted. So
+    both are derived once, at creation, for the queries. Neither is hashed:
+    the ``records`` leaves fix them, and replay rebuilds them by
+    re-executing every create.
     """
 
     def __init__(
@@ -40,12 +41,10 @@ class ProvenanceLayer:
         store: RecordStore,
         registry: TokenRegistry,
         store_key: object,
-        on_write: WriteHook = ignore_write,
     ):
         self._store = store
         self._registry = registry
         self._store_key = store_key
-        self._on_write = on_write
         self._associated: dict[int, list[int]] = {}
         self._same_token_parent: dict[int, int] = {}
         self._next_prov_id = 1
@@ -122,7 +121,6 @@ class ProvenanceLayer:
             same_token[0] if len(same_token) == 1 else -len(same_token)
         )
         self._associated.setdefault(token_id, []).append(prov_id)
-        self._on_write("associated", [token_id, prov_id], None, True)
         return prov_id
 
     def get_associated_provenance(self, token_id: int) -> list[int]:
@@ -160,6 +158,3 @@ class ProvenanceLayer:
         no longer serve as an input to new records."""
         self._authorized_record(caller, prov_id)
         self._store.invalidate_record(self._store_key, prov_id)
-
-    def snapshot_association(self) -> dict[str, list[int]]:
-        return {str(token_id): list(ids) for token_id, ids in sorted(self._associated.items())}

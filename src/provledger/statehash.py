@@ -1,17 +1,21 @@
 """Incremental state commitment: a multiset hash over keyed leaves.
 
-Every piece of collection state is one leaf ``[kind, key, value]``, where
-``kind`` names the :meth:`Ledger.state_snapshot` field it belongs to. The
-accumulator is the sum, mod 2^16384, of SHAKE-256 of each live leaf's
-canonical JSON, read as a 2048-byte little-endian integer (AdHash, Bellare &
-Micciancio 1997, sized as LtHash, Lewi et al. 2019). A write subtracts the
-old leaf and adds the new one, so keeping the sum current costs O(writes),
-and equal states give equal sums whatever order they were written in. The
-state digest is SHA-256 over the accumulator followed by the canonical JSON
-of the scalar fields.
+Every stored fact is one leaf ``[kind, key, value]``, where ``kind`` names
+the :meth:`Ledger.state_snapshot` field it belongs to. The accumulator is
+the sum, mod 2^16384, of SHAKE-256 of each live leaf's canonical JSON, read
+as a 2048-byte little-endian integer (AdHash, Bellare & Micciancio 1997,
+sized as LtHash, Lewi et al. 2019). A write subtracts the old leaf and adds
+the new one, so keeping the sum current costs O(writes), and equal states
+give equal sums whatever order they were written in. The state digest is
+SHA-256 over the accumulator followed by the canonical JSON of the scalar
+fields.
 
 The layers report each write through one hook, ``(kind, key, old, new)``
-with ``None`` for an absent leaf; a set member's value is ``True``.
+with ``None`` for an absent leaf; a set member's value is ``True``. A
+counter is a member leaf with a multiplicity (Clarke et al., "Incremental
+Multiset Hash Functions", 2003): a sender's executed nonce count ``n`` is
+``n`` copies of ``["nonces", address, true]``, so a step of the counter
+hashes one leaf, not the old and the new value.
 """
 
 from __future__ import annotations
@@ -56,6 +60,11 @@ class StateAccumulator:
         if new is not None:
             self._sum += _leaf(kind, key, new)
 
+    def count(self, kind: str, key: Any, delta: int) -> None:
+        """Add ``delta`` copies of the member leaf ``[kind, key, true]``;
+        a negative ``delta`` removes copies."""
+        self._sum += delta * _leaf(kind, key, True)
+
     def digest(self, scalars: dict) -> str:
         self._sum &= _MASK  # also maps a negative sum to its residue
         data = self._sum.to_bytes(LEAF_BYTES, "little") + canonical_json(scalars).encode("utf-8")
@@ -70,12 +79,10 @@ def snapshot_digest(snapshot: dict) -> str:
     for kind in ("records", "tokens"):
         for item in snapshot[kind]:
             accumulator.write(kind, item["id"], None, item)
-    for token_id, prov_ids in snapshot["associated"].items():
-        for prov_id in prov_ids:
-            accumulator.write("associated", [int(token_id), prov_id], None, True)
-    for kind in ("balances", "nonces"):
-        for client, amount in snapshot[kind].items():
-            accumulator.write(kind, client, None, amount)
+    for client, amount in snapshot["balances"].items():
+        accumulator.write("balances", client, None, amount)
+    for client, nonce in snapshot["nonces"].items():
+        accumulator.count("nonces", client, nonce)
     for client in snapshot["whitelist"]:
         accumulator.write("whitelist", client, None, True)
     return accumulator.digest({name: snapshot[name] for name in SCALARS})

@@ -18,6 +18,14 @@ def export_records(layer) -> dict[int, dict]:
     return {item["id"]: item for item in layer.records.snapshot()}
 
 
+def naive_association(records: dict[int, dict]) -> dict[int, list[int]]:
+    """Token id -> the ids of the records naming that token, ascending."""
+    grouped: dict[int, list[int]] = {}
+    for rid in sorted(records):
+        grouped.setdefault(records[rid]["tokenId"], []).append(rid)
+    return grouped
+
+
 # --- lineage ----------------------------------------------------------------
 
 def naive_lineage(records: dict[int, dict], prov_id: int):

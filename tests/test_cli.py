@@ -401,7 +401,7 @@ def test_create_accepts_decimal_ids(runner, ledger_dir, inputs, expected):
 # SHA-256 of blocks.jsonl after the cold-chain scenario on a fresh init. A
 # change to any consensus rule (selection, the digest, the wire format)
 # changes it; such a change must be stated in README and CHANGES.
-COLD_CHAIN_LOG_SHA256 = "c1a8115ea9e15b554b182e504eae3c007030b7347c752c129544911eef4e728d"
+COLD_CHAIN_LOG_SHA256 = "557a62b67b82be451a319a7c394dee7de423a8beefd5fef4ada14a3c6e834bf3"
 
 
 def test_cold_chain_log_is_pinned(runner, ledger_dir):

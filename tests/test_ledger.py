@@ -14,7 +14,6 @@ from provledger import (
     ClientId,
     Ledger,
     PolicyLayer,
-    ProvenanceLayer,
     RecordStore,
     SimConfig,
     TokenRegistry,
@@ -31,6 +30,7 @@ from provledger.errors import (
     MalformedPayloadError,
 )
 from provledger.ledger import BLOCKS_FILE, OPS, Block, resolve_payload
+from provledger import statehash
 from provledger.statehash import StateAccumulator, snapshot_digest
 from oracles import naive_select
 from support import (
@@ -930,20 +930,20 @@ def test_digest_follows_its_definition():
     ledger.submit_payload(ALICE, {"op": "approve", "tokenId": 1, "operator": BOB.hex})
     ledger.produce_block()
     snapshot = ledger.state_snapshot()
+    assert "associated" not in snapshot
+    assert snapshot["nonces"] == {ALICE.hex: 3}
+
+    def shake(leaf):
+        data = canonical_json(leaf).encode()
+        return int.from_bytes(hashlib.shake_256(data).digest(2048), "little")
+
     leaves = [["records", item["id"], item] for item in snapshot["records"]]
     leaves += [["tokens", item["id"], item] for item in snapshot["tokens"]]
-    leaves += [
-        ["associated", [int(token_id), prov_id], True]
-        for token_id, prov_ids in snapshot["associated"].items()
-        for prov_id in prov_ids
-    ]
-    leaves += [["nonces", client, nonce] for client, nonce in snapshot["nonces"].items()]
     leaves += [["whitelist", client, True] for client in snapshot["whitelist"]]
-    assert len(leaves) == 5
-    total = sum(
-        int.from_bytes(hashlib.shake_256(canonical_json(leaf).encode()).digest(2048), "little")
-        for leaf in leaves
-    )
+    assert len(leaves) == 3
+    total = sum(shake(leaf) for leaf in leaves)
+    # a nonce count n is n copies of one member leaf
+    total += sum(n * shake(["nonces", client, True]) for client, n in snapshot["nonces"].items())
     scalars = {
         name: snapshot[name]
         for name in (
@@ -966,6 +966,45 @@ def test_accumulator_is_order_free_and_undoes_writes():
     for kind, key, old, new in reversed(writes):
         forward.write(kind, key, new, old)
     assert forward.digest({}) == empty
+    counted, units = StateAccumulator(), StateAccumulator()
+    counted.count("nonces", "a", 3)
+    for _ in range(3):
+        units.count("nonces", "a", 1)
+    assert counted.digest({}) == units.digest({}) != empty
+    counted.count("nonces", "a", -3)
+    assert counted.digest({}) == empty
+
+
+def test_each_executed_op_hashes_only_the_leaves_it_stores(tmp_path, monkeypatch):
+    """Leaf hashes per executed transaction, in production and in replay: a
+    request hashes the minted token, a create its record, an update the old
+    and the new record, and each also one nonce copy; a failed transaction
+    hashes its nonce copy alone."""
+    hashed = []
+    real_leaf = statehash._leaf
+
+    def counting_leaf(kind, key, value):
+        hashed.append(kind)
+        return real_leaf(kind, key, value)
+
+    monkeypatch.setattr(statehash, "_leaf", counting_leaf)
+    ledger = quick_ledger()
+    steps = [
+        (REQUEST, ["tokens", "nonces"]),
+        (create_payload(), ["records", "nonces"]),
+        ({"op": "updateContext", "provId": 1, "context": {"agent": "b"}},
+         ["records", "records", "nonces"]),
+        (create_payload(token_id=9), ["nonces"]),  # no token 9: fails
+    ]
+    for payload, expected in steps:
+        ledger.submit_payload(ALICE, payload)
+        hashed.clear()
+        ledger.produce_block()
+        assert sorted(hashed) == sorted(expected), payload["op"]
+    ledger.persist(tmp_path)
+    hashed.clear()
+    assert load_ledger(tmp_path).head == ledger.head
+    assert sorted(hashed) == sorted(kind for _, expected in steps for kind in expected)
 
 
 def test_block_production_and_replay_never_snapshot_the_state(tmp_path, monkeypatch):
@@ -977,7 +1016,6 @@ def test_block_production_and_replay_never_snapshot_the_state(tmp_path, monkeypa
         (RecordStore, "snapshot"),
         (TokenRegistry, "snapshot"),
         (PolicyLayer, "snapshot"),
-        (ProvenanceLayer, "snapshot_association"),
     ):
         monkeypatch.setattr(owner, name, refuse)
     rng = random.Random(5)

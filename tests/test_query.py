@@ -18,6 +18,7 @@ from provledger import (
 from provledger.errors import AmbiguousLineageError, RecordNotFoundError, TokenNotFoundError
 from oracles import (
     export_records,
+    naive_association,
     naive_derivation,
     naive_lineage,
     naive_traces,
@@ -302,9 +303,11 @@ def random_ledger(rng: random.Random):
 
 def assert_queries_match_oracles(machine, rng: random.Random) -> set[str]:
     """Every record's lineage and a random-depth graph, and every token's
-    traces, against the plain-data oracles; returns the lineage kinds seen."""
+    association list and traces, against the plain-data oracles; returns the
+    lineage kinds seen."""
     provenance = machine.provenance
     records = export_records(provenance)
+    by_token = naive_association(records)
     assert provenance.same_token_parents.keys() == records.keys()
     seen = set()
     for prov_id in records:
@@ -324,18 +327,22 @@ def assert_queries_match_oracles(machine, rng: random.Random) -> set[str]:
         )
     for token in machine.tokens.token_ids():
         associated = provenance.get_associated_provenance(token)
+        assert associated == by_token.pop(token, [])
         actual = [list(trace.records) for trace in traces(provenance, token)]
         assert actual == naive_traces(records, associated)
+    assert by_token == {}
     return seen
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_queries_match_oracles_on_ledger_and_replay(tmp_path, seed):
-    """The links are derived state: a replayed ledger rebuilds the same ones,
-    and both answer every query as the oracles do."""
+    """The links and association lists are derived state, not hashed: a
+    replayed ledger rebuilds the same ones, and both answer every query as
+    the oracles do."""
     ledger = random_ledger(random.Random(5_000 + seed))
     ledger.persist(tmp_path)
     reloaded = load_ledger(tmp_path)
+    assert "associated" not in ledger.state_snapshot()
     assert reloaded.state_snapshot() == ledger.state_snapshot()
     assert reloaded.machine.provenance.same_token_parents == ledger.machine.provenance.same_token_parents
     for machine in (ledger.machine, reloaded.machine):
