@@ -110,14 +110,14 @@ def _check_uint(value: object, label: str) -> int:
     return value
 
 
-def _check_address(value: object, label: str) -> str:
+def _check_address(value: object, label: str) -> ClientId:
+    """The address ``value`` parses to."""
     if type(value) is not str:
         raise MalformedPayloadError(f"{label} must be a 0x-hex address string")
     try:
-        ClientId.from_hex(value)
+        return ClientId.from_hex(value)
     except ValueError as exc:
         raise MalformedPayloadError(f"bad {label}: {exc}") from exc
-    return value
 
 
 def _check_context(value: object, label: str) -> dict:
@@ -336,9 +336,8 @@ class Transaction:
             raise MalformedPayloadError(
                 f"transaction must have exactly fields {sorted(expected)}"
             )
-        sender = ClientId.from_hex(_check_address(data["sender"], "sender"))
         tx = cls.build(
-            sender=sender,
+            sender=_check_address(data["sender"], "sender"),
             nonce=data["nonce"],
             payload=data["payload"],
             fee=data["fee"],

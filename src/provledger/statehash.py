@@ -15,17 +15,25 @@ with ``None`` for an absent leaf; a set member's value is ``True``. A
 counter is a member leaf with a multiplicity (Clarke et al., "Incremental
 Multiset Hash Functions", 2003): a sender's executed nonce count ``n`` is
 ``n`` copies of ``["nonces", address, true]``, so a step of the counter
-hashes one leaf, not the old and the new value.
+adds one leaf, not the old and the new value.
+
+A member leaf never changes, so :meth:`StateAccumulator.count` reads it from
+a bounded memo: a sender's member leaf is hashed once while it is among the
+last ``MEMBER_MEMO_SIZE`` (1024) keys counted, at most ~2.2 MB held. The
+from-scratch :func:`snapshot_digest` bypasses the memo and hashes every
+leaf itself, so it stays an independent check of the incremental digest.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from typing import Any, Callable
 
 from .canonical import canonical_json
 
 LEAF_BYTES = 2048
+MEMBER_MEMO_SIZE = 1024  # member leaves held: at most ~2.2 MB
 _MASK = (1 << (8 * LEAF_BYTES)) - 1
 
 # scalar snapshot fields, hashed beside the accumulator instead of as leaves
@@ -41,6 +49,12 @@ def ignore_write(kind: str, key: Any, old: Any, new: Any) -> None:
 def _leaf(kind: str, key: Any, value: Any) -> int:
     data = canonical_json([kind, key, value]).encode("utf-8")
     return int.from_bytes(hashlib.shake_256(data).digest(LEAF_BYTES), "little")
+
+
+@functools.lru_cache(maxsize=MEMBER_MEMO_SIZE)
+def _member_leaf(kind: str, key: Any) -> int:
+    """The member leaf ``[kind, key, true]``, hashed once while memoised."""
+    return _leaf(kind, key, True)
 
 
 class StateAccumulator:
@@ -63,7 +77,8 @@ class StateAccumulator:
     def count(self, kind: str, key: Any, delta: int) -> None:
         """Add ``delta`` copies of the member leaf ``[kind, key, true]``;
         a negative ``delta`` removes copies."""
-        self._sum += delta * _leaf(kind, key, True)
+        leaf = _member_leaf(kind, key)
+        self._sum += leaf if delta == 1 else delta * leaf
 
     def digest(self, scalars: dict) -> str:
         self._sum &= _MASK  # also maps a negative sum to its residue
@@ -82,7 +97,8 @@ def snapshot_digest(snapshot: dict) -> str:
     for client, amount in snapshot["balances"].items():
         accumulator.write("balances", client, None, amount)
     for client, nonce in snapshot["nonces"].items():
-        accumulator.count("nonces", client, nonce)
+        # not count(): the check hashes each leaf itself, never the memo
+        accumulator._sum += nonce * _leaf("nonces", client, True)
     for client in snapshot["whitelist"]:
         accumulator.write("whitelist", client, None, True)
     return accumulator.digest({name: snapshot[name] for name in SCALARS})

@@ -7,6 +7,8 @@ the implementation cannot hide in its oracle.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from collections import deque
 
@@ -74,13 +76,46 @@ def naive_derivation(records: dict[int, dict], prov_id: int, max_depth: int):
 def serialize_graph(records: dict[int, dict], nodes: set[int], edges: set[tuple[int, int]]) -> str:
     """Serialize an oracle graph the way the package's canonical form does,
     but through an independent construction."""
-    import json
-
     payload = {
         "nodes": [records[rid] for rid in sorted(nodes)],
         "edges": [list(edge) for edge in sorted(edges)],
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
+# --- state digest ---------------------------------------------------------------
+
+STATE_SCALARS = (
+    "configDigest", "nextProvId", "nextTokenId", "policyDigest", "seededTotal", "treasury"
+)
+
+
+def naive_state_digest(snapshot: dict) -> str:
+    """The README's state digest of a full ``state_snapshot()``, computed with
+    json and hashlib alone: the sum mod 2^16384 of every leaf's SHAKE-256 to
+    2048 bytes, little-endian, where a nonce count n is n copies of the leaf
+    ``["nonces", address, true]``; then SHA-256 over that sum and the
+    canonical JSON of the scalar fields."""
+
+    def canonical(value) -> bytes:
+        text = json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+        return text.encode("utf-8")
+
+    def shake(leaf) -> int:
+        return int.from_bytes(hashlib.shake_256(canonical(leaf)).digest(2048), "little")
+
+    assert set(snapshot) == set(STATE_SCALARS) | {
+        "balances", "nonces", "records", "tokens", "whitelist"
+    }
+    leaves = [["records", item["id"], item] for item in snapshot["records"]]
+    leaves += [["tokens", item["id"], item] for item in snapshot["tokens"]]
+    leaves += [["balances", client, amount] for client, amount in snapshot["balances"].items()]
+    leaves += [["whitelist", client, True] for client in snapshot["whitelist"]]
+    total = sum(shake(leaf) for leaf in leaves)
+    total += sum(n * shake(["nonces", client, True]) for client, n in snapshot["nonces"].items())
+    scalars = {name: snapshot[name] for name in STATE_SCALARS}
+    data = (total % 2**16384).to_bytes(2048, "little") + canonical(scalars)
+    return hashlib.sha256(data).hexdigest()
 
 
 # --- parallel traces -----------------------------------------------------------

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import gc
-import hashlib
 import json
 import random
 import tracemalloc
@@ -32,7 +31,7 @@ from provledger.errors import (
 from provledger.ledger import BLOCKS_FILE, OPS, Block, resolve_payload
 from provledger import statehash
 from provledger.statehash import StateAccumulator, snapshot_digest
-from oracles import naive_select
+from oracles import naive_select, naive_state_digest
 from support import (
     ALICE,
     BOB,
@@ -190,6 +189,24 @@ def test_tampered_transaction_hash_rejected():
     )
     with pytest.raises(MalformedPayloadError):
         ledger.submit(forged)
+
+
+def test_transaction_from_wire_parses_the_sender_once(monkeypatch):
+    tx = quick_ledger().build_transaction(ALICE, REQUEST)
+    parsed = []
+    real_from_hex = ClientId.from_hex.__func__
+
+    def counting_from_hex(cls, text):
+        parsed.append(text)
+        return real_from_hex(cls, text)
+
+    monkeypatch.setattr(ClientId, "from_hex", classmethod(counting_from_hex))
+    assert Transaction.from_wire(tx.wire_dict()) == tx
+    assert parsed == [ALICE.hex]
+    with pytest.raises(MalformedPayloadError, match="^sender must be a 0x-hex address string$"):
+        Transaction.from_wire(dict(tx.wire_dict(), sender=1))
+    with pytest.raises(MalformedPayloadError, match="^bad sender: client address must start with 0x"):
+        Transaction.from_wire(dict(tx.wire_dict(), sender=ALICE.hex[2:]))
 
 
 def test_submit_payload_validates_and_hashes_once(monkeypatch):
@@ -923,35 +940,16 @@ def test_incremental_digest_matches_from_scratch(tmp_path, policy_name, seed):
 
 
 def test_digest_follows_its_definition():
-    """The README definition, computed here with hashlib alone."""
+    """The README definition, computed by the json-and-hashlib oracle."""
     ledger = quick_ledger(policy=whitelist_policy(admin=CAROL, members=[ALICE]))
     ledger.submit_payload(ALICE, REQUEST)
     ledger.submit_payload(ALICE, create_payload(token_id=1))
     ledger.submit_payload(ALICE, {"op": "approve", "tokenId": 1, "operator": BOB.hex})
     ledger.produce_block()
     snapshot = ledger.state_snapshot()
-    assert "associated" not in snapshot
     assert snapshot["nonces"] == {ALICE.hex: 3}
-
-    def shake(leaf):
-        data = canonical_json(leaf).encode()
-        return int.from_bytes(hashlib.shake_256(data).digest(2048), "little")
-
-    leaves = [["records", item["id"], item] for item in snapshot["records"]]
-    leaves += [["tokens", item["id"], item] for item in snapshot["tokens"]]
-    leaves += [["whitelist", client, True] for client in snapshot["whitelist"]]
-    assert len(leaves) == 3
-    total = sum(shake(leaf) for leaf in leaves)
-    # a nonce count n is n copies of one member leaf
-    total += sum(n * shake(["nonces", client, True]) for client, n in snapshot["nonces"].items())
-    scalars = {
-        name: snapshot[name]
-        for name in (
-            "configDigest", "nextProvId", "nextTokenId", "policyDigest", "seededTotal", "treasury"
-        )
-    }
-    data = (total % 2**16384).to_bytes(2048, "little") + canonical_json(scalars).encode()
-    assert ledger.state_digest() == hashlib.sha256(data).hexdigest()
+    assert len(snapshot["records"]) == len(snapshot["tokens"]) == len(snapshot["whitelist"]) == 1
+    assert ledger.state_digest() == naive_state_digest(snapshot)
 
 
 def test_accumulator_is_order_free_and_undoes_writes():
@@ -975,11 +973,8 @@ def test_accumulator_is_order_free_and_undoes_writes():
     assert counted.digest({}) == empty
 
 
-def test_each_executed_op_hashes_only_the_leaves_it_stores(tmp_path, monkeypatch):
-    """Leaf hashes per executed transaction, in production and in replay: a
-    request hashes the minted token, a create its record, an update the old
-    and the new record, and each also one nonce copy; a failed transaction
-    hashes its nonce copy alone."""
+def counted_leaf_hashes(monkeypatch) -> list:
+    """The kind of every leaf hashed from now on, in order."""
     hashed = []
     real_leaf = statehash._leaf
 
@@ -988,23 +983,92 @@ def test_each_executed_op_hashes_only_the_leaves_it_stores(tmp_path, monkeypatch
         return real_leaf(kind, key, value)
 
     monkeypatch.setattr(statehash, "_leaf", counting_leaf)
+    return hashed
+
+
+def test_each_executed_op_hashes_only_the_leaves_it_stores(tmp_path, monkeypatch):
+    """Leaf hashes per executed transaction, in production and in replay: a
+    request hashes the minted token, a create its record, an update the old
+    and the new record. A sender's nonce leaf is hashed on its first
+    transaction only, then read from the memo, so a failed transaction
+    hashes nothing; replay from an empty memo hashes it once per sender."""
+    statehash._member_leaf.cache_clear()
+    hashed = counted_leaf_hashes(monkeypatch)
     ledger = quick_ledger()
     steps = [
-        (REQUEST, ["tokens", "nonces"]),
-        (create_payload(), ["records", "nonces"]),
-        ({"op": "updateContext", "provId": 1, "context": {"agent": "b"}},
-         ["records", "records", "nonces"]),
-        (create_payload(token_id=9), ["nonces"]),  # no token 9: fails
+        (ALICE, REQUEST, ["tokens", "nonces"]),
+        (ALICE, create_payload(), ["records"]),
+        (ALICE, {"op": "updateContext", "provId": 1, "context": {"agent": "b"}},
+         ["records", "records"]),
+        (ALICE, create_payload(token_id=9), []),  # no token 9: fails
+        (BOB, REQUEST, ["tokens", "nonces"]),
+        (ALICE, REQUEST, ["tokens"]),
     ]
-    for payload, expected in steps:
-        ledger.submit_payload(ALICE, payload)
+    for sender, payload, expected in steps:
+        ledger.submit_payload(sender, payload)
         hashed.clear()
         ledger.produce_block()
         assert sorted(hashed) == sorted(expected), payload["op"]
     ledger.persist(tmp_path)
+    statehash._member_leaf.cache_clear()
     hashed.clear()
     assert load_ledger(tmp_path).head == ledger.head
-    assert sorted(hashed) == sorted(kind for _, expected in steps for kind in expected)
+    assert sorted(hashed) == sorted(kind for _, _, expected in steps for kind in expected)
+    assert hashed.count("nonces") == 2  # ALICE and BOB
+
+
+MEMO_SIZE = statehash._member_leaf.cache_info().maxsize
+
+
+def many_senders_ledger(clear_memo=False):
+    """A ledger in which more distinct senders than the member-leaf memo holds
+    each request a token, then the first 20 of them, long evicted, request
+    another; yields it and each of its 12 blocks."""
+    senders = [ClientId.from_alias(f"sender{i}") for i in range(MEMO_SIZE + 80)]
+    ledger = quick_ledger(capacity=100)
+    for sender in senders + senders[:20]:
+        ledger.submit_payload(sender, REQUEST)
+    while ledger.pending_count():
+        if clear_memo:
+            statehash._member_leaf.cache_clear()
+        yield ledger, ledger.produce_block()[0]
+
+
+def test_memoised_nonce_leaves_match_the_oracle_past_the_memo_size():
+    statehash._member_leaf.cache_clear()
+    blocks = 0
+    for ledger, block in many_senders_ledger():
+        blocks += 1
+        assert block.state_digest == naive_state_digest(ledger.state_snapshot())
+        assert statehash._member_leaf.cache_info().currsize <= MEMO_SIZE
+    assert blocks == 12
+    assert len(ledger.state_snapshot()["nonces"]) > MEMO_SIZE
+    assert statehash._member_leaf.cache_info().currsize == MEMO_SIZE
+
+
+def test_block_hashes_do_not_depend_on_the_memo():
+    warm = [block.block_hash for _, block in many_senders_ledger()]
+    cold = [block.block_hash for _, block in many_senders_ledger(clear_memo=True)]
+    assert cold == warm
+
+
+def test_from_scratch_digest_never_reads_the_memo(tmp_path, monkeypatch):
+    """``verify``'s independent check hashes every sender's nonce leaf itself,
+    even while the memo holds them all."""
+    ledger = quick_ledger()
+    senders = [ALICE, BOB, CAROL]
+    for sender in senders:
+        ledger.submit_payload(sender, REQUEST)
+        ledger.submit_payload(sender, create_payload(token_id=9))  # fails
+    ledger.produce_block()
+    ledger.persist(tmp_path)
+    loaded = load_ledger(tmp_path)
+    snapshot = loaded.state_snapshot()
+    hashed = counted_leaf_hashes(monkeypatch)
+    StateAccumulator().count("nonces", ALICE.hex, 1)
+    assert hashed == []  # the memo is warm
+    assert snapshot_digest(snapshot) == loaded.state_digest()
+    assert hashed.count("nonces") == len(senders)
 
 
 def test_block_production_and_replay_never_snapshot_the_state(tmp_path, monkeypatch):
