@@ -24,6 +24,11 @@ def canonical_json(value: Any) -> str:
     return _ENCODER.encode(value)
 
 
+def text_digest(text: str) -> str:
+    """SHA-256 hex digest of a text's UTF-8 bytes."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def digest_of(value: Any) -> str:
     """SHA-256 hex digest of a value's canonical JSON form."""
-    return hashlib.sha256(canonical_json(value).encode("utf-8")).hexdigest()
+    return text_digest(canonical_json(value))

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .canonical import ZERO_DIGEST, canonical_json, digest_of
+from .canonical import ZERO_DIGEST, canonical_json, digest_of, text_digest
 from .errors import (
     BadNonceError,
     ConfigInvalidError,
@@ -36,15 +36,17 @@ from .errors import (
     MalformedPayloadError,
 )
 from .policy import PolicyLayer, UseCasePolicy, policy_from_dict, resolve_client
-from .records import Context
+from .records import Context, check_context_entries
 from .statehash import StateAccumulator, snapshot_digest
-from .tokens import ClientId
+from .tokens import ClientId, check_hex_address
 
 BLOCKS_FILE = "blocks.jsonl"
 POLICY_FILE = "policy.json"
 CONFIG_FILE = "config.json"
 
 MAX_SEED = 2**64 - 1
+
+NOT_CANONICAL = "log line is not in canonical form"
 
 
 # --- configuration ---------------------------------------------------------
@@ -110,24 +112,25 @@ def _check_uint(value: object, label: str) -> int:
     return value
 
 
-def _check_address(value: object, label: str) -> ClientId:
-    """The address ``value`` parses to."""
+def _check_address(value: object, label: str) -> str:
+    """``value`` if :meth:`ClientId.from_hex` accepts it, checked without
+    building the address."""
     if type(value) is not str:
         raise MalformedPayloadError(f"{label} must be a 0x-hex address string")
     try:
-        return ClientId.from_hex(value)
+        return check_hex_address(value)
     except ValueError as exc:
         raise MalformedPayloadError(f"bad {label}: {exc}") from exc
 
 
 def _check_context(value: object, label: str) -> dict:
+    """``value`` if :class:`Context` accepts it, checked without building one."""
     if not isinstance(value, dict):
         raise MalformedPayloadError(f"{label} must be an object of string keys and values")
     try:
-        Context(value)
+        return check_context_entries(value)
     except ValueError as exc:
         raise MalformedPayloadError(str(exc)) from exc
-    return value
 
 
 def _check_inputs(value: object, label: str) -> list:
@@ -149,6 +152,7 @@ class Operation:
 
     ``fields`` maps each payload field to its checker, called with the value
     and the field name; a payload carries exactly these fields plus ``op``.
+    Checkers build nothing: the handler builds each address and context once.
     ``client_fields`` hold addresses a client may write as aliases.
     ``defaults`` compute, from the current state, fields a client may omit.
     ``handler`` executes the op and returns its result value (``None`` for
@@ -267,9 +271,17 @@ def _check_hash_hex(value: object, label: str) -> str:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
-    """One state-machine operation; ``hash`` covers every other field."""
+    """One state-machine operation; ``hash`` covers every other field.
+
+    What :meth:`build` returns, and so what :meth:`from_wire` returns, is
+    ``sealed``: its fields were checked and its hash computed from them. One
+    made by the constructor or by ``dataclasses.replace`` is not, and
+    :meth:`Ledger.submit` checks it again. The seal vouches for how the
+    transaction was made, not for later edits to its payload dict, which the
+    ledger never copies. It takes no part in equality.
+    """
 
     sender: ClientId
     nonce: int
@@ -277,12 +289,14 @@ class Transaction:
     fee: int
     submitted_at: int
     hash: str
+    sealed: bool = field(default=False, init=False, compare=False, repr=False)
 
     @staticmethod
-    def compute_hash(
+    def hashed_text(
         sender: ClientId, nonce: int, payload: Mapping, fee: int, submitted_at: int
     ) -> str:
-        return digest_of(
+        """The canonical JSON text that ``hash`` is the SHA-256 of."""
+        return canonical_json(
             {
                 "fee": fee,
                 "nonce": nonce,
@@ -301,21 +315,23 @@ class Transaction:
         fee: int,
         submitted_at: int,
     ) -> "Transaction":
+        return cls._build(sender, nonce, payload, fee, submitted_at)[0]
+
+    @classmethod
+    def _build(
+        cls, sender: ClientId, nonce: int, payload: object, fee: object, submitted_at: object
+    ) -> tuple["Transaction", str]:
+        """A sealed transaction and its :meth:`hashed_text`."""
         if sender.is_zero:
             raise MalformedPayloadError("sender must not be the zero address")
         _check_uint(nonce, "nonce")
         _check_uint(fee, "fee")
         _check_uint(submitted_at, "submittedAt")
         payload = validate_payload(payload)
-        tx_hash = cls.compute_hash(sender, nonce, payload, fee, submitted_at)
-        return cls(
-            sender=sender,
-            nonce=nonce,
-            payload=payload,
-            fee=fee,
-            submitted_at=submitted_at,
-            hash=tx_hash,
-        )
+        text = cls.hashed_text(sender, nonce, payload, fee, submitted_at)
+        tx = cls(sender, nonce, payload, fee, submitted_at, text_digest(text))
+        object.__setattr__(tx, "sealed", True)
+        return tx, text
 
     def wire_dict(self) -> dict:
         return {
@@ -329,6 +345,13 @@ class Transaction:
 
     @classmethod
     def from_wire(cls, data: object) -> "Transaction":
+        return cls._from_wire(data)[0]
+
+    @classmethod
+    def _from_wire(cls, data: object) -> tuple["Transaction", str]:
+        """The transaction ``data`` describes, and the canonical JSON text of
+        its :meth:`wire_dict`: the hashed text with the hash put in after
+        ``fee``, where sorted keys place it."""
         if not isinstance(data, dict):
             raise MalformedPayloadError("transaction must be a JSON object")
         expected = {"fee", "hash", "nonce", "payload", "sender", "submittedAt"}
@@ -336,8 +359,8 @@ class Transaction:
             raise MalformedPayloadError(
                 f"transaction must have exactly fields {sorted(expected)}"
             )
-        tx = cls.build(
-            sender=_check_address(data["sender"], "sender"),
+        tx, text = cls._build(
+            sender=ClientId.from_hex(_check_address(data["sender"], "sender")),
             nonce=data["nonce"],
             payload=data["payload"],
             fee=data["fee"],
@@ -346,7 +369,8 @@ class Transaction:
         _check_hash_hex(data["hash"], "transaction hash")
         if tx.hash != data["hash"]:
             raise MalformedPayloadError("transaction hash does not match its fields")
-        return tx
+        fee, rest = text.split(",", 1)  # an integer fee holds no comma
+        return tx, f'{fee},"hash":"{tx.hash}",{rest}'
 
 
 @dataclass(frozen=True)
@@ -409,7 +433,11 @@ class Block:
         }
 
     @classmethod
-    def from_wire(cls, data: object) -> "Block":
+    def from_wire(cls, data: object, line: str | None = None) -> "Block":
+        """The block ``data`` describes. With ``line``, the text ``data`` was
+        parsed from, which must be the block's canonical JSON: it is checked
+        against the transactions' wire texts that hashing them encodes
+        anyway, so the block is not encoded a second time."""
         if not isinstance(data, dict):
             raise MalformedPayloadError("block must be a JSON object")
         expected = {
@@ -425,7 +453,8 @@ class Block:
         _check_hash_hex(data["blockHash"], "blockHash")
         if not isinstance(data["transactions"], list):
             raise MalformedPayloadError("transactions must be a list")
-        transactions = tuple(Transaction.from_wire(item) for item in data["transactions"])
+        parsed = [Transaction._from_wire(item) for item in data["transactions"]]
+        transactions = tuple(tx for tx, _ in parsed)
         results = data["results"]
         if not isinstance(results, list) or any(
             type(r) is not str or not r for r in results
@@ -443,6 +472,11 @@ class Block:
         )
         if block.block_hash != data["blockHash"]:
             raise MalformedPayloadError("block hash does not match its contents")
+        if line is not None:
+            # "transactions" sorts last, so the header's text ends in "[]}"
+            header = canonical_json({**data, "transactions": []})
+            if line != header[:-2] + ",".join(text for _, text in parsed) + "]}":
+                raise MalformedPayloadError(NOT_CANONICAL)
         return block
 
 
@@ -603,12 +637,16 @@ class Ledger:
     def submit(self, tx: Transaction) -> str:
         """Queue an externally built transaction; returns its hash.
 
-        Its fields are re-checked and re-hashed first, since nothing vouches
-        for them; then it is queued as by :meth:`_enqueue`.
+        An unsealed transaction is re-checked and re-hashed first, since
+        nothing vouches for its fields; a sealed one was checked when it was
+        built (see :class:`Transaction`). As with :meth:`submit_payload`, the
+        ledger keeps the caller's payload dict, so edits made to it after
+        building are not checked. Then it is queued as by :meth:`_enqueue`.
         """
-        rebuilt = Transaction.build(tx.sender, tx.nonce, tx.payload, tx.fee, tx.submitted_at)
-        if rebuilt.hash != tx.hash:
-            raise MalformedPayloadError("transaction hash does not match its fields")
+        if not tx.sealed:
+            rebuilt = Transaction.build(tx.sender, tx.nonce, tx.payload, tx.fee, tx.submitted_at)
+            if rebuilt.hash != tx.hash:
+                raise MalformedPayloadError("transaction hash does not match its fields")
         self._enqueue(tx)
         return tx.hash
 
@@ -799,16 +837,15 @@ def load_ledger(directory: str | Path) -> Ledger:
     ledger._directory = directory.resolve()
     height = -1
     for height, line in enumerate(_log_lines(path)):
-        parsed = _parse_canonical_line(line, height)
         if height == 0:
-            # the genesis block is fully determined by policy and config
-            if parsed != ledger.head.wire_dict():
+            # the genesis block is fully determined by policy and config; its
+            # text is compared, since 0.0 == 0 would pass a "height":0.0
+            text, parsed = _decode_line(line, 0)
+            _require_canonical(text, parsed, 0)
+            if text != canonical_json(ledger.head.wire_dict()):
                 raise CorruptLogError("genesis block mismatch", height=0)
         else:
-            try:
-                block = Block.from_wire(parsed)
-            except MalformedPayloadError as exc:
-                raise CorruptLogError(str(exc), height=height) from exc
+            block = _parse_block(line, height)
             if block.height != height:
                 raise CorruptLogError(
                     f"expected height {height}, found {block.height}", height=height
@@ -838,15 +875,34 @@ def _log_lines(path: Path) -> Iterator[bytes]:
         raise IoFailureError(f"cannot read block log: {exc}") from exc
 
 
-def _parse_canonical_line(raw: bytes, height: int) -> Any:
+def _decode_line(raw: bytes, height: int) -> tuple[str, Any]:
+    """A log line's text and the JSON value it parses to."""
     try:
         text = raw.decode("utf-8")
-        parsed = json.loads(text)
+        return text, json.loads(text)
     except (UnicodeDecodeError, ValueError) as exc:
         raise CorruptLogError(f"unparseable log line: {exc}", height=height) from exc
+
+
+def _require_canonical(text: str, parsed: Any, height: int) -> None:
     if canonical_json(parsed) != text:
-        raise CorruptLogError("log line is not in canonical form", height=height)
-    return parsed
+        raise CorruptLogError(NOT_CANONICAL, height=height)
+
+
+def _parse_block(raw: bytes, height: int) -> Block:
+    """The block on a log line after genesis, whose text must be canonical.
+
+    :meth:`Block.from_wire` checks the form of a line that parses as a block.
+    A line that does not is encoded whole, so that a line both malformed and
+    not canonical is reported as not canonical, as a check made before
+    parsing would report it.
+    """
+    text, parsed = _decode_line(raw, height)
+    try:
+        return Block.from_wire(parsed, text)
+    except MalformedPayloadError as exc:
+        _require_canonical(text, parsed, height)
+        raise CorruptLogError(str(exc), height=height) from exc
 
 
 def verify_chain(directory: str | Path) -> ChainVerification:

@@ -34,6 +34,17 @@ class RecordStatus(enum.Enum):
     INVALIDATED = "invalidated"
 
 
+def check_context_entries(items: Mapping) -> Mapping:
+    """``items`` if every key is a non-empty string and every value a string,
+    as :class:`Context` requires; raises ``ValueError`` otherwise."""
+    for key, value in items.items():
+        if type(key) is not str or not key:
+            raise ValueError(f"context keys must be non-empty strings, got {key!r}")
+        if type(value) is not str:
+            raise ValueError(f"context values must be strings, got {value!r}")
+    return items
+
+
 class Context:
     """Immutable string-to-string map with a deterministic canonical form.
 
@@ -45,12 +56,7 @@ class Context:
     __slots__ = ("_entries",)
 
     def __init__(self, entries: Mapping[str, str] | Iterable[tuple[str, str]] = ()):
-        items = dict(entries)
-        for key, value in items.items():
-            if type(key) is not str or not key:
-                raise ValueError(f"context keys must be non-empty strings, got {key!r}")
-            if type(value) is not str:
-                raise ValueError(f"context values must be strings, got {value!r}")
+        items = check_context_entries(dict(entries))
         self._entries = {key: items[key] for key in sorted(items)}
 
     def as_dict(self) -> dict[str, str]:

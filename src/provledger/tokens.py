@@ -10,6 +10,7 @@ the policy layer, which controls assignment.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -23,8 +24,20 @@ from .statehash import WriteHook, ignore_write
 
 ADDRESS_BYTES = 32
 
+_HEX_BODY = re.compile(f"[0-9a-f]{{{ADDRESS_BYTES * 2}}}")
 
-@dataclass(frozen=True, order=True)
+
+def check_hex_address(text: object) -> str:
+    """``text`` if it is a 0x-prefixed lowercase hex address, as
+    :meth:`ClientId.from_hex` parses it; raises ``ValueError`` otherwise."""
+    if type(text) is not str or not text.startswith("0x"):
+        raise ValueError(f"client address must start with 0x, got {text!r}")
+    if not _HEX_BODY.fullmatch(text, 2):
+        raise ValueError(f"client address must be {ADDRESS_BYTES * 2} lowercase hex chars")
+    return text
+
+
+@dataclass(frozen=True, order=True, slots=True)
 class ClientId:
     """32-byte client address, displayed as 0x-prefixed lowercase hex."""
 
@@ -36,12 +49,7 @@ class ClientId:
 
     @classmethod
     def from_hex(cls, text: str) -> "ClientId":
-        if type(text) is not str or not text.startswith("0x"):
-            raise ValueError(f"client address must start with 0x, got {text!r}")
-        body = text[2:]
-        if len(body) != ADDRESS_BYTES * 2 or body != body.lower():
-            raise ValueError(f"client address must be {ADDRESS_BYTES * 2} lowercase hex chars")
-        return cls(bytes.fromhex(body))
+        return cls(bytes.fromhex(check_hex_address(text)[2:]))
 
     @classmethod
     def from_alias(cls, alias: str) -> "ClientId":

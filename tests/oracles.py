@@ -83,6 +83,20 @@ def serialize_graph(records: dict[int, dict], nodes: set[int], edges: set[tuple[
     return json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
+# --- canonical form ---------------------------------------------------------------
+
+def naive_canonical(value) -> str:
+    """The README's canonical JSON: sorted keys, no insignificant whitespace,
+    non-ASCII characters written as themselves."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
+def naive_line_is_canonical(text: str) -> bool:
+    """Whether a log line's text is the canonical form of what it parses to:
+    parse it, encode the result whole, compare."""
+    return naive_canonical(json.loads(text)) == text
+
+
 # --- state digest ---------------------------------------------------------------
 
 STATE_SCALARS = (
@@ -98,8 +112,7 @@ def naive_state_digest(snapshot: dict) -> str:
     canonical JSON of the scalar fields."""
 
     def canonical(value) -> bytes:
-        text = json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-        return text.encode("utf-8")
+        return naive_canonical(value).encode("utf-8")
 
     def shake(leaf) -> int:
         return int.from_bytes(hashlib.shake_256(canonical(leaf)).digest(2048), "little")

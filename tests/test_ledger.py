@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import json
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -28,10 +30,10 @@ from provledger.errors import (
     IoFailureError,
     MalformedPayloadError,
 )
-from provledger.ledger import BLOCKS_FILE, OPS, Block, resolve_payload
+from provledger.ledger import BLOCKS_FILE, NOT_CANONICAL, OPS, Block, resolve_payload
 from provledger import statehash
 from provledger.statehash import StateAccumulator, snapshot_digest
-from oracles import naive_select, naive_state_digest
+from oracles import naive_line_is_canonical, naive_select, naive_state_digest
 from support import (
     ALICE,
     BOB,
@@ -209,14 +211,56 @@ def test_transaction_from_wire_parses_the_sender_once(monkeypatch):
         Transaction.from_wire(dict(tx.wire_dict(), sender=ALICE.hex[2:]))
 
 
+def test_addresses_and_contexts_are_built_once_per_path(tmp_path, monkeypatch):
+    """Validation checks a payload's addresses and context without building
+    them; execution builds each once. Replay adds one parse per sender."""
+    from provledger.records import Context
+
+    addresses, contexts = [], []
+    real_from_hex = ClientId.from_hex.__func__
+    real_context_init = Context.__init__
+
+    def counting_from_hex(cls, text):
+        addresses.append(text)
+        return real_from_hex(cls, text)
+
+    def counting_context_init(self, entries=()):
+        contexts.append(dict(entries))
+        real_context_init(self, entries)
+
+    ledger = quick_ledger()
+    ledger.submit_payload(ALICE, REQUEST)
+    ledger.produce_block()
+    monkeypatch.setattr(ClientId, "from_hex", classmethod(counting_from_hex))
+    monkeypatch.setattr(Context, "__init__", counting_context_init)
+    transfer = {"op": "transfer", "tokenId": 1, "from": ALICE.hex, "to": BOB.hex}
+    for sender, payload, built in [
+        (ALICE, create_payload(agent="x"), ([], [{"agent": "x"}])),
+        (ALICE, transfer, ([ALICE.hex, BOB.hex], [])),
+    ]:
+        ledger.submit_payload(sender, payload)
+        assert (addresses, contexts) == ([], []), payload["op"]
+        _, outcomes = ledger.produce_block()
+        assert outcomes[0].status == "ok"
+        assert (addresses, contexts) == built, payload["op"]
+        addresses.clear()
+        contexts.clear()
+    ledger.persist(tmp_path)
+    assert load_ledger(tmp_path).head == ledger.head
+    # senders of the request, the create and the transfer, then its addresses
+    assert addresses == [ALICE.hex] * 4 + [BOB.hex]
+    assert contexts == [{"agent": "x"}]
+
+
 def test_submit_payload_validates_and_hashes_once(monkeypatch):
-    """A transaction built by the ledger is not rebuilt on submission; one
-    passed in from outside still is."""
+    """A transaction from ``Transaction.build`` is sealed and not rebuilt on
+    submission; one made by the constructor or by ``dataclasses.replace``
+    still is."""
     from provledger import ledger as ledger_mod
 
     calls = {"validate": 0, "hash": 0}
     real_validate = ledger_mod.validate_payload
-    real_hash = Transaction.compute_hash
+    real_hash = Transaction.hashed_text
 
     def counting_validate(payload):
         calls["validate"] += 1
@@ -227,13 +271,51 @@ def test_submit_payload_validates_and_hashes_once(monkeypatch):
         return real_hash(*args)
 
     monkeypatch.setattr(ledger_mod, "validate_payload", counting_validate)
-    monkeypatch.setattr(Transaction, "compute_hash", staticmethod(counting_hash))
+    monkeypatch.setattr(Transaction, "hashed_text", staticmethod(counting_hash))
     ledger = quick_ledger()
     ledger.submit_payload(ALICE, REQUEST)
     assert calls == {"validate": 1, "hash": 1}
-    external = Transaction.build(BOB, 0, REQUEST, 1, 0)
-    ledger.submit(external)
-    assert calls == {"validate": 3, "hash": 3}
+    built = Transaction.build(BOB, 0, REQUEST, 1, 0)
+    ledger.submit(built)
+    assert calls == {"validate": 2, "hash": 2}
+    template = Transaction.build(CAROL, 0, REQUEST, 1, 0)
+    constructed = Transaction(
+        template.sender, template.nonce, template.payload, template.fee,
+        template.submitted_at, template.hash,
+    )
+    ledger.submit(constructed)
+    assert calls == {"validate": 4, "hash": 4}
+    replaced = dataclasses.replace(Transaction.build(MALLORY, 0, REQUEST, 1, 0))
+    ledger.submit(replaced)
+    assert calls == {"validate": 6, "hash": 6}
+    assert ledger.pending_count() == 4
+
+
+def test_only_built_transactions_are_sealed():
+    tx = quick_ledger().build_transaction(ALICE, REQUEST)
+    constructed = Transaction(tx.sender, tx.nonce, tx.payload, tx.fee, tx.submitted_at, tx.hash)
+    assert tx.sealed and not constructed.sealed
+    assert not dataclasses.replace(tx).sealed
+    # the seal takes no part in equality or the printed form
+    assert constructed == tx and repr(constructed) == repr(tx)
+    assert Transaction.from_wire(tx.wire_dict()).sealed
+    block = Block.seal(1, ZERO_DIGEST, 1000, (constructed,), ("ok",), ZERO_DIGEST)
+    assert all(each.sealed for each in Block.from_wire(block.wire_dict()).transactions)
+    # slots: no per-instance dict on a transaction or an address
+    assert not hasattr(tx, "__dict__") and not hasattr(ALICE, "__dict__")
+
+
+def test_replaced_transaction_is_rejected_by_submit():
+    """``dataclasses.replace`` drops the seal, so a changed field is caught
+    by the rebuilt hash."""
+    ledger = quick_ledger()
+    tx = ledger.build_transaction(ALICE, REQUEST)
+    forged = dataclasses.replace(tx, fee=tx.fee + 1)
+    with pytest.raises(MalformedPayloadError, match="hash does not match"):
+        ledger.submit(forged)
+    assert ledger.pending_count() == 0
+    ledger.submit(tx)
+    assert ledger.pending_count() == 1
 
 
 def test_replay_rejects_transaction_submitted_after_its_block(tmp_path):
@@ -691,6 +773,133 @@ def test_log_line_edge_cases(tmp_path, edit, verdict):
     if edit == "blank line":
         assert result.pop("reason").startswith("unparseable log line")
     assert result == verdict
+
+
+def varied_chain(directory):
+    """A persisted log with several senders, non-ASCII contexts, zero and
+    non-zero numbers, a failed transaction and an empty block."""
+    ledger = quick_ledger(capacity=4)
+    for client in (ALICE, BOB):
+        ledger.submit_payload(client, REQUEST)
+    ledger.produce_block()
+    ledger.submit_payload(ALICE, create_payload(agent="café"), fee=3)
+    ledger.submit_payload(BOB, {"op": "approve", "tokenId": 2, "operator": CAROL.hex})
+    ledger.produce_block()
+    ledger.produce_block()
+    ledger.submit_payload(
+        ALICE, {"op": "updateContext", "provId": 1, "context": {"agent": "naïve", "unit": "°C"}}
+    )
+    ledger.submit_payload(
+        ALICE, {"op": "transfer", "tokenId": 1, "from": ALICE.hex, "to": BOB.hex}, fee=2
+    )
+    ledger.submit_payload(CAROL, create_payload(token_id=2, inputs=[1], agent="é"))
+    ledger.submit_payload(MALLORY, create_payload(token_id=1))  # not authorized: fails
+    ledger.produce_block()
+    ledger.persist(directory)
+    return directory / BLOCKS_FILE
+
+
+def naive_parse_block(raw: bytes, height: int) -> Block:
+    """The parse step with the whole line encoded and compared before the
+    block is parsed."""
+    try:
+        text = raw.decode("utf-8")
+        parsed = json.loads(text)
+    except ValueError as exc:
+        raise CorruptLogError(f"unparseable log line: {exc}", height=height) from exc
+    if not naive_line_is_canonical(text):
+        raise CorruptLogError(NOT_CANONICAL, height=height)
+    try:
+        return Block.from_wire(parsed)
+    except MalformedPayloadError as exc:
+        raise CorruptLogError(str(exc), height=height) from exc
+
+
+def unsorted_json(value) -> str:
+    return json.dumps(value, separators=(",", ":"), ensure_ascii=False)
+
+
+def reversed_keys_at(*path):
+    """An edit writing the keys of the object at ``path`` in reverse order."""
+
+    def edit(line):
+        root = [json.loads(line)]
+        parent, key = root, 0
+        for step in path:
+            parent, key = parent[key], step
+            if step == 0 and not parent:
+                return None  # a block without transactions
+        parent[key] = dict(reversed(parent[key].items()))
+        return unsorted_json(root[0])
+
+    return edit
+
+
+def text_edit(pattern, replacement):
+    """An edit replacing the first match of ``pattern``, if there is one."""
+
+    def edit(line):
+        edited, count = re.subn(pattern, replacement, line, count=1)
+        return edited if count else None
+
+    return edit
+
+
+changed_hash = text_edit(r'"hash":"(.)', lambda m: '"hash":"' + ("1" if m[1] == "0" else "0"))
+
+LINE_EDITS = {
+    "unchanged": lambda line: line,
+    "block keys reordered": reversed_keys_at(),
+    "transaction keys reordered": reversed_keys_at("transactions", 0),
+    "payload keys reordered": reversed_keys_at("transactions", 0, "payload"),
+    "space after a colon": text_edit('":', '": '),
+    "space after a comma": text_edit(",", ", "),
+    "leading space": lambda line: " " + line,
+    "trailing space": lambda line: line + " ",
+    "escaped non-ASCII character": text_edit("é", r"\\u00e9"),
+    "escaped ASCII character": text_edit('"agent"', r'"\\u0061gent"'),
+    "float fee": text_edit(r'"fee":(\d+)', r'"fee":\1.0'),
+    "float height": text_edit(r'"height":(\d+)', r'"height":\1.0'),
+    "float fee and a space": text_edit(r'"fee":(\d+)', r'"fee": \1.0'),
+    "negative zero": text_edit('"nonce":0,', '"nonce":-0,'),
+    "leading zero": text_edit(r'"fee":(\d+)', r'"fee":0\1'),
+    "duplicate transaction key": text_edit('{"fee":', '{"fee":7,"fee":'),
+    "duplicate block key": text_edit('{"blockHash":', '{"height":0,"blockHash":'),
+    "changed transaction hash": changed_hash,
+    "changed hash and reordered keys": lambda line: (
+        changed_hash(line) and reversed_keys_at()(changed_hash(line))
+    ),
+    "CRLF": lambda line: line + "\r",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LINE_EDITS))
+def test_line_check_matches_the_naive_oracle(tmp_path, monkeypatch, name):
+    """Each one-line edit of a varied log gets the same verdict, height and
+    reason whether a line's form is checked from the transactions' wire
+    texts or by encoding the whole parsed line."""
+    from provledger import ledger as ledger_mod
+
+    path = varied_chain(tmp_path / "ledger")
+    original = path.read_text(encoding="utf-8").splitlines()
+    edit = LINE_EDITS[name]
+    edited_lines = 0
+    for height, line in enumerate(original):
+        edited = edit(line)
+        if edited is None:
+            continue
+        edited_lines += 1
+        lines = original[:height] + [edited] + original[height + 1 :]
+        path.write_bytes("".join(each + "\n" for each in lines).encode("utf-8"))
+        verdict = verify_chain(path.parent).as_dict()
+        with monkeypatch.context() as patched:
+            patched.setattr(ledger_mod, "_parse_block", naive_parse_block)
+            assert verify_chain(path.parent).as_dict() == verdict, (height, edited)
+        if name == "unchanged":
+            assert verdict == {"ok": True}
+        else:
+            assert verdict["ok"] is False and verdict["firstCorruptHeight"] == height
+    assert edited_lines > 0
 
 
 def test_load_rejects_corruption(tmp_path):
