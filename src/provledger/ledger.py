@@ -291,6 +291,11 @@ class Transaction:
     hash: str
     sealed: bool = field(default=False, init=False, compare=False, repr=False)
 
+    def __hash__(self) -> int:
+        # equal transactions have equal ``hash`` fields; the payload dict
+        # itself is unhashable
+        return hash(self.hash)
+
     @staticmethod
     def hashed_text(
         sender: ClientId, nonce: int, payload: Mapping, fee: int, submitted_at: int

@@ -19,21 +19,33 @@ adds one leaf, not the old and the new value.
 
 A member leaf never changes, so :meth:`StateAccumulator.count` reads it from
 a bounded memo: a sender's member leaf is hashed once while it is among the
-last ``MEMBER_MEMO_SIZE`` (1024) keys counted, at most ~2.2 MB held. The
-from-scratch :func:`snapshot_digest` bypasses the memo and hashes every
-leaf itself, so it stays an independent check of the incremental digest.
+last ``MEMBER_MEMO_SIZE`` (1024) keys counted, at most ~2.2 MB held.
+
+A write that replaces a stored value subtracts the old value's leaf, which
+this accumulator itself added when it wrote that value. So each accumulator
+holds the leaf added by each of its last ``HELD_LEAVES`` (512) replacing
+writes, one per ``(kind, key)`` and at most ~1.2 MB, and the next write of
+that key subtracts the held leaf instead of hashing the old value again. A
+creation holds nothing: a value rewritten once, such as a record's status
+or a token's approvals, is the one likely to be rewritten again.
+
+Neither memo changes a digest. The from-scratch :func:`snapshot_digest`
+reads neither and hashes every leaf itself, so it stays an independent
+check of the incremental digest.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+from collections import OrderedDict
 from typing import Any, Callable
 
 from .canonical import canonical_json
 
 LEAF_BYTES = 2048
 MEMBER_MEMO_SIZE = 1024  # member leaves held: at most ~2.2 MB
+HELD_LEAVES = 512  # leaves of rewritten values held per accumulator: ~1.2 MB
 _MASK = (1 << (8 * LEAF_BYTES)) - 1
 
 # scalar snapshot fields, hashed beside the accumulator instead of as leaves
@@ -60,19 +72,29 @@ def _member_leaf(kind: str, key: Any) -> int:
 class StateAccumulator:
     """The multiset hash of the live leaves."""
 
-    __slots__ = ("_sum",)
+    __slots__ = ("_sum", "_held")
 
     def __init__(self):
         self._sum = 0
+        # (kind, key) -> the leaf its last replacing write added, oldest first
+        self._held: OrderedDict[tuple[str, Any], int] = OrderedDict()
 
     def write(self, kind: str, key: Any, old: Any, new: Any) -> None:
         """Replace leaf ``[kind, key, old]`` with ``[kind, key, new]``."""
         if old == new:
             return
-        if old is not None:
-            self._sum -= _leaf(kind, key, old)
-        if new is not None:
+        if old is None:  # a creation: nothing is held, as the last write removed the key
             self._sum += _leaf(kind, key, new)
+            return
+        slot = (kind, key)
+        held = self._held.pop(slot, None)
+        self._sum -= _leaf(kind, key, old) if held is None else held
+        if new is not None:
+            leaf = _leaf(kind, key, new)
+            self._sum += leaf
+            self._held[slot] = leaf
+            if len(self._held) > HELD_LEAVES:
+                self._held.popitem(last=False)
 
     def count(self, kind: str, key: Any, delta: int) -> None:
         """Add ``delta`` copies of the member leaf ``[kind, key, true]``;
@@ -82,23 +104,28 @@ class StateAccumulator:
 
     def digest(self, scalars: dict) -> str:
         self._sum &= _MASK  # also maps a negative sum to its residue
-        data = self._sum.to_bytes(LEAF_BYTES, "little") + canonical_json(scalars).encode("utf-8")
-        return hashlib.sha256(data).hexdigest()
+        return _digest(self._sum, scalars)
+
+
+def _digest(total: int, scalars: dict) -> str:
+    """SHA-256 over the reduced sum ``total`` and the scalar fields."""
+    data = total.to_bytes(LEAF_BYTES, "little") + canonical_json(scalars).encode("utf-8")
+    return hashlib.sha256(data).hexdigest()
 
 
 def snapshot_digest(snapshot: dict) -> str:
     """The state digest computed from scratch out of a full
     :meth:`Ledger.state_snapshot`: the oracle of the incremental one, and
-    O(state), so it is kept off the per-block path."""
-    accumulator = StateAccumulator()
+    O(state), so it is kept off the per-block path. It hashes every leaf
+    itself and reads no memo."""
+    total = 0
     for kind in ("records", "tokens"):
         for item in snapshot[kind]:
-            accumulator.write(kind, item["id"], None, item)
+            total += _leaf(kind, item["id"], item)
     for client, amount in snapshot["balances"].items():
-        accumulator.write("balances", client, None, amount)
+        total += _leaf("balances", client, amount)
     for client, nonce in snapshot["nonces"].items():
-        # not count(): the check hashes each leaf itself, never the memo
-        accumulator._sum += nonce * _leaf("nonces", client, True)
+        total += nonce * _leaf("nonces", client, True)
     for client in snapshot["whitelist"]:
-        accumulator.write("whitelist", client, None, True)
-    return accumulator.digest({name: snapshot[name] for name in SCALARS})
+        total += _leaf("whitelist", client, True)
+    return _digest(total & _MASK, {name: snapshot[name] for name in SCALARS})

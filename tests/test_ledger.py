@@ -305,6 +305,17 @@ def test_only_built_transactions_are_sealed():
     assert not hasattr(tx, "__dict__") and not hasattr(ALICE, "__dict__")
 
 
+def test_transactions_and_blocks_are_hashable():
+    """A transaction hashes by its ``hash`` field, which equal transactions
+    share, so it can be a set member although its payload is a dict."""
+    tx = quick_ledger().build_transaction(ALICE, REQUEST)
+    rebuilt = Transaction.from_wire(json.loads(json.dumps(tx.wire_dict())))
+    assert rebuilt is not tx and rebuilt.payload is not tx.payload
+    assert {tx, rebuilt} == {tx}
+    block = Block.seal(1, ZERO_DIGEST, 1000, (tx,), ("ok",), ZERO_DIGEST)
+    assert hash(block) == hash(Block.from_wire(block.wire_dict()))
+
+
 def test_replaced_transaction_is_rejected_by_submit():
     """``dataclasses.replace`` drops the seal, so a changed field is caught
     by the rebuilt hash."""
@@ -1197,10 +1208,12 @@ def counted_leaf_hashes(monkeypatch) -> list:
 
 def test_each_executed_op_hashes_only_the_leaves_it_stores(tmp_path, monkeypatch):
     """Leaf hashes per executed transaction, in production and in replay: a
-    request hashes the minted token, a create its record, an update the old
-    and the new record. A sender's nonce leaf is hashed on its first
-    transaction only, then read from the memo, so a failed transaction
-    hashes nothing; replay from an empty memo hashes it once per sender."""
+    request hashes the minted token, a create its record, and a first update
+    or approval the old and the new value. The new value's leaf is held, so
+    a second rewrite of the same value hashes only its new leaf. A sender's
+    nonce leaf is hashed on its first transaction only, then read from the
+    memo, so a failed transaction hashes nothing; replay from an empty memo
+    hashes it once per sender."""
     statehash._member_leaf.cache_clear()
     hashed = counted_leaf_hashes(monkeypatch)
     ledger = quick_ledger()
@@ -1209,20 +1222,25 @@ def test_each_executed_op_hashes_only_the_leaves_it_stores(tmp_path, monkeypatch
         (ALICE, create_payload(), ["records"]),
         (ALICE, {"op": "updateContext", "provId": 1, "context": {"agent": "b"}},
          ["records", "records"]),
+        (ALICE, {"op": "updateContext", "provId": 1, "context": {"agent": "c"}}, ["records"]),
         (ALICE, create_payload(token_id=9), []),  # no token 9: fails
+        (ALICE, {"op": "approve", "tokenId": 1, "operator": BOB.hex}, ["tokens", "tokens"]),
+        (ALICE, {"op": "approve", "tokenId": 1, "operator": CAROL.hex}, ["tokens"]),
         (BOB, REQUEST, ["tokens", "nonces"]),
         (ALICE, REQUEST, ["tokens"]),
     ]
+    produced = []
     for sender, payload, expected in steps:
         ledger.submit_payload(sender, payload)
         hashed.clear()
         ledger.produce_block()
-        assert sorted(hashed) == sorted(expected), payload["op"]
+        assert sorted(hashed) == sorted(expected), payload
+        produced += hashed
     ledger.persist(tmp_path)
     statehash._member_leaf.cache_clear()
     hashed.clear()
     assert load_ledger(tmp_path).head == ledger.head
-    assert sorted(hashed) == sorted(kind for _, _, expected in steps for kind in expected)
+    assert hashed == produced
     assert hashed.count("nonces") == 2  # ALICE and BOB
 
 
@@ -1262,22 +1280,119 @@ def test_block_hashes_do_not_depend_on_the_memo():
 
 
 def test_from_scratch_digest_never_reads_the_memo(tmp_path, monkeypatch):
-    """``verify``'s independent check hashes every sender's nonce leaf itself,
-    even while the memo holds them all."""
+    """``verify``'s independent check hashes every leaf of the snapshot
+    itself, even while the memos hold a sender's nonce leaf and the leaves
+    of rewritten values, and leaves the held leaves as they were."""
     ledger = quick_ledger()
     senders = [ALICE, BOB, CAROL]
-    for sender in senders:
+    for sender in senders:  # ALICE gets token 1
         ledger.submit_payload(sender, REQUEST)
         ledger.submit_payload(sender, create_payload(token_id=9))  # fails
+        ledger.produce_block()
+    ledger.submit_payload(ALICE, create_payload())
+    for agent in ("b", "c"):
+        update = {"op": "updateContext", "provId": 1, "context": {"agent": agent}}
+        ledger.submit_payload(ALICE, update)
+    for operator in (BOB, CAROL):
+        ledger.submit_payload(ALICE, {"op": "approve", "tokenId": 1, "operator": operator.hex})
     ledger.produce_block()
     ledger.persist(tmp_path)
     loaded = load_ledger(tmp_path)
     snapshot = loaded.state_snapshot()
+    held = list(loaded._accumulator._held.items())
+    assert [key for key, _ in held] == [("records", 1), ("tokens", 1)]
     hashed = counted_leaf_hashes(monkeypatch)
     StateAccumulator().count("nonces", ALICE.hex, 1)
     assert hashed == []  # the memo is warm
     assert snapshot_digest(snapshot) == loaded.state_digest()
-    assert hashed.count("nonces") == len(senders)
+    assert sorted(hashed) == ["nonces"] * len(senders) + ["records"] + ["tokens"] * 3
+    assert list(loaded._accumulator._held.items()) == held
+
+
+def rewrite_schedule(policy_name: str, agent: str = "a"):
+    """A ledger under the fee or the whitelist policy that writes every kind
+    of leaf and rewrites each stored value again and again: record updates
+    and invalidations, token approvals and transfers, and either repeated
+    fee-charging token requests (balances) or a whitelist member removed and
+    added back; ``agent`` tags the record contexts. Yields the ledger and
+    each of its blocks."""
+
+    def update(prov_id, tag):
+        return {"op": "updateContext", "provId": prov_id, "context": {"agent": f"{agent}{tag}"}}
+
+    def approve(operator):
+        return {"op": "approve", "tokenId": 1, "operator": operator.hex}
+
+    if policy_name == "fee":
+        ledger = quick_ledger(policy=fee_policy(price=2, initial_balance=20), capacity=20)
+        paid = {"op": "requestToken", "payment": 2}
+        prefix = [[(ALICE, paid)], [(BOB, paid)]]
+        churn = [[(ALICE, paid)], [(BOB, paid)]]
+    else:
+        ledger = quick_ledger(policy=whitelist_policy(admin=CAROL, members=[ALICE]), capacity=20)
+        prefix = [
+            [(ALICE, REQUEST), (CAROL, {"op": "whitelistAdd", "member": BOB.hex})],
+            [(BOB, REQUEST)],
+        ]
+        churn = [
+            [(CAROL, {"op": "whitelistRemove", "member": BOB.hex})],
+            [(CAROL, {"op": "whitelistAdd", "member": BOB.hex})],
+        ]
+    blocks = prefix + [[(ALICE, create_payload(agent=agent))] * 3]
+    for round_ in range(4):
+        blocks.append(
+            [(ALICE, update(prov_id, round_)) for prov_id in (1, 2, 3)]
+            + [(ALICE, approve((BOB, CAROL, MALLORY, BOB)[round_]))]
+            + churn[round_ % 2]
+        )
+    blocks += [
+        [(ALICE, {"op": "invalidate", "provId": 1}), (ALICE, update(2, "x"))],
+        [(ALICE, {"op": "transfer", "tokenId": 1, "from": ALICE.hex, "to": BOB.hex})],
+        [(BOB, approve(CAROL)), (BOB, approve(MALLORY))],
+        [(BOB, {"op": "transfer", "tokenId": 1, "from": BOB.hex, "to": ALICE.hex})],
+        [(ALICE, approve(BOB)), (ALICE, {"op": "invalidate", "provId": 2})],
+    ]
+    for block in blocks:
+        for sender, payload in block:
+            ledger.submit_payload(sender, payload)
+        produced, outcomes = ledger.produce_block()
+        assert all(outcome.ok for outcome in outcomes), [o.status for o in outcomes]
+        yield ledger, produced
+
+
+@pytest.mark.parametrize("policy_name", ["fee", "whitelist"])
+def test_held_leaves_match_the_oracle_past_the_bound(policy_name, monkeypatch):
+    """With room for only two held leaves, evictions are frequent; every
+    block's digest still equals the json-and-hashlib oracle's."""
+    monkeypatch.setattr(statehash, "HELD_LEAVES", 2)
+    for ledger, block in rewrite_schedule(policy_name):
+        assert block.state_digest == naive_state_digest(ledger.state_snapshot())
+        assert len(ledger._accumulator._held) <= 2
+    assert len(ledger._accumulator._held) == 2
+
+
+@pytest.mark.parametrize("policy_name", ["fee", "whitelist"])
+def test_block_hashes_do_not_depend_on_the_held_leaves(policy_name, monkeypatch):
+    held = [block.block_hash for _, block in rewrite_schedule(policy_name)]
+    monkeypatch.setattr(statehash, "HELD_LEAVES", 0)
+    unheld = []
+    for ledger, block in rewrite_schedule(policy_name):
+        assert not ledger._accumulator._held
+        unheld.append(block.block_hash)
+    assert unheld == held
+
+
+def test_each_ledger_holds_its_own_leaves():
+    """Two ledgers rewrite the same keys to different values, block by block
+    in turn: each subtracts only leaves it added itself."""
+    for (first, a), (second, b) in zip(
+        rewrite_schedule("fee", agent="a"), rewrite_schedule("fee", agent="b")
+    ):
+        assert a.state_digest == naive_state_digest(first.state_snapshot())
+        assert b.state_digest == naive_state_digest(second.state_snapshot())
+        assert a.height == b.height
+    assert a.state_digest != b.state_digest
+    assert set(first._accumulator._held) == set(second._accumulator._held)
 
 
 def test_block_production_and_replay_never_snapshot_the_state(tmp_path, monkeypatch):
