@@ -71,6 +71,8 @@ class SimConfig:
             raise ConfigInvalidError("block capacity must be an integer >= 1")
         if type(self.rng_seed) is not int or not 0 <= self.rng_seed <= MAX_SEED:
             raise ConfigInvalidError("rng seed must be an unsigned 64-bit integer")
+        if type(self.jitter) is not bool:
+            raise ConfigInvalidError("jitter must be a boolean")
 
     def as_dict(self) -> dict:
         return {
@@ -90,14 +92,11 @@ class SimConfig:
         for field in ("blockIntervalMs", "blockCapacity"):
             if field not in data:
                 raise ConfigInvalidError(f"sim config requires {field}")
-        jitter = data.get("jitter", False)
-        if type(jitter) is not bool:
-            raise ConfigInvalidError("jitter must be a boolean")
         return cls(
             block_interval_ms=data["blockIntervalMs"],
             block_capacity=data["blockCapacity"],
             rng_seed=data.get("rngSeed", 0),
-            jitter=jitter,
+            jitter=data.get("jitter", False),
         )
 
     def digest(self) -> str:
@@ -592,16 +591,14 @@ class Ledger:
         """The whole state as plain data: O(state), for tests, tools and
         :func:`~provledger.statehash.snapshot_digest`."""
         machine = self._machine
-        policy_state = machine.snapshot()
         return {
             **self._scalars(),
-            "balances": policy_state["balances"],
+            **machine.snapshot(),
             "nonces": {
                 sender.hex: nonce for sender, nonce in sorted(self._executed_nonce.items())
             },
             "records": machine.provenance.records.snapshot(),
             "tokens": machine.tokens.snapshot(),
-            "whitelist": policy_state["whitelist"],
         }
 
     def state_digest(self) -> str:

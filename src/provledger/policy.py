@@ -39,6 +39,11 @@ class ContextSchema:
     optional: frozenset[str] = frozenset()
 
     def __post_init__(self):
+        if type(self.name) is not str or not self.name:
+            raise ConfigInvalidError("schema name must be a non-empty string")
+        for key in self.required | self.optional:
+            if type(key) is not str or not key:
+                raise ConfigInvalidError(f"schema keys must be non-empty strings, got {key!r}")
         overlap = self.required & self.optional
         if overlap:
             raise ConfigInvalidError(f"schema keys both required and optional: {sorted(overlap)}")
@@ -62,6 +67,10 @@ class ExposureFlags:
     allow_update: bool = True
     allow_invalidate: bool = True
 
+    def __post_init__(self):
+        if type(self.allow_update) is not bool or type(self.allow_invalidate) is not bool:
+            raise ConfigInvalidError("exposure flags must be booleans")
+
 
 @dataclass(frozen=True)
 class AssignmentStrategy:
@@ -82,10 +91,16 @@ class AssignmentStrategy:
     def __post_init__(self):
         if self.kind not in (OPEN, FEE, WHITELIST):
             raise ConfigInvalidError(f"unknown assignment kind {self.kind!r}")
+        if type(self.price) is not int or type(self.initial_balance) is not int:
+            raise ConfigInvalidError("price and initial balance must be integers")
         if self.kind == FEE and self.price < 1:
             raise ConfigInvalidError("fee assignment requires price >= 1")
+        if self.kind != FEE and self.price:
+            raise ConfigInvalidError(f"{self.kind} assignment takes no price")
         if self.kind == WHITELIST and self.admin is None:
             raise ConfigInvalidError("whitelist assignment requires an admin")
+        if self.kind != WHITELIST and (self.admin is not None or self.members):
+            raise ConfigInvalidError(f"{self.kind} assignment takes no admin or members")
         if self.initial_balance < 0:
             raise ConfigInvalidError("initial balance must be non-negative")
 
@@ -136,13 +151,6 @@ def resolve_client(value: object, label: str) -> ClientId:
         raise ConfigInvalidError(f"bad {label} {value!r}: {exc}") from exc
 
 
-def _flag(data: dict, key: str) -> bool:
-    value = data.get(key, True)
-    if type(value) is not bool:
-        raise ConfigInvalidError(f"exposure.{key} must be a boolean")
-    return value
-
-
 def policy_from_dict(data: object) -> UseCasePolicy:
     """Parse the policy definition format loaded at ledger genesis."""
     if not isinstance(data, dict):
@@ -159,13 +167,10 @@ def policy_from_dict(data: object) -> UseCasePolicy:
         raise ConfigInvalidError(f"unknown schema fields: {sorted(unknown)}")
     for key_list in ("required", "optional"):
         value = schema_data.get(key_list, [])
-        if not isinstance(value, list) or any(type(k) is not str or not k for k in value):
-            raise ConfigInvalidError(f"schema.{key_list} must be a list of non-empty strings")
-    name = schema_data["name"]
-    if type(name) is not str or not name:
-        raise ConfigInvalidError("schema.name must be a non-empty string")
+        if not isinstance(value, list) or any(type(k) is not str for k in value):
+            raise ConfigInvalidError(f"schema.{key_list} must be a list of strings")
     schema = ContextSchema(
-        name=name,
+        name=schema_data["name"],
         required=frozenset(schema_data.get("required", [])),
         optional=frozenset(schema_data.get("optional", [])),
     )
@@ -177,8 +182,8 @@ def policy_from_dict(data: object) -> UseCasePolicy:
     if unknown:
         raise ConfigInvalidError(f"unknown exposure fields: {sorted(unknown)}")
     exposure = ExposureFlags(
-        allow_update=_flag(exposure_data, "allowUpdate"),
-        allow_invalidate=_flag(exposure_data, "allowInvalidate"),
+        allow_update=exposure_data.get("allowUpdate", True),
+        allow_invalidate=exposure_data.get("allowInvalidate", True),
     )
 
     assignment_data = data.get("assignment", {"type": OPEN})
@@ -193,17 +198,8 @@ def policy_from_dict(data: object) -> UseCasePolicy:
     unknown = set(assignment_data) - allowed
     if unknown:
         raise ConfigInvalidError(f"unknown assignment fields: {sorted(unknown)}")
-    initial_balance = assignment_data.get("initialBalance", 0)
-    if type(initial_balance) is not int or initial_balance < 0:
-        raise ConfigInvalidError("assignment.initialBalance must be a non-negative integer")
-    if kind == OPEN:
-        assignment = AssignmentStrategy(OPEN, initial_balance=initial_balance)
-    elif kind == FEE:
-        price = assignment_data.get("price")
-        if type(price) is not int or price < 1:
-            raise ConfigInvalidError("fee assignment requires integer price >= 1")
-        assignment = AssignmentStrategy(FEE, price=price, initial_balance=initial_balance)
-    elif kind == WHITELIST:
+    admin, members = None, frozenset()
+    if kind == WHITELIST:
         admin = resolve_client(assignment_data.get("admin"), "assignment.admin")
         members_data = assignment_data.get("members", [])
         if not isinstance(members_data, list):
@@ -211,11 +207,13 @@ def policy_from_dict(data: object) -> UseCasePolicy:
         members = frozenset(
             resolve_client(member, "assignment.member") for member in members_data
         )
-        assignment = AssignmentStrategy(
-            WHITELIST, admin=admin, members=members, initial_balance=initial_balance
-        )
-    else:
-        raise ConfigInvalidError(f"unknown assignment type {kind!r}")
+    assignment = AssignmentStrategy(
+        kind,
+        price=assignment_data.get("price", 0),
+        admin=admin,
+        members=members,
+        initial_balance=assignment_data.get("initialBalance", 0),
+    )
     return UseCasePolicy(schema=schema, exposure=exposure, assignment=assignment)
 
 
@@ -360,13 +358,11 @@ class PolicyLayer:
         self._provenance.invalidate_provenance(caller, prov_id)
 
     def snapshot(self) -> dict:
+        """The balance and whitelist maps as plain data; the ledger reads the
+        scalars (token counter, treasury, seeded total) through properties."""
         return {
-            "policyDigest": self.policy.digest(),
-            "nextTokenId": self._next_token_id,
             "balances": {
                 client.hex: amount for client, amount in sorted(self._balances.items())
             },
-            "treasury": self._treasury,
-            "seededTotal": self._seeded_total,
             "whitelist": sorted(client.hex for client in self._whitelist),
         }

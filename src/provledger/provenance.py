@@ -4,7 +4,8 @@ Ties records to tokens: creation requires authorization on the target token
 and valid inputs, record ids are drawn from a single monotonic counter, and
 every record is appended to its token's association list. Parallel traces of
 one data point are simply multiple associated records without a same-token
-link between them.
+link between them. Every record precondition is checked here, once; the
+record store stores what this layer hands it.
 
 The records are the stored facts; the association lists and same-token
 links are indexes derived from them, so only the record store reports
@@ -13,12 +14,14 @@ writes to the state digest.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, Iterable, Mapping
 
 from .errors import (
     InvalidInputError,
     NotAuthorizedError,
     RecordInvalidatedError,
+    RecordNotFoundError,
     TokenNotFoundError,
 )
 from .records import Context, ProvenanceRecord, RecordStatus, RecordStore
@@ -65,31 +68,34 @@ class ProvenanceLayer:
         the record has no linear history."""
         return self._same_token_parent
 
-    def validate_create(
-        self, caller: ClientId, token_id: int, inputs: Iterable[int]
-    ) -> tuple[int, ...]:
-        """Run the creation preconditions without mutating anything.
-
-        Check order is fixed: token existence, then authorization, then input
-        validity. Returns the normalized input tuple.
-        """
-        if not self._registry.exists(token_id):
-            raise TokenNotFoundError(f"token {token_id} not found")
+    def _require_authorized(self, caller: ClientId, token_id: int) -> None:
+        """Raises ``TokenNotFoundError`` for a missing token, then
+        ``NotAuthorizedError`` unless ``caller`` owns or is approved on it."""
         if not self._registry.is_authorized(caller, token_id):
             raise NotAuthorizedError(
                 f"{caller.hex} is neither owner nor approved for token {token_id}"
             )
-        normalized = tuple(inputs)
-        seen: set[int] = set()
-        for input_id in normalized:
-            if input_id in seen:
+
+    def validate_create(
+        self, caller: ClientId, token_id: int, inputs: Iterable[int]
+    ) -> tuple[ProvenanceRecord, ...]:
+        """Run the creation preconditions without mutating anything.
+
+        Check order is fixed: token existence, then authorization, then input
+        validity. Returns the input records, each looked up once.
+        """
+        self._require_authorized(caller, token_id)
+        records: dict[int, ProvenanceRecord] = {}
+        for input_id in inputs:
+            if input_id in records:
                 raise InvalidInputError(f"duplicate input record {input_id}")
-            seen.add(input_id)
-            if not self._store.has_record(input_id):
-                raise InvalidInputError(f"input record {input_id} does not exist")
-            if self._store.get_record(input_id).status is not RecordStatus.VALID:
+            try:
+                record = records[input_id] = self._store.get_record(input_id)
+            except RecordNotFoundError:
+                raise InvalidInputError(f"input record {input_id} does not exist") from None
+            if record.status is not RecordStatus.VALID:
                 raise InvalidInputError(f"input record {input_id} is invalidated")
-        return normalized
+        return tuple(records.values())
 
     def create_provenance(
         self,
@@ -104,19 +110,18 @@ class ProvenanceLayer:
         Inputs may reference records of other tokens (derivation across data
         points); authorization is checked on the target token only.
         ``context_check`` runs after :meth:`validate_create` so schema errors
-        surface last, per the fixed error order.
+        surface last, per the fixed error order. The id is fresh and every
+        input already exists, so a record never references itself.
         """
-        normalized = self.validate_create(caller, token_id, inputs)
+        input_records = self.validate_create(caller, token_id, inputs)
         if context_check is not None:
             context_check(context)
         prov_id = self._next_prov_id
-        self._store.create_record(self._store_key, prov_id, token_id, normalized, context)
+        self._store.create_record(
+            self._store_key, prov_id, token_id, (record.id for record in input_records), context
+        )
         self._next_prov_id += 1
-        same_token = [
-            input_id
-            for input_id in normalized
-            if self._store.get_record(input_id).token_id == token_id
-        ]
+        same_token = [record.id for record in input_records if record.token_id == token_id]
         self._same_token_parent[prov_id] = (
             same_token[0] if len(same_token) == 1 else -len(same_token)
         )
@@ -129,12 +134,13 @@ class ProvenanceLayer:
             raise TokenNotFoundError(f"token {token_id} not found")
         return list(self._associated.get(token_id, []))
 
-    def _authorized_record(self, caller: ClientId, prov_id: int) -> ProvenanceRecord:
+    def _writable_record(self, caller: ClientId, prov_id: int) -> ProvenanceRecord:
+        """The record ``prov_id`` if it exists, ``caller`` is authorized on its
+        token, and it is still valid, checked in that order."""
         record = self._store.get_record(prov_id)
-        if not self._registry.is_authorized(caller, record.token_id):
-            raise NotAuthorizedError(
-                f"{caller.hex} is not authorized for token {record.token_id}"
-            )
+        self._require_authorized(caller, record.token_id)
+        if record.status is not RecordStatus.VALID:
+            raise RecordInvalidatedError(f"record {prov_id} is invalidated")
         return record
 
     def update_provenance(
@@ -146,15 +152,15 @@ class ProvenanceLayer:
     ) -> None:
         """Replace a record's context. ``context_check`` runs after the status
         check so schema errors surface last, per the fixed error order."""
-        record = self._authorized_record(caller, prov_id)
-        if record.status is not RecordStatus.VALID:
-            raise RecordInvalidatedError(f"record {prov_id} is invalidated")
+        record = self._writable_record(caller, prov_id)
         if context_check is not None:
             context_check(new_context)
-        self._store.update_context(self._store_key, prov_id, new_context)
+        self._store.replace_record(self._store_key, record, replace(record, context=new_context))
 
     def invalidate_provenance(self, caller: ClientId, prov_id: int) -> None:
         """Logical delete: the record stays readable and associated, but can
         no longer serve as an input to new records."""
-        self._authorized_record(caller, prov_id)
-        self._store.invalidate_record(self._store_key, prov_id)
+        record = self._writable_record(caller, prov_id)
+        self._store.replace_record(
+            self._store_key, record, replace(record, status=RecordStatus.INVALIDATED)
+        )

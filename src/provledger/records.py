@@ -1,32 +1,22 @@
-"""Storage layer: provenance records and the append-only record index.
+"""Storage layer: provenance records in insertion order.
 
 Records are identified by positive 64-bit integers (0 is the reserved nil
 sentinel). Reads are public; mutations require the internal access key held
 by the provenance layer, mirroring the read/write access split of the
-layered design.
+layered design. The store stores what it is handed: the provenance layer
+checks every workflow precondition before it writes.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, Mapping
 
 from .canonical import canonical_json
-from .errors import (
-    DuplicateProvenanceIdError,
-    RecordInvalidatedError,
-    RecordNotFoundError,
-)
+from .errors import DuplicateProvenanceIdError, RecordNotFoundError
 from .statehash import WriteHook, ignore_write
-
-MAX_ID = 2**64 - 1
-
-
-def validate_id(value: int, label: str = "id") -> int:
-    if type(value) is not int or not 1 <= value <= MAX_ID:
-        raise ValueError(f"{label} must be an integer in [1, 2^64-1], got {value!r}")
-    return value
 
 
 class RecordStatus(enum.Enum):
@@ -114,11 +104,12 @@ class ProvenanceRecord:
 
 
 class RecordStore:
-    """Mapping of record id to record plus the global insertion index.
+    """Mapping of record id to record, in insertion order.
 
     Reads are public. Mutations check ``internal_key`` by identity: only the
     holder of the key object given at construction time (the provenance
-    layer) may create, update, or invalidate records. Each write is reported
+    layer) may create or replace records. Records are never deleted, so a
+    record's position in the mapping is its ``index``. Each write is reported
     to ``on_write`` as a ``records`` leaf.
     """
 
@@ -126,7 +117,6 @@ class RecordStore:
         self._key = internal_key
         self._on_write = on_write
         self._records: dict[int, ProvenanceRecord] = {}
-        self._index: list[int] = []
 
     def _require_internal(self, key: object) -> None:
         if key is not self._key:
@@ -140,28 +130,24 @@ class RecordStore:
         input_ids: Iterable[int],
         context: Context,
     ) -> int:
-        """Store a new valid record; returns its position in the global index."""
+        """Store a new valid record; returns its position in the global index.
+
+        An existing id is refused: overwriting it would add a ``records``
+        leaf without removing the old one from the state digest.
+        """
         self._require_internal(key)
-        validate_id(prov_id, "prov_id")
-        validate_id(token_id, "token_id")
-        inputs = tuple(input_ids)
-        if len(set(inputs)) != len(inputs):
-            raise ValueError("input_ids must not contain duplicates")
-        if prov_id in inputs:
-            raise ValueError("record must not reference itself")
         if prov_id in self._records:
             raise DuplicateProvenanceIdError(f"record {prov_id} already exists")
-        index = len(self._index)
+        index = len(self._records)
         record = ProvenanceRecord(
             id=prov_id,
             token_id=token_id,
-            input_ids=inputs,
+            input_ids=tuple(input_ids),
             context=context,
             index=index,
             status=RecordStatus.VALID,
         )
         self._records[prov_id] = record
-        self._index.append(prov_id)
         self._on_write("records", prov_id, None, record.as_dict())
         return index
 
@@ -174,42 +160,26 @@ class RecordStore:
     def has_record(self, prov_id: int) -> bool:
         return prov_id in self._records
 
-    def update_context(self, key: object, prov_id: int, new_context: Context) -> None:
-        """Replace a valid record's context. History stays in the block log."""
+    def replace_record(self, key: object, old: ProvenanceRecord, new: ProvenanceRecord) -> None:
+        """Store ``new`` in place of ``old``, the record stored under its id.
+        History stays in the block log."""
         self._require_internal(key)
-        record = self.get_record(prov_id)
-        if record.status is not RecordStatus.VALID:
-            raise RecordInvalidatedError(f"record {prov_id} is invalidated")
-        self._replace(record, replace(record, context=new_context))
-
-    def invalidate_record(self, key: object, prov_id: int) -> None:
-        """Mark a record invalidated. It stays readable but is no longer a legal input."""
-        self._require_internal(key)
-        record = self.get_record(prov_id)
-        if record.status is not RecordStatus.VALID:
-            raise RecordInvalidatedError(f"record {prov_id} is already invalidated")
-        self._replace(record, replace(record, status=RecordStatus.INVALIDATED))
-
-    def _replace(self, old: ProvenanceRecord, new: ProvenanceRecord) -> None:
         self._records[new.id] = new
         self._on_write("records", new.id, old.as_dict(), new.as_dict())
 
     def record_count(self) -> int:
-        return len(self._index)
+        return len(self._records)
 
     def list_record_ids(self, offset: int = 0, limit: int | None = None) -> list[int]:
         """Slice of the global index in insertion order; empty past the end."""
         if offset < 0:
             raise ValueError("offset must be non-negative")
-        if limit is None:
-            return self._index[offset:]
-        if limit < 0:
+        if limit is not None and limit < 0:
             raise ValueError("limit must be non-negative")
-        return self._index[offset : offset + limit]
+        return list(islice(self._records, offset, None if limit is None else offset + limit))
 
     def iter_records(self) -> Iterator[ProvenanceRecord]:
-        for prov_id in self._index:
-            yield self._records[prov_id]
+        return iter(self._records.values())
 
     def snapshot(self) -> list[dict]:
-        return [record.as_dict() for record in self.iter_records()]
+        return [record.as_dict() for record in self._records.values()]

@@ -19,12 +19,18 @@ from .errors import (
     TokenNotFoundError,
     ZeroAddressError,
 )
-from .records import validate_id
 from .statehash import WriteHook, ignore_write
 
 ADDRESS_BYTES = 32
+MAX_ID = 2**64 - 1
 
 _HEX_BODY = re.compile(f"[0-9a-f]{{{ADDRESS_BYTES * 2}}}")
+
+
+def validate_id(value: int, label: str = "id") -> int:
+    if type(value) is not int or not 1 <= value <= MAX_ID:
+        raise ValueError(f"{label} must be an integer in [1, 2^64-1], got {value!r}")
+    return value
 
 
 def check_hex_address(text: object) -> str:
@@ -99,7 +105,6 @@ class TokenRegistry:
         self._mint_key = mint_key
         self._on_write = on_write
         self._tokens: dict[int, Token] = {}
-        self._order: list[int] = []
 
     def mint(self, key: object, to: ClientId, token_id: int) -> None:
         if key is not self._mint_key:
@@ -110,7 +115,6 @@ class TokenRegistry:
         if token_id in self._tokens:
             raise DuplicateTokenError(f"token {token_id} already minted")
         token = self._tokens[token_id] = Token(id=token_id, owner=to)
-        self._order.append(token_id)
         self._on_write("tokens", token_id, None, token.as_dict())
 
     def exists(self, token_id: int) -> bool:
@@ -153,7 +157,8 @@ class TokenRegistry:
         return caller == token.owner or caller in token.approved
 
     def token_ids(self) -> list[int]:
-        return list(self._order)
+        """Every minted token id in mint order; tokens are never burned."""
+        return list(self._tokens)
 
     def snapshot(self) -> list[dict]:
         return [self._tokens[token_id].as_dict() for token_id in sorted(self._tokens)]

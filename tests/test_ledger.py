@@ -12,13 +12,17 @@ import tracemalloc
 import pytest
 
 from provledger import (
+    AssignmentStrategy,
     ClientId,
+    ContextSchema,
+    ExposureFlags,
     Ledger,
     PolicyLayer,
     RecordStore,
     SimConfig,
     TokenRegistry,
     Transaction,
+    UseCasePolicy,
     load_ledger,
     verify_chain,
 )
@@ -981,6 +985,78 @@ def test_config_validation():
         SimConfig.from_dict({"blockIntervalMs": 10, "blockCapacity": 1, "bogus": 2})
     config = SimConfig.from_dict({"blockIntervalMs": 10, "blockCapacity": 1})
     assert SimConfig.from_dict(config.as_dict()) == config
+
+
+def built(config=SimConfig(1000, 5), **policy_fields):
+    """A policy and sim config built directly, the test policy with ``policy_fields``."""
+    return dataclasses.replace(open_policy(), **policy_fields), config
+
+
+CONFIGS = {
+    "jitter": lambda: built(SimConfig(700, 3, rng_seed=2**64 - 1, jitter=True)),
+    "fee": lambda: built(assignment=AssignmentStrategy("fee", price=3, initial_balance=10)),
+    "whitelist": lambda: built(assignment=AssignmentStrategy(
+        "whitelist", admin=CAROL, members=frozenset({ALICE, BOB}), initial_balance=4
+    )),
+    "closed": lambda: built(
+        schema=ContextSchema(name="s", required=frozenset({"agent", "time"})),
+        exposure=ExposureFlags(allow_update=False, allow_invalidate=False),
+        assignment=AssignmentStrategy("open", initial_balance=7),
+    ),
+    # values the wire parsers reject, so a ledger built from them could not be loaded
+    "jitter=1": lambda: built(SimConfig(1000, 5, jitter=1)),
+    "jitter='no'": lambda: built(SimConfig(1000, 5, jitter="no")),
+    "fee price=True": lambda: built(assignment=AssignmentStrategy("fee", price=True)),
+    "fee price=2.5": lambda: built(assignment=AssignmentStrategy("fee", price=2.5)),
+    "initial_balance=True": lambda: built(
+        assignment=AssignmentStrategy("open", initial_balance=True)
+    ),
+    "initial_balance=1.0": lambda: built(
+        assignment=AssignmentStrategy("fee", price=1, initial_balance=1.0)
+    ),
+    "open price": lambda: built(assignment=AssignmentStrategy("open", price=3)),
+    "open members": lambda: built(
+        assignment=AssignmentStrategy("open", members=frozenset({ALICE}))
+    ),
+    "fee admin": lambda: built(assignment=AssignmentStrategy("fee", price=1, admin=CAROL)),
+    "schema name ''": lambda: built(schema=ContextSchema(name="", required=frozenset())),
+    "schema name 5": lambda: built(schema=ContextSchema(name=5, required=frozenset())),
+    "required key ''": lambda: built(schema=ContextSchema(name="s", required=frozenset({""}))),
+    "optional key 3": lambda: built(
+        schema=ContextSchema(name="s", required=frozenset(), optional=frozenset({3}))
+    ),
+    "allow_update=1": lambda: built(exposure=ExposureFlags(allow_update=1)),
+    "allow_invalidate='false'": lambda: built(exposure=ExposureFlags(allow_invalidate="false")),
+}
+GOOD_CONFIGS = ("jitter", "fee", "whitelist", "closed")
+
+
+@pytest.mark.parametrize("name", sorted(set(CONFIGS) - set(GOOD_CONFIGS)))
+def test_bad_config_values_fail_at_construction(name):
+    with pytest.raises(ConfigInvalidError):
+        CONFIGS[name]()
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_every_constructible_config_survives_persist_and_load(tmp_path, name):
+    """A ledger built from any config its constructors accept loads back."""
+    try:
+        policy, config = CONFIGS[name]()
+    except ConfigInvalidError:
+        assert name not in GOOD_CONFIGS
+        return
+    ledger = Ledger(policy, config)
+    produced = [ledger.head]
+    ledger.submit_payload(ALICE, {"op": "requestToken", "payment": 3})
+    ledger.submit_payload(ALICE, {**create_payload(), "context": {"agent": "a", "time": "5am"}})
+    ledger.submit_payload(ALICE, {"op": "invalidate", "provId": 1})
+    ledger.submit_payload(CAROL, {"op": "whitelistAdd", "member": MALLORY.hex})
+    while ledger.pending_count():
+        produced.append(ledger.produce_block()[0])
+    ledger.persist(tmp_path)
+    loaded = assert_log_matches(ledger, tmp_path, produced)
+    assert (loaded.policy, loaded.config) == (policy, config)
+    assert verify_chain(tmp_path).ok is True
 
 
 def test_wire_forms_are_canonical(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from provledger import Context, RecordStatus
+from provledger import Context, RecordStatus, RecordStore
 from provledger.errors import (
     InvalidInputError,
     NotAuthorizedError,
@@ -212,3 +212,31 @@ def test_random_histories_are_acyclic_and_fully_associated(seed):
             assert records[prov_id]["tokenId"] == token
             seen.append(prov_id)
     assert sorted(seen) == sorted(records)
+
+
+def test_each_precondition_looks_up_a_record_once(monkeypatch):
+    """A create with k inputs reads each input once, for its checks and its
+    same-token link alike; an update or an invalidate reads its record once."""
+    stack = layer(open_policy())
+    token = stack.request_token(ALICE)
+    other = stack.request_token(ALICE)
+    inputs = [stack.create_provenance_checked(ALICE, t, [], Context({"agent": "a"}))
+              for t in (token, token, other)]
+    calls = []
+    real_get = RecordStore.get_record
+
+    def counting(self, prov_id):
+        calls.append(prov_id)
+        return real_get(self, prov_id)
+
+    monkeypatch.setattr(RecordStore, "get_record", counting)
+    for k in range(len(inputs) + 1):
+        calls.clear()
+        stack.create_provenance_checked(ALICE, token, inputs[:k], Context({"agent": "m"}))
+        assert calls == inputs[:k]
+    calls.clear()
+    stack.gate_update(ALICE, inputs[0], Context({"agent": "u"}))
+    assert calls == [inputs[0]]
+    calls.clear()
+    stack.gate_invalidate(ALICE, inputs[0])
+    assert calls == [inputs[0]]

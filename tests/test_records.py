@@ -1,6 +1,12 @@
-"""Storage layer: record CRUD, the global index, and the status machine."""
+"""Records: the store and its global index, and the record status machine.
+
+The store stores what it is handed; the provenance layer checks every record
+precondition, so the status machine and the id rules are tested through it.
+"""
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -9,15 +15,33 @@ from hypothesis import strategies as st
 from provledger import Context, RecordStatus, RecordStore
 from provledger.errors import (
     DuplicateProvenanceIdError,
+    InvalidInputError,
     RecordInvalidatedError,
     RecordNotFoundError,
+    TokenNotFoundError,
 )
+from support import ALICE, layer
 
 KEY = object()
 
 
 def store_with_key():
     return RecordStore(KEY), KEY
+
+
+def provenance_with_record(context=Context({"agent": "a"})):
+    """A provenance layer, ALICE's token, and one valid record of it."""
+    stack = layer()
+    token = stack.request_token(ALICE)
+    provenance = stack.provenance
+    return provenance, token, provenance.create_provenance(ALICE, token, [], context)
+
+
+def mutate(provenance, operation, prov_id):
+    if operation == "update":
+        provenance.update_provenance(ALICE, prov_id, Context({"agent": "b"}))
+    else:
+        provenance.invalidate_provenance(ALICE, prov_id)
 
 
 def test_create_then_get_roundtrips_all_fields():
@@ -63,53 +87,47 @@ def test_get_is_pure():
 
 
 def test_update_context_replaces_whole_context():
-    store, key = store_with_key()
-    store.create_record(key, 1, 1, [], Context({"agent": "a", "time": "5am"}))
-    store.update_context(key, 1, Context({"agent": "x"}))
-    assert store.get_record(1).context == Context({"agent": "x"})
+    provenance, _, prov_id = provenance_with_record(Context({"agent": "a", "time": "5am"}))
+    provenance.update_provenance(ALICE, prov_id, Context({"agent": "x"}))
+    assert provenance.records.get_record(prov_id).context == Context({"agent": "x"})
 
 
 def test_update_missing_record():
-    store, key = store_with_key()
+    provenance, _, prov_id = provenance_with_record()
     with pytest.raises(RecordNotFoundError):
-        store.update_context(key, 7, Context())
+        provenance.update_provenance(ALICE, prov_id + 1, Context())
+    with pytest.raises(RecordNotFoundError):
+        provenance.invalidate_provenance(ALICE, prov_id + 1)
 
 
 def test_status_operation_matrix():
     # enumerate status x mutation: only a valid record permits mutation
     for operation in ("update", "invalidate"):
-        store, key = store_with_key()
-        store.create_record(key, 1, 1, [], Context({"agent": "a"}))
         # valid record: mutation succeeds
-        if operation == "update":
-            store.update_context(key, 1, Context({"agent": "b"}))
-        else:
-            store.invalidate_record(key, 1)
-        # invalidated record: every mutation is rejected
-        store2, key2 = store_with_key()
-        store2.create_record(key2, 1, 1, [], Context({"agent": "a"}))
-        store2.invalidate_record(key2, 1)
+        provenance, _, prov_id = provenance_with_record()
+        mutate(provenance, operation, prov_id)
+        # invalidated record: every mutation is rejected and changes nothing
+        provenance, _, prov_id = provenance_with_record()
+        provenance.invalidate_provenance(ALICE, prov_id)
+        before = provenance.records.get_record(prov_id)
         with pytest.raises(RecordInvalidatedError):
-            if operation == "update":
-                store2.update_context(key2, 1, Context({"agent": "b"}))
-            else:
-                store2.invalidate_record(key2, 1)
+            mutate(provenance, operation, prov_id)
+        assert provenance.records.get_record(prov_id) is before
 
 
 def test_invalidate_keeps_record_readable():
-    store, key = store_with_key()
-    store.create_record(key, 1, 1, [], Context({"agent": "a"}))
-    store.invalidate_record(key, 1)
-    assert store.get_record(1).status is RecordStatus.INVALIDATED
-    assert store.record_count() == 1
+    provenance, token, prov_id = provenance_with_record()
+    provenance.invalidate_provenance(ALICE, prov_id)
+    assert provenance.records.get_record(prov_id).status is RecordStatus.INVALIDATED
+    assert provenance.records.record_count() == 1
+    assert provenance.get_associated_provenance(token) == [prov_id]
 
 
 def test_double_invalidation_rejected():
-    store, key = store_with_key()
-    store.create_record(key, 1, 1, [], Context())
-    store.invalidate_record(key, 1)
+    provenance, _, prov_id = provenance_with_record()
+    provenance.invalidate_provenance(ALICE, prov_id)
     with pytest.raises(RecordInvalidatedError):
-        store.invalidate_record(key, 1)
+        provenance.invalidate_provenance(ALICE, prov_id)
 
 
 def test_count_and_listing():
@@ -123,33 +141,44 @@ def test_count_and_listing():
     assert store.list_record_ids(2, 1) == [3]
     assert store.list_record_ids(5, 10) == []
     assert store.list_record_ids(1) == [2, 3]
+    # a replaced record keeps its place in the index
+    store.replace_record(key, store.get_record(2), replace(store.get_record(2), context=Context()))
+    assert store.list_record_ids() == [1, 2, 3]
+    assert [record.id for record in store.iter_records()] == [1, 2, 3]
 
 
 def test_mutations_require_internal_key():
-    store, _ = store_with_key()
+    store, key = store_with_key()
     with pytest.raises(PermissionError):
         store.create_record(object(), 1, 1, [], Context())
+    store.create_record(key, 1, 1, [], Context())
+    record = store.get_record(1)
+    with pytest.raises(PermissionError):
+        store.replace_record(object(), record, replace(record, status=RecordStatus.INVALIDATED))
     # reads stay public
-    assert store.record_count() == 0
+    assert store.record_count() == 1
+    assert store.get_record(1) is record
 
 
 def test_zero_id_is_reserved():
-    store, key = store_with_key()
-    with pytest.raises(ValueError):
-        store.create_record(key, 0, 1, [], Context())
+    provenance, token, prov_id = provenance_with_record()
+    with pytest.raises(InvalidInputError):
+        provenance.create_provenance(ALICE, token, [0], Context())
+    with pytest.raises(TokenNotFoundError):
+        provenance.create_provenance(ALICE, 0, [], Context())
+    with pytest.raises(RecordNotFoundError):
+        provenance.update_provenance(ALICE, 0, Context())
+    assert provenance.records.list_record_ids() == [prov_id]
 
 
 def test_self_reference_rejected():
-    store, key = store_with_key()
-    with pytest.raises(ValueError):
-        store.create_record(key, 1, 1, [1], Context())
-
-
-def test_duplicate_inputs_rejected_at_store_level():
-    store, key = store_with_key()
-    store.create_record(key, 1, 1, [], Context())
-    with pytest.raises(ValueError):
-        store.create_record(key, 2, 1, [1, 1], Context())
+    # a new record's id is the next one drawn, which no input can name yet
+    provenance, token, prov_id = provenance_with_record()
+    own_id = provenance.next_prov_id
+    with pytest.raises(InvalidInputError, match="does not exist"):
+        provenance.create_provenance(ALICE, token, [prov_id, own_id], Context())
+    assert provenance.next_prov_id == own_id
+    assert provenance.records.list_record_ids() == [prov_id]
 
 
 def test_context_keys_sorted_in_canonical_form():
@@ -170,7 +199,8 @@ def test_snapshot_export_shape():
     store, key = store_with_key()
     store.create_record(key, 1, 4, [], Context({"agent": "a"}))
     store.create_record(key, 2, 4, [1], Context({"agent": "b"}))
-    store.invalidate_record(key, 2)
+    record = store.get_record(2)
+    store.replace_record(key, record, replace(record, status=RecordStatus.INVALIDATED))
     exported = store.snapshot()
     assert [item["id"] for item in exported] == [1, 2]
     assert all(
@@ -192,20 +222,25 @@ op_strategy = st.lists(
 @settings(max_examples=200, deadline=None)
 @given(ops=op_strategy)
 def test_status_machine_only_valid_to_invalidated(ops):
-    """Over random op sequences the only observable transition is
-    valid -> invalidated, and counts never decrease."""
-    store = RecordStore(KEY)
+    """Over random op sequences through the provenance layer the only
+    observable transition is valid -> invalidated, and counts never decrease.
+    A create names an earlier record as its input, which must be valid."""
+    stack = layer()
+    token = stack.request_token(ALICE)
+    provenance = stack.provenance
+    store = provenance.records
     statuses: dict[int, RecordStatus] = {}
     last_count = 0
     for action, prov_id in ops:
         try:
             if action == "create":
-                store.create_record(KEY, prov_id, 1, [], Context())
-            elif action == "update":
-                store.update_context(KEY, prov_id, Context({"k": "v"}))
+                inputs = [prov_id] if prov_id < provenance.next_prov_id else []
+                created = provenance.create_provenance(ALICE, token, inputs, Context())
+                for input_id in store.get_record(created).input_ids:
+                    assert store.get_record(input_id).status is RecordStatus.VALID
             else:
-                store.invalidate_record(KEY, prov_id)
-        except (DuplicateProvenanceIdError, RecordNotFoundError, RecordInvalidatedError):
+                mutate(provenance, action, prov_id)
+        except (InvalidInputError, RecordNotFoundError, RecordInvalidatedError):
             pass
         count = store.record_count()
         assert count >= last_count
