@@ -539,7 +539,11 @@ class Ledger:
         # block hash commits to the rules the chain runs under
         genesis = Block.seal(0, ZERO_DIGEST, 0, (), (), self.state_digest())
         self._blocks: list[Block] = [genesis]
+        # the resolved directory and log, set once by _bind, and the spelling
+        # of the directory persist last accepted
         self._directory: Path | None = None
+        self._log: Path | None = None
+        self._spelling: str | Path | None = None
 
     # -- read access --------------------------------------------------------
 
@@ -765,33 +769,62 @@ class Ledger:
         refuses an existing block log, then writes the policy and config
         files. A ledger refuses every directory but its own. The log only
         ever grows; a call with no new blocks is a no-op.
+
+        ``directory`` is resolved only when the ledger binds, or when it is
+        not ``==`` to the argument last accepted, kept as given (``str`` or
+        ``Path``); a spelling that resolves to the bound directory is then
+        accepted. Appends always go to the log resolved at binding, so a
+        relative spelling accepted before still names the bound directory
+        after the working directory changes. Returns that log's path.
         """
-        directory = Path(directory)
-        path = directory / BLOCKS_FILE
-        resolved = directory.resolve()
-        if self._directory not in (None, resolved):
-            raise IoFailureError(f"ledger belongs to {self._directory}, not {resolved}")
-        new_blocks = self._blocks if self._directory is None else self._blocks[1:]
-        if not new_blocks:
-            return path
+        if self._log is None:
+            self._start(directory)
+        else:
+            if directory != self._spelling:
+                resolved = Path(directory).resolve()
+                if resolved != self._directory:
+                    raise IoFailureError(f"ledger belongs to {self._directory}, not {resolved}")
+                self._spelling = directory
+            if len(self._blocks) > 1:
+                _append_lines(self._log, self._blocks[1:])
+        del self._blocks[:-1]
+        return self._log
+
+    def _start(self, directory: str | Path) -> None:
+        """Write a new directory: policy, config, and every block held; then
+        bind to it. A directory that already holds a block log is refused."""
+        path = Path(directory)
         try:
-            if self._directory is None:
-                if path.exists():
-                    raise IoFailureError(f"ledger already exists at {directory}")
-                directory.mkdir(parents=True, exist_ok=True)
-                for name, data in (
-                    (POLICY_FILE, self.policy.as_dict()),
-                    (CONFIG_FILE, self.config.as_dict()),
-                ):
-                    (directory / name).write_text(canonical_json(data) + "\n", encoding="utf-8")
-            with open(path, "a", encoding="utf-8") as handle:
-                for block in new_blocks:
-                    handle.write(canonical_json(block.wire_dict()) + "\n")
+            if (path / BLOCKS_FILE).exists():
+                raise IoFailureError(f"ledger already exists at {path}")
+            path.mkdir(parents=True, exist_ok=True)
+            for name, data in (
+                (POLICY_FILE, self.policy.as_dict()),
+                (CONFIG_FILE, self.config.as_dict()),
+            ):
+                (path / name).write_text(canonical_json(data) + "\n", encoding="utf-8")
         except OSError as exc:
             raise IoFailureError(f"cannot write block log: {exc}") from exc
-        self._directory = resolved
-        del self._blocks[:-1]
-        return path
+        _append_lines(path / BLOCKS_FILE, self._blocks)
+        self._bind(directory)
+
+    def _bind(self, directory: str | Path) -> None:
+        """Bind the ledger to ``directory``: resolve it, once, and keep it as
+        given, the spelling :meth:`persist` accepts without resolving it."""
+        self._directory = Path(directory).resolve()
+        self._log = self._directory / BLOCKS_FILE
+        self._spelling = directory
+
+
+def _append_lines(log: Path, blocks: Iterable[Block]) -> None:
+    """Append each block's canonical line, UTF-8 and ending in a newline, in
+    binary and one block at a time, so a long chain is never one text."""
+    try:
+        with open(log, "ab") as handle:
+            for block in blocks:
+                handle.write(canonical_json(block.wire_dict()).encode("utf-8") + b"\n")
+    except OSError as exc:
+        raise IoFailureError(f"cannot write block log: {exc}") from exc
 
 
 # --- ledger directories ------------------------------------------------------
@@ -830,15 +863,14 @@ def load_ledger(directory: str | Path) -> Ledger:
     parent links, strictly increasing timestamps, result agreement under
     re-execution, and the post-state digest of every block.
     """
-    directory = Path(directory)
-    policy = policy_from_dict(read_json_file(directory / POLICY_FILE, "policy file"))
-    config = SimConfig.from_dict(read_json_file(directory / CONFIG_FILE, "config file"))
-    path = directory / BLOCKS_FILE
+    path = Path(directory)
+    policy = policy_from_dict(read_json_file(path / POLICY_FILE, "policy file"))
+    config = SimConfig.from_dict(read_json_file(path / CONFIG_FILE, "config file"))
 
     ledger = Ledger(policy, config)
-    ledger._directory = directory.resolve()
+    ledger._bind(directory)
     height = -1
-    for height, line in enumerate(_log_lines(path)):
+    for height, line in enumerate(_log_lines(ledger._log)):
         if height == 0:
             # the genesis block is fully determined by policy and config; its
             # text is compared, since 0.0 == 0 would pass a "height":0.0

@@ -41,6 +41,8 @@ class ContextSchema:
     def __post_init__(self):
         if type(self.name) is not str or not self.name:
             raise ConfigInvalidError("schema name must be a non-empty string")
+        if type(self.required) is not frozenset or type(self.optional) is not frozenset:
+            raise ConfigInvalidError("schema required and optional keys must be frozensets")
         for key in self.required | self.optional:
             if type(key) is not str or not key:
                 raise ConfigInvalidError(f"schema keys must be non-empty strings, got {key!r}")
@@ -93,6 +95,12 @@ class AssignmentStrategy:
             raise ConfigInvalidError(f"unknown assignment kind {self.kind!r}")
         if type(self.price) is not int or type(self.initial_balance) is not int:
             raise ConfigInvalidError("price and initial balance must be integers")
+        if self.admin is not None and type(self.admin) is not ClientId:
+            raise ConfigInvalidError(f"assignment admin must be a ClientId, got {self.admin!r}")
+        if type(self.members) is not frozenset or any(
+            type(member) is not ClientId for member in self.members
+        ):
+            raise ConfigInvalidError("assignment members must be a frozenset of ClientId")
         if self.kind == FEE and self.price < 1:
             raise ConfigInvalidError("fee assignment requires price >= 1")
         if self.kind != FEE and self.price:

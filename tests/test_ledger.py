@@ -8,6 +8,7 @@ import json
 import random
 import re
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -703,6 +704,98 @@ def test_persist_refuses_a_second_directory(tmp_path):
     assert verify_chain(directory).ok is True
 
 
+
+def counted_resolves(monkeypatch):
+    """The paths ``Path.resolve`` is called on from now on."""
+    calls = []
+    resolve = Path.resolve
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return resolve(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "resolve", counted)
+    return calls
+
+
+def next_block(ledger, agent):
+    ledger.submit_payload(ALICE, create_payload(token_id=1, agent=agent))
+    return ledger.produce_block()[0]
+
+
+def logged_hashes(directory):
+    lines = (directory / BLOCKS_FILE).read_bytes().splitlines()
+    return [json.loads(line)["blockHash"] for line in lines]
+
+
+def test_persist_resolves_only_a_new_spelling(tmp_path, monkeypatch):
+    """A bound ledger resolves its argument only when it is not ``==`` to the
+    spelling last accepted, and every spelling appends each block once."""
+    ledger = quick_ledger()
+    ledger.submit_payload(ALICE, REQUEST)
+    produced = [ledger.head, ledger.produce_block()[0]]
+    directory = tmp_path / "ledger"
+    resolves = counted_resolves(monkeypatch)
+    spellings = [
+        directory,  # binds
+        tmp_path / "ledger",  # an equal Path
+        str(directory),  # the same text as a str: resolved once, then kept
+        str(directory),
+        directory / ".." / directory.name,
+        directory / ".." / directory.name,
+    ]
+    expected_resolves = [1, 1, 2, 2, 3, 3]
+    for spelling, expected in zip(spellings, expected_resolves):
+        ledger.persist(spelling)
+        assert len(resolves) == expected
+        ledger.persist(spelling)  # nothing new: no line written
+        assert len(resolves) == expected
+        assert logged_hashes(directory) == [block.block_hash for block in produced]
+        produced.append(next_block(ledger, f"after {len(produced)}"))
+    assert verify_chain(directory).ok is True
+
+
+def test_persist_appends_to_the_bound_log_after_a_chdir(tmp_path, monkeypatch):
+    """A relative spelling accepted before names the bound directory, whatever
+    the working directory is now."""
+    ledger, directory, produced = busy_chain(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    ledger.persist("ledger")
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    produced.append(next_block(ledger, "moved"))
+    ledger.persist("ledger")
+    assert list(elsewhere.iterdir()) == []
+    assert logged_hashes(directory) == [block.block_hash for block in produced]
+    with pytest.raises(IoFailureError):
+        ledger.persist(Path("ledger"))  # not the accepted spelling: resolved here
+
+
+def test_refused_first_persist_leaves_the_ledger_unbound(tmp_path):
+    _, directory = busy_ledger(tmp_path)
+    fresh = quick_ledger(capacity=3)
+    with pytest.raises(IoFailureError):
+        fresh.persist(directory)
+    fresh.persist(tmp_path / "fresh")
+    assert verify_chain(tmp_path / "fresh").ok is True
+    with pytest.raises(IoFailureError):
+        fresh.persist(directory)
+
+
+def test_loaded_ledger_persists_to_its_relative_directory(tmp_path, monkeypatch):
+    """``load_ledger(d).persist(d)``, as a CLI write runs it, resolves ``d``
+    once and appends to the loaded log."""
+    _, directory = busy_ledger(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    resolves = counted_resolves(monkeypatch)
+    loaded = load_ledger("ledger")
+    block = next_block(loaded, "resumed")
+    loaded.persist("ledger")
+    assert len(resolves) == 1
+    assert logged_hashes(directory)[-1] == block.block_hash
+    assert verify_chain(directory).ok is True
+
 def fixed_store_chain(directory, blocks):
     """A chain whose store stays at 10 records: after the token and the
     records, each block updates every record once. Persists after each block."""
@@ -1019,11 +1112,24 @@ CONFIGS = {
         assignment=AssignmentStrategy("open", members=frozenset({ALICE}))
     ),
     "fee admin": lambda: built(assignment=AssignmentStrategy("fee", price=1, admin=CAROL)),
+    "whitelist admin 'carol'": lambda: built(
+        assignment=AssignmentStrategy("whitelist", admin="carol")
+    ),
+    "whitelist members {'bob'}": lambda: built(assignment=AssignmentStrategy(
+        "whitelist", admin=CAROL, members=frozenset({"bob"})
+    )),
+    "whitelist members list": lambda: built(
+        assignment=AssignmentStrategy("whitelist", admin=CAROL, members=[ALICE])
+    ),
     "schema name ''": lambda: built(schema=ContextSchema(name="", required=frozenset())),
     "schema name 5": lambda: built(schema=ContextSchema(name=5, required=frozenset())),
     "required key ''": lambda: built(schema=ContextSchema(name="s", required=frozenset({""}))),
     "optional key 3": lambda: built(
         schema=ContextSchema(name="s", required=frozenset(), optional=frozenset({3}))
+    ),
+    "required list": lambda: built(schema=ContextSchema(name="s", required=["a"])),
+    "optional set": lambda: built(
+        schema=ContextSchema(name="s", required=frozenset(), optional={"a"})
     ),
     "allow_update=1": lambda: built(exposure=ExposureFlags(allow_update=1)),
     "allow_invalidate='false'": lambda: built(exposure=ExposureFlags(allow_invalidate="false")),
