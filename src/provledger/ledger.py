@@ -111,13 +111,15 @@ def _check_uint(value: object, label: str) -> int:
     return value
 
 
-def _check_address(value: object, label: str) -> str:
+def _check_address(
+    value: object, label: str, parse: Callable[[str], Any] | None = None
+) -> Any:
     """``value`` if :meth:`ClientId.from_hex` accepts it, checked without
-    building the address."""
+    building the address; with ``parse``, what ``parse`` makes of it."""
     if type(value) is not str:
         raise MalformedPayloadError(f"{label} must be a 0x-hex address string")
     try:
-        return check_hex_address(value)
+        return check_hex_address(value) if parse is None else parse(value)
     except ValueError as exc:
         raise MalformedPayloadError(f"bad {label}: {exc}") from exc
 
@@ -150,8 +152,9 @@ class Operation:
     """Everything the stack knows about one transaction type.
 
     ``fields`` maps each payload field to its checker, called with the value
-    and the field name; a payload carries exactly these fields plus ``op``.
-    Checkers build nothing: the handler builds each address and context once.
+    and the field name; a payload carries exactly these fields plus ``op``,
+    the set ``keys``. Checkers build nothing: the handler builds each address
+    and context once, from the checked text, without checking it again.
     ``client_fields`` hold addresses a client may write as aliases.
     ``defaults`` compute, from the current state, fields a client may omit.
     ``handler`` executes the op and returns its result value (``None`` for
@@ -162,6 +165,10 @@ class Operation:
     handler: Callable[[PolicyLayer, ClientId, dict], dict | None]
     client_fields: tuple[str, ...] = ()
     defaults: Mapping[str, Callable[[PolicyLayer, dict], object]] = field(default_factory=dict)
+    keys: frozenset[str] = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "keys", frozenset(self.fields) | {"op"})
 
 
 # The one place an operation is defined: adding an op means one entry here
@@ -177,14 +184,17 @@ OPS: dict[str, Operation] = {
         client_fields=("from", "to"),
         defaults={"from": _current_owner},
         handler=lambda m, sender, p: m.tokens.transfer(
-            sender, ClientId.from_hex(p["from"]), ClientId.from_hex(p["to"]), p["tokenId"]
+            sender,
+            ClientId.from_checked_hex(p["from"]),
+            ClientId.from_checked_hex(p["to"]),
+            p["tokenId"],
         ),
     ),
     "approve": Operation(
         fields={"tokenId": _check_uint, "operator": _check_address},
         client_fields=("operator",),
         handler=lambda m, sender, p: m.tokens.approve(
-            sender, ClientId.from_hex(p["operator"]), p["tokenId"]
+            sender, ClientId.from_checked_hex(p["operator"]), p["tokenId"]
         ),
     ),
     "createProvenance": Operation(
@@ -192,13 +202,15 @@ OPS: dict[str, Operation] = {
         defaults={"inputs": lambda machine, payload: []},
         handler=lambda m, sender, p: {
             "provId": m.create_provenance_checked(
-                sender, p["tokenId"], list(p["inputs"]), Context(p["context"])
+                sender, p["tokenId"], list(p["inputs"]), Context.from_checked(p["context"])
             )
         },
     ),
     "updateContext": Operation(
         fields={"provId": _check_uint, "context": _check_context},
-        handler=lambda m, sender, p: m.gate_update(sender, p["provId"], Context(p["context"])),
+        handler=lambda m, sender, p: m.gate_update(
+            sender, p["provId"], Context.from_checked(p["context"])
+        ),
     ),
     "invalidate": Operation(
         fields={"provId": _check_uint},
@@ -207,12 +219,16 @@ OPS: dict[str, Operation] = {
     "whitelistAdd": Operation(
         fields={"member": _check_address},
         client_fields=("member",),
-        handler=lambda m, sender, p: m.whitelist_add(sender, ClientId.from_hex(p["member"])),
+        handler=lambda m, sender, p: m.whitelist_add(
+            sender, ClientId.from_checked_hex(p["member"])
+        ),
     ),
     "whitelistRemove": Operation(
         fields={"member": _check_address},
         client_fields=("member",),
-        handler=lambda m, sender, p: m.whitelist_remove(sender, ClientId.from_hex(p["member"])),
+        handler=lambda m, sender, p: m.whitelist_remove(
+            sender, ClientId.from_checked_hex(p["member"])
+        ),
     ),
 }
 
@@ -228,13 +244,12 @@ def _operation(payload: object) -> Operation:
 
 def validate_payload(payload: object) -> dict:
     """Strict structural check; returns the payload if well-formed."""
-    fields = _operation(payload).fields
-    expected = set(fields) | {"op"}
-    if set(payload) != expected:
+    operation = _operation(payload)
+    if payload.keys() != operation.keys:
         raise MalformedPayloadError(
-            f"{payload['op']} payload must have exactly fields {sorted(expected)}"
+            f"{payload['op']} payload must have exactly fields {sorted(operation.keys)}"
         )
-    for name, checker in fields.items():
+    for name, checker in operation.fields.items():
         checker(payload[name], name)
     return payload
 
@@ -270,6 +285,13 @@ def _check_hash_hex(value: object, label: str) -> str:
     return value
 
 
+# the exact key sets of a transaction's and a block's wire form
+_TX_FIELDS = frozenset({"fee", "hash", "nonce", "payload", "sender", "submittedAt"})
+_BLOCK_FIELDS = frozenset(
+    {"blockHash", "height", "parentHash", "results", "stateDigest", "timestamp", "transactions"}
+)
+
+
 @dataclass(frozen=True, slots=True)
 class Transaction:
     """One state-machine operation; ``hash`` covers every other field.
@@ -299,15 +321,13 @@ class Transaction:
     def hashed_text(
         sender: ClientId, nonce: int, payload: Mapping, fee: int, submitted_at: int
     ) -> str:
-        """The canonical JSON text that ``hash`` is the SHA-256 of."""
-        return canonical_json(
-            {
-                "fee": fee,
-                "nonce": nonce,
-                "payload": payload,
-                "sender": sender.hex,
-                "submittedAt": submitted_at,
-            }
+        """The canonical JSON text that ``hash`` is the SHA-256 of, for
+        checked fields: the sorted outer keys are written around the
+        payload's canonical text, since an ``int``'s text is its JSON and an
+        address holds nothing to escape."""
+        return (
+            f'{{"fee":{fee},"nonce":{nonce},"payload":{canonical_json(payload)},'
+            f'"sender":"{sender.hex}","submittedAt":{submitted_at}}}'
         )
 
     @classmethod
@@ -358,20 +378,20 @@ class Transaction:
         ``fee``, where sorted keys place it."""
         if not isinstance(data, dict):
             raise MalformedPayloadError("transaction must be a JSON object")
-        expected = {"fee", "hash", "nonce", "payload", "sender", "submittedAt"}
-        if set(data) != expected:
+        if data.keys() != _TX_FIELDS:
             raise MalformedPayloadError(
-                f"transaction must have exactly fields {sorted(expected)}"
+                f"transaction must have exactly fields {sorted(_TX_FIELDS)}"
             )
         tx, text = cls._build(
-            sender=ClientId.from_hex(_check_address(data["sender"], "sender")),
+            sender=_check_address(data["sender"], "sender", ClientId.from_hex),
             nonce=data["nonce"],
             payload=data["payload"],
             fee=data["fee"],
             submitted_at=data["submittedAt"],
         )
-        _check_hash_hex(data["hash"], "transaction hash")
         if tx.hash != data["hash"]:
+            # a hash equal to the computed one is well-formed
+            _check_hash_hex(data["hash"], "transaction hash")
             raise MalformedPayloadError("transaction hash does not match its fields")
         fee, rest = text.split(",", 1)  # an integer fee holds no comma
         return tx, f'{fee},"hash":"{tx.hash}",{rest}'
@@ -444,12 +464,8 @@ class Block:
         anyway, so the block is not encoded a second time."""
         if not isinstance(data, dict):
             raise MalformedPayloadError("block must be a JSON object")
-        expected = {
-            "blockHash", "height", "parentHash", "results", "stateDigest", "timestamp",
-            "transactions",
-        }
-        if set(data) != expected:
-            raise MalformedPayloadError(f"block must have exactly fields {sorted(expected)}")
+        if data.keys() != _BLOCK_FIELDS:
+            raise MalformedPayloadError(f"block must have exactly fields {sorted(_BLOCK_FIELDS)}")
         _check_uint(data["height"], "height")
         _check_uint(data["timestamp"], "timestamp")
         _check_hash_hex(data["parentHash"], "parentHash")
@@ -484,7 +500,7 @@ class Block:
         return block
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExecutionOutcome:
     """Result of one transaction inside a produced block."""
 
@@ -544,6 +560,9 @@ class Ledger:
         self._directory: Path | None = None
         self._log: Path | None = None
         self._spelling: str | Path | None = None
+        # whether the bound log's last line lacks its newline, which the
+        # next append writes first
+        self._unterminated = False
 
     # -- read access --------------------------------------------------------
 
@@ -786,7 +805,8 @@ class Ledger:
                     raise IoFailureError(f"ledger belongs to {self._directory}, not {resolved}")
                 self._spelling = directory
             if len(self._blocks) > 1:
-                _append_lines(self._log, self._blocks[1:])
+                _append_lines(self._log, self._blocks[1:], self._unterminated)
+                self._unterminated = False
         del self._blocks[:-1]
         return self._log
 
@@ -816,11 +836,14 @@ class Ledger:
         self._spelling = directory
 
 
-def _append_lines(log: Path, blocks: Iterable[Block]) -> None:
+def _append_lines(log: Path, blocks: Iterable[Block], end_line: bool = False) -> None:
     """Append each block's canonical line, UTF-8 and ending in a newline, in
-    binary and one block at a time, so a long chain is never one text."""
+    binary and one block at a time, so a long chain is never one text. With
+    ``end_line``, first end the log's last line, which lacks its newline."""
     try:
         with open(log, "ab") as handle:
+            if end_line:
+                handle.write(b"\n")
             for block in blocks:
                 handle.write(canonical_json(block.wire_dict()).encode("utf-8") + b"\n")
     except OSError as exc:
@@ -869,8 +892,9 @@ def load_ledger(directory: str | Path) -> Ledger:
 
     ledger = Ledger(policy, config)
     ledger._bind(directory)
-    height = -1
-    for height, line in enumerate(_log_lines(ledger._log)):
+    height, raw = -1, b""
+    for height, raw in enumerate(_log_lines(ledger._log)):
+        line = raw.removesuffix(b"\n")
         if height == 0:
             # the genesis block is fully determined by policy and config; its
             # text is compared, since 0.0 == 0 would pass a "height":0.0
@@ -896,15 +920,17 @@ def load_ledger(directory: str | Path) -> Ledger:
             ledger._append_block(block.timestamp, block.transactions, block)
     if height < 0:
         raise CorruptLogError("empty block log", height=0)
+    # a last line that lost its newline still loads; persist ends it first
+    ledger._unterminated = not raw.endswith(b"\n")
     return ledger
 
 
 def _log_lines(path: Path) -> Iterator[bytes]:
-    """The log's lines, read one at a time, without their newlines."""
+    """The log's lines, read one at a time, each with its newline if it has
+    one."""
     try:
         with open(path, "rb") as handle:
-            for line in handle:
-                yield line.removesuffix(b"\n")
+            yield from handle
     except OSError as exc:
         raise IoFailureError(f"cannot read block log: {exc}") from exc
 

@@ -49,6 +49,14 @@ class Context:
         items = check_context_entries(dict(entries))
         self._entries = {key: items[key] for key in sorted(items)}
 
+    @classmethod
+    def from_checked(cls, entries: Mapping[str, str]) -> "Context":
+        """A context of ``entries`` that :func:`check_context_entries` already
+        accepted, built without checking them again."""
+        context = cls.__new__(cls)
+        context._entries = {key: entries[key] for key in sorted(entries)}
+        return context
+
     def as_dict(self) -> dict[str, str]:
         return dict(self._entries)
 

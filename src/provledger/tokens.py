@@ -58,6 +58,12 @@ class ClientId:
         return cls(bytes.fromhex(check_hex_address(text)[2:]))
 
     @classmethod
+    def from_checked_hex(cls, text: str) -> "ClientId":
+        """The address of a ``text`` that :func:`check_hex_address` already
+        accepted, parsed without checking it again."""
+        return cls(bytes.fromhex(text[2:]))
+
+    @classmethod
     def from_alias(cls, alias: str) -> "ClientId":
         """Deterministic address for a human-readable alias (digest of the alias)."""
         if not alias:

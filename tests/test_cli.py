@@ -306,6 +306,22 @@ def test_verify_reports_unparseable_policy_or_config(runner, ledger_dir, name, t
     assert isinstance(verdict["reason"], str) and verdict["reason"]
 
 
+def test_write_after_a_lost_final_newline_ends_the_line_first(runner, ledger_dir):
+    d = str(ledger_dir)
+    runner.invoke(main, ["token", "request", "--as", "alice", "--dir", d])
+    log = ledger_dir / "blocks.jsonl"
+    log.write_bytes(log.read_bytes().removesuffix(b"\n"))
+    assert out_json(runner.invoke(main, ["verify", d])) == {"ok": True}
+    result = runner.invoke(main, ["token", "request", "--as", "bob", "--dir", d])
+    assert result.exit_code == 0, result.output
+    assert out_json(result)["blockHeight"] == 2
+    assert out_json(runner.invoke(main, ["verify", d])) == {"ok": True}
+    data = log.read_bytes()
+    assert data.endswith(b"\n")
+    lines = data.splitlines()
+    assert [json.loads(line)["height"] for line in lines] == [0, 1, 2]
+
+
 def test_dir_from_environment(runner, ledger_dir):
     result = runner.invoke(
         main,

@@ -218,16 +218,23 @@ def test_transaction_from_wire_parses_the_sender_once(monkeypatch):
 
 def test_addresses_and_contexts_are_built_once_per_path(tmp_path, monkeypatch):
     """Validation checks a payload's addresses and context without building
-    them; execution builds each once. Replay adds one parse per sender."""
+    them; execution builds each once. Replay adds one parse per sender.
+    Every constructor of an address or a context is counted: the checking
+    ones and those that build from already checked text."""
     from provledger.records import Context
 
     addresses, contexts = [], []
-    real_from_hex = ClientId.from_hex.__func__
-    real_context_init = Context.__init__
 
-    def counting_from_hex(cls, text):
-        addresses.append(text)
-        return real_from_hex(cls, text)
+    def counting(cls, name, built):
+        real = getattr(cls, name).__func__
+
+        def build(klass, value):
+            built.append(value)
+            return real(klass, value)
+
+        monkeypatch.setattr(cls, name, classmethod(build))
+
+    real_context_init = Context.__init__
 
     def counting_context_init(self, entries=()):
         contexts.append(dict(entries))
@@ -236,7 +243,9 @@ def test_addresses_and_contexts_are_built_once_per_path(tmp_path, monkeypatch):
     ledger = quick_ledger()
     ledger.submit_payload(ALICE, REQUEST)
     ledger.produce_block()
-    monkeypatch.setattr(ClientId, "from_hex", classmethod(counting_from_hex))
+    counting(ClientId, "from_hex", addresses)
+    counting(ClientId, "from_checked_hex", addresses)
+    counting(Context, "from_checked", contexts)
     monkeypatch.setattr(Context, "__init__", counting_context_init)
     transfer = {"op": "transfer", "tokenId": 1, "from": ALICE.hex, "to": BOB.hex}
     for sender, payload, built in [
@@ -255,6 +264,106 @@ def test_addresses_and_contexts_are_built_once_per_path(tmp_path, monkeypatch):
     # senders of the request, the create and the transfer, then its addresses
     assert addresses == [ALICE.hex] * 4 + [BOB.hex]
     assert contexts == [{"agent": "x"}]
+
+
+def test_each_address_and_context_is_checked_once_per_path(tmp_path, monkeypatch):
+    """On the submit -> execute path and again on replay, each address text
+    goes through ``check_hex_address`` once and each context through
+    ``check_context_entries`` once. Replay also parses each sender."""
+    from provledger import ledger as ledger_mod
+    from provledger import records as records_mod
+    from provledger import tokens as tokens_mod
+
+    addresses, contexts = [], []
+
+    def counting(module, name, checked):
+        real = getattr(module, name)
+
+        def check(value):
+            checked.append(value)
+            return real(value)
+
+        monkeypatch.setattr(module, name, check)
+
+    ledger = quick_ledger()
+    ledger.submit_payload(ALICE, REQUEST)
+    ledger.produce_block()
+    for module in (ledger_mod, tokens_mod):
+        counting(module, "check_hex_address", addresses)
+    for module in (ledger_mod, records_mod):
+        counting(module, "check_context_entries", contexts)
+    steps = [
+        (create_payload(agent="x"), [], [{"agent": "x"}]),
+        ({"op": "updateContext", "provId": 1, "context": {"agent": "y"}}, [], [{"agent": "y"}]),
+        ({"op": "approve", "tokenId": 1, "operator": CAROL.hex}, [CAROL.hex], []),
+        ({"op": "transfer", "tokenId": 1, "from": ALICE.hex, "to": BOB.hex},
+         [ALICE.hex, BOB.hex], []),
+    ]
+    for payload, checked_addresses, checked_contexts in steps:
+        ledger.submit_payload(ALICE, payload)
+        _, outcomes = ledger.produce_block()
+        assert outcomes[0].status == "ok", outcomes[0].message
+        assert (addresses, contexts) == (checked_addresses, checked_contexts), payload["op"]
+        addresses.clear()
+        contexts.clear()
+    ledger.persist(tmp_path)
+    assert load_ledger(tmp_path).head == ledger.head
+    # the request's sender, then each step's sender and payload addresses
+    assert addresses == [ALICE.hex] + [
+        address for _, checked, _ in steps for address in [ALICE.hex, *checked]
+    ]
+    assert contexts == [{"agent": "x"}, {"agent": "y"}]
+
+
+_DROP = object()
+
+
+def _wire(**edits):
+    """A built transaction's wire form with ``edits``; ``_DROP`` drops a key."""
+    data = quick_ledger().build_transaction(ALICE, REQUEST).wire_dict()
+    data.update(edits)
+    return {key: value for key, value in data.items() if value is not _DROP}
+
+
+_TX_FIELDS_MESSAGE = (
+    "transaction must have exactly fields "
+    "['fee', 'hash', 'nonce', 'payload', 'sender', 'submittedAt']"
+)
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (_wire(hash=_DROP), _TX_FIELDS_MESSAGE),
+        (_wire(extra=1), _TX_FIELDS_MESSAGE),
+        (_wire(sender=1), "sender must be a 0x-hex address string"),
+        (_wire(sender=ALICE.hex[2:]),
+         f"bad sender: client address must start with 0x, got {ALICE.hex[2:]!r}"),
+        (_wire(sender="0x" + "g" * 64),
+         "bad sender: client address must be 64 lowercase hex chars"),
+        (_wire(sender=ALICE.hex.upper().replace("0X", "0x")),
+         "bad sender: client address must be 64 lowercase hex chars"),
+        (_wire(sender="0x" + "00" * 32), "sender must not be the zero address"),
+        (_wire(nonce=-1), "nonce must be a non-negative integer"),
+        (_wire(fee=True), "fee must be a non-negative integer"),
+        (_wire(submittedAt=-5), "submittedAt must be a non-negative integer"),
+        (_wire(submittedAt=False), "submittedAt must be a non-negative integer"),
+        (_wire(hash="A" * 64), "transaction hash must be 64 lowercase hex chars"),
+        (_wire(hash="a" * 63), "transaction hash must be 64 lowercase hex chars"),
+        (_wire(hash=7), "transaction hash must be 64 lowercase hex chars"),
+        (_wire(hash="0" * 64), "transaction hash does not match its fields"),
+    ],
+    ids=[
+        "missing key", "extra key", "sender not a string", "sender without 0x",
+        "sender bad hex", "sender upper-case hex", "zero sender", "negative nonce",
+        "bool fee", "negative submittedAt", "bool submittedAt", "upper-case hash",
+        "short hash", "hash not a string", "hash mismatch",
+    ],
+)
+def test_transaction_wire_field_errors(data, message):
+    with pytest.raises(MalformedPayloadError) as info:
+        Transaction.from_wire(data)
+    assert str(info.value) == message
 
 
 def test_submit_payload_validates_and_hashes_once(monkeypatch):
