@@ -2,20 +2,20 @@
 
 Ties records to tokens: creation requires authorization on the target token
 and valid inputs, record ids are drawn from a single monotonic counter, and
-every record is appended to its token's association list. Parallel traces of
-one data point are simply multiple associated records without a same-token
-link between them. Every record precondition is checked here, once; the
-record store stores what this layer hands it.
+every record joins one of its token's parallel traces. Every record
+precondition is checked here, once; the record store stores what this layer
+hands it.
 
-The records are the stored facts; the association lists and same-token
-links are indexes derived from them, so only the record store reports
-writes to the state digest.
+The records are the stored facts; the traces and same-token links are
+indexes derived from them, so only the record store reports writes to the
+state digest.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Iterable, Mapping
+from itertools import chain
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     InvalidInputError,
@@ -31,12 +31,13 @@ from .tokens import ClientId, TokenRegistry
 class ProvenanceLayer:
     """Create/update/invalidate workflows plus the token-to-records map.
 
-    A token's association list is the ascending ids of the records naming
-    it, and a record's same-token link is fixed at creation, since its
-    inputs and every token id never change; records are never deleted. So
-    both are derived once, at creation, for the queries. Neither is hashed:
-    the ``records`` leaves fix them, and replay rebuilds them by
-    re-executing every create.
+    A record's same-token link is fixed at creation, since its inputs and
+    every token id never change, and records are never deleted. So the link
+    and the token's trace partition are derived once, at creation, for the
+    queries: a new record extends the trace whose tail is its same-token
+    parent, or else opens a new trace, so each trace holds ascending ids.
+    Neither is hashed: the ``records`` leaves fix them, and replay rebuilds
+    them by re-executing every create.
     """
 
     def __init__(
@@ -48,8 +49,9 @@ class ProvenanceLayer:
         self._store = store
         self._registry = registry
         self._store_key = store_key
-        self._associated: dict[int, list[int]] = {}
         self._same_token_parent: dict[int, int] = {}
+        self._traces: dict[int, list[list[int]]] = {}
+        self._trace_by_tail: dict[int, list[int]] = {}
         self._next_prov_id = 1
 
     @property
@@ -122,17 +124,28 @@ class ProvenanceLayer:
         )
         self._next_prov_id += 1
         same_token = [record.id for record in input_records if record.token_id == token_id]
-        self._same_token_parent[prov_id] = (
+        parent = self._same_token_parent[prov_id] = (
             same_token[0] if len(same_token) == 1 else -len(same_token)
         )
-        self._associated.setdefault(token_id, []).append(prov_id)
+        # a parent of 0 or below is never a tail: tails are record ids
+        trace = self._trace_by_tail.pop(parent, None)
+        if trace is None:
+            trace = []
+            self._traces.setdefault(token_id, []).append(trace)
+        trace.append(prov_id)
+        self._trace_by_tail[prov_id] = trace
         return prov_id
 
-    def get_associated_provenance(self, token_id: int) -> list[int]:
-        """All record ids of a token in creation order (its parallel traces, flattened)."""
+    def token_traces(self, token_id: int) -> Sequence[Sequence[int]]:
+        """Read-only view of a token's parallel traces in the order they were
+        opened, each the ascending ids of one maximal same-token chain."""
         if not self._registry.exists(token_id):
             raise TokenNotFoundError(f"token {token_id} not found")
-        return list(self._associated.get(token_id, []))
+        return self._traces.get(token_id, ())
+
+    def get_associated_provenance(self, token_id: int) -> list[int]:
+        """All record ids of a token in creation order (its traces, merged)."""
+        return sorted(chain.from_iterable(self.token_traces(token_id)))
 
     def _writable_record(self, caller: ClientId, prov_id: int) -> ProvenanceRecord:
         """The record ``prov_id`` if it exists, ``caller`` is authorized on its

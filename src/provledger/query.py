@@ -105,24 +105,8 @@ def derivation_graph(layer: ProvenanceLayer, prov_id: int, max_depth: int) -> Pr
 
 
 def traces(layer: ProvenanceLayer, token_id: int) -> list[Trace]:
-    """Partition a token's records into maximal same-token chains.
-
-    Records are processed in creation order; a record extends the chain whose
-    tail is its same-token parent, otherwise it starts a new chain. This
-    puts every associated record in exactly one trace, with forks and
-    ambiguous merges opening fresh chains.
-    """
-    associated = layer.get_associated_provenance(token_id)
-    parents = layer.same_token_parents
-    chains: list[list[int]] = []
-    tail_chain: dict[int, int] = {}
-    for prov_id in associated:
-        # a parent of 0 or below is never a tail: tails are record ids
-        chain_index = tail_chain.pop(parents[prov_id], None)
-        if chain_index is None:
-            chain_index = len(chains)
-            chains.append([prov_id])
-        else:
-            chains[chain_index].append(prov_id)
-        tail_chain[prov_id] = chain_index
-    return [Trace(head=chain[-1], records=tuple(chain)) for chain in chains]
+    """A token's records partitioned into maximal same-token chains, copied
+    from the partition the layer keeps as records are created (see
+    :meth:`ProvenanceLayer.token_traces`). Forks and ambiguous merges open
+    fresh chains. The traces are not hashed; replay rebuilds them."""
+    return [Trace(head=trace[-1], records=tuple(trace)) for trace in layer.token_traces(token_id)]

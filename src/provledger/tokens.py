@@ -53,6 +53,15 @@ class ClientId:
         if type(self.raw) is not bytes or len(self.raw) != ADDRESS_BYTES:
             raise ValueError(f"client address must be {ADDRESS_BYTES} bytes")
 
+    # on ``raw`` itself: the generated pair builds a one-field tuple per call
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.raw == other.raw
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.raw)
+
     @classmethod
     def from_hex(cls, text: str) -> "ClientId":
         return cls(bytes.fromhex(check_hex_address(text)[2:]))

@@ -10,6 +10,7 @@ from provledger import (
     ClientId,
     Context,
     RecordStore,
+    Trace,
     derivation_graph,
     lineage,
     load_ledger,
@@ -233,6 +234,7 @@ def test_oracle_equivalence_on_random_dags():
                 )
             )
         records = export_records(stack.provenance)
+        by_token = naive_association(records)
 
         sample = created if len(created) <= 25 else rng.sample(created, 25)
         for prov_id in sample:
@@ -249,8 +251,7 @@ def test_oracle_equivalence_on_random_dags():
             assert graph.to_json() == serialize_graph(records, nodes, edges)
 
         for token in tokens:
-            associated = stack.provenance.get_associated_provenance(token)
-            expected_chains = naive_traces(records, associated)
+            expected_chains = naive_traces(records, by_token.get(token, []))
             actual = [list(trace.records) for trace in traces(stack.provenance, token)]
             assert actual == expected_chains
 
@@ -303,8 +304,8 @@ def random_ledger(rng: random.Random):
 
 def assert_queries_match_oracles(machine, rng: random.Random) -> set[str]:
     """Every record's lineage and a random-depth graph, and every token's
-    association list and traces, against the plain-data oracles; returns the
-    lineage kinds seen."""
+    association list and traces, against the plain-data oracles, with the
+    token answers checked to be copies; returns the lineage kinds seen."""
     provenance = machine.provenance
     records = export_records(provenance)
     by_token = naive_association(records)
@@ -326,19 +327,29 @@ def assert_queries_match_oracles(machine, rng: random.Random) -> set[str]:
             records, nodes, edges
         )
     for token in machine.tokens.token_ids():
-        associated = provenance.get_associated_provenance(token)
-        assert associated == by_token.pop(token, [])
-        actual = [list(trace.records) for trace in traces(provenance, token)]
-        assert actual == naive_traces(records, associated)
+        associated = by_token.pop(token, [])
+        expected = [
+            Trace(head=chain[-1], records=tuple(chain))
+            for chain in naive_traces(records, associated)
+        ]
+        answer = traces(provenance, token)
+        listed = provenance.get_associated_provenance(token)
+        assert (answer, listed) == (expected, associated)
+        # every answer is a copy: changing one leaves the next unchanged
+        for trace in answer:
+            object.__setattr__(trace, "records", trace.records + (0,))
+        answer.clear()
+        listed.append(0)
+        assert traces(provenance, token) == expected
+        assert provenance.get_associated_provenance(token) == associated
     assert by_token == {}
     return seen
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_queries_match_oracles_on_ledger_and_replay(tmp_path, seed):
-    """The links and association lists are derived state, not hashed: a
-    replayed ledger rebuilds the same ones, and both answer every query as
-    the oracles do."""
+    """The links and traces are derived state, not hashed: a replayed ledger
+    rebuilds the same ones, and both answer every query as the oracles do."""
     ledger = random_ledger(random.Random(5_000 + seed))
     ledger.persist(tmp_path)
     reloaded = load_ledger(tmp_path)
@@ -348,3 +359,4 @@ def test_queries_match_oracles_on_ledger_and_replay(tmp_path, seed):
     for machine in (ledger.machine, reloaded.machine):
         seen = assert_queries_match_oracles(machine, random.Random(seed))
         assert seen == {"ambiguous", "chain", "short"}
+

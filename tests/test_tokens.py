@@ -137,6 +137,21 @@ def test_client_id_formats():
         ClientId.from_hex(ALICE.hex.upper())
 
 
+@given(st.lists(st.binary(min_size=32, max_size=32), min_size=1, max_size=8))
+def test_client_id_equality_hashing_and_order_follow_raw(raws):
+    """Equal addresses are equal and hash equally as distinct objects, are
+    interchangeable as dict keys, and sort as their raw bytes do."""
+    ids = [ClientId(raw) for raw in raws]
+    copies = [ClientId(bytes(bytearray(raw))) for raw in raws]
+    for client, copy in zip(ids, copies):
+        assert client == copy and not client != copy
+        assert hash(client) == hash(copy)
+    assert {client: client.raw for client in ids} == {copy: copy.raw for copy in copies}
+    assert [client.raw for client in sorted(ids)] == sorted(raws)
+    assert len(set(ids)) == len(set(raws))
+    assert ALICE != ALICE.raw and ALICE != ALICE.hex
+
+
 # --- properties ---------------------------------------------------------------
 
 clients = [ClientId.from_alias(f"client-{i}") for i in range(5)]
