@@ -296,12 +296,13 @@ _BLOCK_FIELDS = frozenset(
 class Transaction:
     """One state-machine operation; ``hash`` covers every other field.
 
-    What :meth:`build` returns, and so what :meth:`from_wire` returns, is
-    ``sealed``: its fields were checked and its hash computed from them. One
-    made by the constructor or by ``dataclasses.replace`` is not, and
-    :meth:`Ledger.submit` checks it again. The seal vouches for how the
-    transaction was made, not for later edits to its payload dict, which the
-    ledger never copies. It takes no part in equality.
+    What :meth:`build` returns, and so what :meth:`from_wire` returns, keeps
+    ``payload_text``, the payload's canonical JSON text that its hash was
+    computed from; such a transaction is ``sealed``. One made by the
+    constructor or by ``dataclasses.replace`` carries no text, and
+    :meth:`Ledger.submit` checks and builds it again. The text, not the
+    payload dict, is what reaches the log, so later edits to the dict, which
+    the ledger never copies, are not written. It takes no part in equality.
     """
 
     sender: ClientId
@@ -310,23 +311,27 @@ class Transaction:
     fee: int
     submitted_at: int
     hash: str
-    sealed: bool = field(default=False, init=False, compare=False, repr=False)
+    payload_text: str | None = field(default=None, init=False, compare=False, repr=False)
 
     def __hash__(self) -> int:
         # equal transactions have equal ``hash`` fields; the payload dict
         # itself is unhashable
         return hash(self.hash)
 
+    @property
+    def sealed(self) -> bool:
+        return self.payload_text is not None
+
     @staticmethod
     def hashed_text(
-        sender: ClientId, nonce: int, payload: Mapping, fee: int, submitted_at: int
+        sender: ClientId, nonce: int, payload_text: str, fee: int, submitted_at: int
     ) -> str:
         """The canonical JSON text that ``hash`` is the SHA-256 of, for
-        checked fields: the sorted outer keys are written around the
-        payload's canonical text, since an ``int``'s text is its JSON and an
-        address holds nothing to escape."""
+        checked fields and the payload's canonical text: the sorted outer
+        keys are written around that text, since an ``int``'s text is its
+        JSON and an address holds nothing to escape."""
         return (
-            f'{{"fee":{fee},"nonce":{nonce},"payload":{canonical_json(payload)},'
+            f'{{"fee":{fee},"nonce":{nonce},"payload":{payload_text},'
             f'"sender":"{sender.hex}","submittedAt":{submitted_at}}}'
         )
 
@@ -339,23 +344,16 @@ class Transaction:
         fee: int,
         submitted_at: int,
     ) -> "Transaction":
-        return cls._build(sender, nonce, payload, fee, submitted_at)[0]
-
-    @classmethod
-    def _build(
-        cls, sender: ClientId, nonce: int, payload: object, fee: object, submitted_at: object
-    ) -> tuple["Transaction", str]:
-        """A sealed transaction and its :meth:`hashed_text`."""
         if sender.is_zero:
             raise MalformedPayloadError("sender must not be the zero address")
         _check_uint(nonce, "nonce")
         _check_uint(fee, "fee")
         _check_uint(submitted_at, "submittedAt")
-        payload = validate_payload(payload)
-        text = cls.hashed_text(sender, nonce, payload, fee, submitted_at)
+        payload_text = canonical_json(validate_payload(payload))
+        text = cls.hashed_text(sender, nonce, payload_text, fee, submitted_at)
         tx = cls(sender, nonce, payload, fee, submitted_at, text_digest(text))
-        object.__setattr__(tx, "sealed", True)
-        return tx, text
+        object.__setattr__(tx, "payload_text", payload_text)
+        return tx
 
     def wire_dict(self) -> dict:
         return {
@@ -367,22 +365,28 @@ class Transaction:
             "submittedAt": self.submitted_at,
         }
 
-    @classmethod
-    def from_wire(cls, data: object) -> "Transaction":
-        return cls._from_wire(data)[0]
+    def wire_text(self) -> str:
+        """The canonical JSON text of :meth:`wire_dict`, written around the
+        kept payload text as :meth:`hashed_text` is, with the hash after
+        ``fee``, where sorted keys place it. Only a sealed transaction has
+        one."""
+        if self.payload_text is None:
+            raise MalformedPayloadError("an unsealed transaction has no wire text")
+        return (
+            f'{{"fee":{self.fee},"hash":"{self.hash}","nonce":{self.nonce},'
+            f'"payload":{self.payload_text},"sender":"{self.sender.hex}",'
+            f'"submittedAt":{self.submitted_at}}}'
+        )
 
     @classmethod
-    def _from_wire(cls, data: object) -> tuple["Transaction", str]:
-        """The transaction ``data`` describes, and the canonical JSON text of
-        its :meth:`wire_dict`: the hashed text with the hash put in after
-        ``fee``, where sorted keys place it."""
+    def from_wire(cls, data: object) -> "Transaction":
         if not isinstance(data, dict):
             raise MalformedPayloadError("transaction must be a JSON object")
         if data.keys() != _TX_FIELDS:
             raise MalformedPayloadError(
                 f"transaction must have exactly fields {sorted(_TX_FIELDS)}"
             )
-        tx, text = cls._build(
+        tx = cls.build(
             sender=_check_address(data["sender"], "sender", ClientId.from_hex),
             nonce=data["nonce"],
             payload=data["payload"],
@@ -393,8 +397,7 @@ class Transaction:
             # a hash equal to the computed one is well-formed
             _check_hash_hex(data["hash"], "transaction hash")
             raise MalformedPayloadError("transaction hash does not match its fields")
-        fee, rest = text.split(",", 1)  # an integer fee holds no comma
-        return tx, f'{fee},"hash":"{tx.hash}",{rest}'
+        return tx
 
 
 @dataclass(frozen=True)
@@ -456,12 +459,30 @@ class Block:
             "transactions": [tx.wire_dict() for tx in self.transactions],
         }
 
+    def wire_line(self) -> str:
+        """The canonical JSON text of :meth:`wire_dict`, written from each
+        transaction's :meth:`~Transaction.wire_text`, so no payload is
+        encoded again."""
+        header = canonical_json(
+            {
+                "blockHash": self.block_hash,
+                "height": self.height,
+                "parentHash": self.parent_hash,
+                "results": list(self.results),
+                "stateDigest": self.state_digest,
+                "timestamp": self.timestamp,
+                "transactions": [],
+            }
+        )
+        # "transactions" sorts last, so the header's text ends in "[]}"
+        return header[:-2] + ",".join(tx.wire_text() for tx in self.transactions) + "]}"
+
     @classmethod
     def from_wire(cls, data: object, line: str | None = None) -> "Block":
         """The block ``data`` describes. With ``line``, the text ``data`` was
         parsed from, which must be the block's canonical JSON: it is checked
-        against the transactions' wire texts that hashing them encodes
-        anyway, so the block is not encoded a second time."""
+        against :meth:`wire_line`, written from the payload texts that hashing
+        the transactions encodes anyway, so no payload is encoded twice."""
         if not isinstance(data, dict):
             raise MalformedPayloadError("block must be a JSON object")
         if data.keys() != _BLOCK_FIELDS:
@@ -473,8 +494,7 @@ class Block:
         _check_hash_hex(data["blockHash"], "blockHash")
         if not isinstance(data["transactions"], list):
             raise MalformedPayloadError("transactions must be a list")
-        parsed = [Transaction._from_wire(item) for item in data["transactions"]]
-        transactions = tuple(tx for tx, _ in parsed)
+        transactions = tuple(Transaction.from_wire(item) for item in data["transactions"])
         results = data["results"]
         if not isinstance(results, list) or any(
             type(r) is not str or not r for r in results
@@ -492,11 +512,8 @@ class Block:
         )
         if block.block_hash != data["blockHash"]:
             raise MalformedPayloadError("block hash does not match its contents")
-        if line is not None:
-            # "transactions" sorts last, so the header's text ends in "[]}"
-            header = canonical_json({**data, "transactions": []})
-            if line != header[:-2] + ",".join(text for _, text in parsed) + "]}":
-                raise MalformedPayloadError(NOT_CANONICAL)
+        if line is not None and line != block.wire_line():
+            raise MalformedPayloadError(NOT_CANONICAL)
         return block
 
 
@@ -662,16 +679,19 @@ class Ledger:
     def submit(self, tx: Transaction) -> str:
         """Queue an externally built transaction; returns its hash.
 
-        An unsealed transaction is re-checked and re-hashed first, since
-        nothing vouches for its fields; a sealed one was checked when it was
-        built (see :class:`Transaction`). As with :meth:`submit_payload`, the
-        ledger keeps the caller's payload dict, so edits made to it after
-        building are not checked. Then it is queued as by :meth:`_enqueue`.
+        An unsealed transaction is built again from its fields, since nothing
+        vouches for them, and the rebuilt one is queued; a sealed one was
+        checked when it was built (see :class:`Transaction`). As with
+        :meth:`submit_payload`, the ledger keeps the caller's payload dict, so
+        edits made to it after building are executed but not checked, and the
+        log holds the payload text that was hashed. Then it is queued as by
+        :meth:`_enqueue`.
         """
         if not tx.sealed:
             rebuilt = Transaction.build(tx.sender, tx.nonce, tx.payload, tx.fee, tx.submitted_at)
             if rebuilt.hash != tx.hash:
                 raise MalformedPayloadError("transaction hash does not match its fields")
+            tx = rebuilt
         self._enqueue(tx)
         return tx.hash
 
@@ -837,15 +857,16 @@ class Ledger:
 
 
 def _append_lines(log: Path, blocks: Iterable[Block], end_line: bool = False) -> None:
-    """Append each block's canonical line, UTF-8 and ending in a newline, in
-    binary and one block at a time, so a long chain is never one text. With
-    ``end_line``, first end the log's last line, which lacks its newline."""
+    """Append each block's :meth:`~Block.wire_line`, UTF-8 and ending in a
+    newline, in binary and one block at a time, so a long chain is never one
+    text. With ``end_line``, first end the log's last line, which lacks its
+    newline."""
     try:
         with open(log, "ab") as handle:
             if end_line:
                 handle.write(b"\n")
             for block in blocks:
-                handle.write(canonical_json(block.wire_dict()).encode("utf-8") + b"\n")
+                handle.write(block.wire_line().encode("utf-8") + b"\n")
     except OSError as exc:
         raise IoFailureError(f"cannot write block log: {exc}") from exc
 
@@ -900,7 +921,7 @@ def load_ledger(directory: str | Path) -> Ledger:
             # text is compared, since 0.0 == 0 would pass a "height":0.0
             text, parsed = _decode_line(line, 0)
             _require_canonical(text, parsed, 0)
-            if text != canonical_json(ledger.head.wire_dict()):
+            if text != ledger.head.wire_line():
                 raise CorruptLogError("genesis block mismatch", height=0)
         else:
             block = _parse_block(line, height)

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .canonical import canonical_json
 from .errors import DuplicateProvenanceIdError, RecordNotFoundError
@@ -165,9 +164,6 @@ class RecordStore:
             raise RecordNotFoundError(f"record {prov_id} not found")
         return record
 
-    def has_record(self, prov_id: int) -> bool:
-        return prov_id in self._records
-
     def replace_record(self, key: object, old: ProvenanceRecord, new: ProvenanceRecord) -> None:
         """Store ``new`` in place of ``old``, the record stored under its id.
         History stays in the block log."""
@@ -177,17 +173,6 @@ class RecordStore:
 
     def record_count(self) -> int:
         return len(self._records)
-
-    def list_record_ids(self, offset: int = 0, limit: int | None = None) -> list[int]:
-        """Slice of the global index in insertion order; empty past the end."""
-        if offset < 0:
-            raise ValueError("offset must be non-negative")
-        if limit is not None and limit < 0:
-            raise ValueError("limit must be non-negative")
-        return list(islice(self._records, offset, None if limit is None else offset + limit))
-
-    def iter_records(self) -> Iterator[ProvenanceRecord]:
-        return iter(self._records.values())
 
     def snapshot(self) -> list[dict]:
         return [record.as_dict() for record in self._records.values()]

@@ -1,20 +1,25 @@
-"""Canonical JSON: the prebuilt encoder, its fallback and the transaction
-text written around a payload, each against the naive oracle."""
+"""Canonical JSON: the prebuilt encoder, its fallback, the transaction text
+written around a payload and the block line written from those texts, each
+against the naive oracle."""
 
 from __future__ import annotations
 
+import json
 from json import encoder as json_encoder
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from provledger import ClientId, Transaction
+from provledger import Block, ClientId, Transaction
 from provledger.canonical import canonical_json, make_canonical_json
-from provledger.ledger import OPS
+from provledger.ledger import BLOCKS_FILE, OPS
 from oracles import naive_canonical
+from support import ALICE, BOB, CAROL, quick_ledger
 
 WIDE = 2**200
+# texts that JSON escapes or that lie outside ASCII, which the encoder keeps
+TRICKY_TEXTS = ["", "é", "naïve °C", "\u2028", '"\\/', "\x00\x1f\x7f", "\b\f\n\r\t", "😀"]
 
 scalars = (
     st.none()
@@ -24,7 +29,7 @@ scalars = (
     | st.floats()
     | st.sampled_from([0.0, -0.0, 1.5, 1e300, 5e-324])
     | st.text()
-    | st.sampled_from(["", "é", "naïve °C", " ", '"\\/', "\x00\x1f\x7f", "\b\f\n\r\t", "😀"])
+    | st.sampled_from(TRICKY_TEXTS)
 )
 json_values = st.recursive(
     scalars,
@@ -69,7 +74,9 @@ def test_an_unencodable_value_leaves_the_encoder_usable(encode):
 
 uints = st.integers(min_value=0, max_value=WIDE)
 addresses = st.binary(min_size=32, max_size=32).map(lambda raw: "0x" + raw.hex())
-contexts = st.dictionaries(st.text(min_size=1, max_size=8), st.text(max_size=8), max_size=4)
+contexts = st.dictionaries(
+    st.text(min_size=1, max_size=8), st.text(max_size=8) | st.sampled_from(TRICKY_TEXTS), max_size=4
+)
 FIELD_VALUES = {
     "payment": uints,
     "tokenId": uints,
@@ -107,9 +114,66 @@ def test_hashed_text_matches_the_oracle(sender, nonce, payload, fee, submitted_a
         "sender": sender.hex,
         "submittedAt": submitted_at,
     }
-    text = Transaction.hashed_text(sender, nonce, payload, fee, submitted_at)
+    text = Transaction.hashed_text(sender, nonce, canonical_json(payload), fee, submitted_at)
     assert text == naive_canonical(plain)
     tx = Transaction.build(sender, nonce, payload, fee, submitted_at)
-    parsed, wire_text = Transaction._from_wire(tx.wire_dict())
+    assert tx.payload_text == naive_canonical(payload)
+    parsed = Transaction.from_wire(tx.wire_dict())
     assert parsed == tx
-    assert wire_text == naive_canonical({**plain, "hash": tx.hash})
+    assert parsed.wire_text() == naive_canonical({**plain, "hash": tx.hash})
+
+
+hashes = st.binary(min_size=32, max_size=32).map(bytes.hex)
+transactions = st.builds(Transaction.build, senders, uints, payloads, uints, uints)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    height=uints,
+    parent_hash=hashes,
+    timestamp=uints,
+    txs=st.lists(transactions, max_size=4),
+    state_digest=hashes,
+    data=st.data(),
+)
+def test_block_line_matches_the_oracle(height, parent_hash, timestamp, txs, state_digest, data):
+    results = data.draw(
+        st.lists(
+            st.text(min_size=1, max_size=8) | st.sampled_from(TRICKY_TEXTS[1:]),
+            min_size=len(txs),
+            max_size=len(txs),
+        )
+    )
+    block = Block.seal(height, parent_hash, timestamp, tuple(txs), tuple(results), state_digest)
+    for tx in block.transactions:
+        assert tx.wire_text() == naive_canonical(tx.wire_dict())
+    line = block.wire_line()
+    assert line == naive_canonical(block.wire_dict())
+    assert Block.from_wire(json.loads(line), line) == block
+
+
+def test_every_persisted_line_matches_the_oracle(tmp_path):
+    """A ledger persisted through ``produce_block`` writes every line, with
+    each op and escaped context values, as the oracle encodes its parse."""
+    ledger = quick_ledger()
+    steps = [
+        (ALICE, {"op": "requestToken", "payment": 0}),
+        (ALICE, {"op": "createProvenance", "tokenId": 1, "inputs": [],
+                 "context": {"agent": 'é "q" \\ \x00\x1f 😀', "unit": "°C\n"}}),
+        (ALICE, {"op": "updateContext", "provId": 1, "context": {"agent": "\u2028\t\x7f"}}),
+        (ALICE, {"op": "approve", "tokenId": 1, "operator": BOB.hex}),
+        (BOB, {"op": "transfer", "tokenId": 1, "from": ALICE.hex, "to": CAROL.hex}),
+        (CAROL, {"op": "invalidate", "provId": 1}),
+        (ALICE, {"op": "whitelistAdd", "member": BOB.hex}),
+        (ALICE, {"op": "whitelistRemove", "member": BOB.hex}),
+    ]
+    for sender, payload in steps:
+        ledger.submit_payload(sender, payload)
+        ledger.produce_block()
+        ledger.persist(tmp_path)
+    # split as bytes: str.splitlines also splits at "\u2028" and "\x1f"
+    lines = [raw.decode("utf-8") for raw in (tmp_path / BLOCKS_FILE).read_bytes().splitlines()]
+    assert len(lines) == 1 + len(steps)
+    assert all(line == naive_canonical(json.loads(line)) for line in lines)
+    logged_ops = {tx["payload"]["op"] for line in lines for tx in json.loads(line)["transactions"]}
+    assert logged_ops == set(OPS)

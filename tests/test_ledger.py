@@ -34,6 +34,7 @@ from provledger.errors import (
     CorruptLogError,
     IoFailureError,
     MalformedPayloadError,
+    RecordNotFoundError,
 )
 from provledger.ledger import BLOCKS_FILE, NOT_CANONICAL, OPS, Block, resolve_payload
 from provledger import statehash
@@ -417,6 +418,41 @@ def test_only_built_transactions_are_sealed():
     assert all(each.sealed for each in Block.from_wire(block.wire_dict()).transactions)
     # slots: no per-instance dict on a transaction or an address
     assert not hasattr(tx, "__dict__") and not hasattr(ALICE, "__dict__")
+
+
+def test_an_unsealed_submission_is_queued_rebuilt(tmp_path):
+    """``submit`` queues the transaction it rebuilt, so every transaction a
+    ledger holds carries the payload text its log line is written from."""
+    ledger = quick_ledger()
+    tx = ledger.build_transaction(ALICE, REQUEST)
+    unsealed = dataclasses.replace(tx)
+    with pytest.raises(MalformedPayloadError, match="no wire text"):
+        unsealed.wire_text()
+    ledger.submit(unsealed)
+    block, _ = ledger.produce_block()
+    assert block.transactions == (tx,) and block.transactions[0].sealed
+    ledger.persist(tmp_path)
+    assert load_ledger(tmp_path).head == block
+
+
+def test_a_payload_edited_after_submission_fails_replay_at_its_block(tmp_path):
+    """The ledger executes the caller's payload dict, edits included, but
+    logs the payload text that was hashed: replay of that block diverges."""
+    ledger = quick_ledger()
+    ledger.submit_payload(ALICE, REQUEST)
+    ledger.produce_block()
+    payload = create_payload(agent="a")
+    ledger.submit_payload(ALICE, payload)
+    payload["context"]["agent"] = "b"
+    block, outcomes = ledger.produce_block()
+    assert outcomes[0].ok
+    assert ledger.machine.provenance.records.get_record(1).context.as_dict() == {"agent": "b"}
+    ledger.persist(tmp_path)
+    line = (tmp_path / BLOCKS_FILE).read_bytes().splitlines()[block.height]
+    assert json.loads(line)["transactions"][0]["payload"]["context"] == {"agent": "a"}
+    with pytest.raises(CorruptLogError) as info:
+        load_ledger(tmp_path)
+    assert info.value.height == block.height
 
 
 def test_transactions_and_blocks_are_hashable():
@@ -1410,9 +1446,10 @@ def plausible_sender(rng, ledger, payload, clients):
         return rng.choice(clients)
     if payload["op"].startswith("whitelist"):
         return machine.policy.assignment.admin or rng.choice(clients)
-    token_id = payload.get("tokenId")
-    if records.has_record(payload.get("provId")):
-        token_id = records.get_record(payload["provId"]).token_id
+    try:
+        token_id = records.get_record(payload.get("provId")).token_id
+    except RecordNotFoundError:
+        token_id = payload.get("tokenId")
     if machine.tokens.exists(token_id):
         return machine.tokens.owner_of(token_id)
     return rng.choice(clients)

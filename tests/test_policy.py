@@ -178,8 +178,10 @@ def test_schema_soundness_recheck():
     stack.create_provenance_checked(
         ALICE, token, [1], Context(dict(full_context().as_dict(), unit="celsius"))
     )
-    for record in stack.provenance.records.iter_records():
-        VACCINE_SCHEMA.validate(record.context)
+    records = stack.provenance.records
+    assert records.record_count() == 2
+    for prov_id in (1, 2):
+        VACCINE_SCHEMA.validate(records.get_record(prov_id).context)
 
 
 # --- exposure gates ------------------------------------------------------------
