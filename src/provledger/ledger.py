@@ -24,7 +24,7 @@ import re
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .canonical import ZERO_DIGEST, canonical_json, digest_of, text_digest
 from .errors import (
@@ -202,7 +202,7 @@ OPS: dict[str, Operation] = {
         defaults={"inputs": lambda machine, payload: []},
         handler=lambda m, sender, p: {
             "provId": m.create_provenance_checked(
-                sender, p["tokenId"], list(p["inputs"]), Context.from_checked(p["context"])
+                sender, p["tokenId"], p["inputs"], Context.from_checked(p["context"])
             )
         },
     ),
@@ -254,6 +254,16 @@ def validate_payload(payload: object) -> dict:
     return payload
 
 
+def _copy_payload(payload: dict) -> dict:
+    """A checked payload's copy that shares no list or dict: only context and inputs hold one."""
+    copy = dict(payload)
+    if "context" in copy:
+        copy["context"] = dict(copy["context"])
+    if "inputs" in copy:
+        copy["inputs"] = list(copy["inputs"])
+    return copy
+
+
 def resolve_payload(machine: PolicyLayer, payload: object) -> dict:
     """Complete a client-written payload before submission.
 
@@ -300,9 +310,9 @@ class Transaction:
     ``payload_text``, the payload's canonical JSON text that its hash was
     computed from; such a transaction is ``sealed``. One made by the
     constructor or by ``dataclasses.replace`` carries no text, and
-    :meth:`Ledger.submit` checks and builds it again. The text, not the
-    payload dict, is what reaches the log, so later edits to the dict, which
-    the ledger never copies, are not written. It takes no part in equality.
+    :meth:`Ledger.submit` checks and builds it again. The text takes no part
+    in equality. :meth:`build` keeps its own copy of the payload it checked,
+    so later edits to the caller's dict reach neither execution nor the log.
     """
 
     sender: ClientId
@@ -343,13 +353,17 @@ class Transaction:
         payload: dict,
         fee: int,
         submitted_at: int,
+        *,
+        copy: bool = True,
     ) -> "Transaction":
+        """With ``copy=False`` it keeps ``payload``, for a dict no caller holds."""
         if sender.is_zero:
             raise MalformedPayloadError("sender must not be the zero address")
         _check_uint(nonce, "nonce")
         _check_uint(fee, "fee")
         _check_uint(submitted_at, "submittedAt")
-        payload_text = canonical_json(validate_payload(payload))
+        payload = _copy_payload(validate_payload(payload)) if copy else validate_payload(payload)
+        payload_text = canonical_json(payload)
         text = cls.hashed_text(sender, nonce, payload_text, fee, submitted_at)
         tx = cls(sender, nonce, payload, fee, submitted_at, text_digest(text))
         object.__setattr__(tx, "payload_text", payload_text)
@@ -392,6 +406,7 @@ class Transaction:
             payload=data["payload"],
             fee=data["fee"],
             submitted_at=data["submittedAt"],
+            copy=False,
         )
         if tx.hash != data["hash"]:
             # a hash equal to the computed one is well-formed
@@ -517,8 +532,7 @@ class Block:
         return block
 
 
-@dataclass(frozen=True, slots=True)
-class ExecutionOutcome:
+class ExecutionOutcome(NamedTuple):
     """Result of one transaction inside a produced block."""
 
     tx: Transaction
@@ -566,8 +580,8 @@ class Ledger:
         self._machine = PolicyLayer.build(policy, self._accumulator.write)
         # pending transactions per sender in nonce order: each queue's head
         # carries its sender's next unexecuted nonce; empty queues are dropped
-        self._mempool: dict[ClientId, deque[Transaction]] = {}
-        self._executed_nonce: dict[ClientId, int] = {}
+        self._mempool: dict[bytes, deque[Transaction]] = {}
+        self._executed_nonce: dict[bytes, int] = {}
         # the genesis digest covers the policy and config digests, so every
         # block hash commits to the rules the chain runs under
         genesis = Block.seal(0, ZERO_DIGEST, 0, (), (), self.state_digest())
@@ -614,7 +628,7 @@ class Ledger:
         return sum(len(queue) for queue in self._mempool.values())
 
     def next_nonce(self, sender: ClientId) -> int:
-        return self._executed_nonce.get(sender, 0) + len(self._mempool.get(sender, ()))
+        return self._executed_nonce.get(sender.raw, 0) + len(self._mempool.get(sender.raw, ()))
 
     def _scalars(self) -> dict:
         machine = self._machine
@@ -635,7 +649,7 @@ class Ledger:
             **self._scalars(),
             **machine.snapshot(),
             "nonces": {
-                sender.hex: nonce for sender, nonce in sorted(self._executed_nonce.items())
+                "0x" + raw.hex(): nonce for raw, nonce in sorted(self._executed_nonce.items())
             },
             "records": machine.provenance.records.snapshot(),
             "tokens": machine.tokens.snapshot(),
@@ -681,10 +695,8 @@ class Ledger:
 
         An unsealed transaction is built again from its fields, since nothing
         vouches for them, and the rebuilt one is queued; a sealed one was
-        checked when it was built (see :class:`Transaction`). As with
-        :meth:`submit_payload`, the ledger keeps the caller's payload dict, so
-        edits made to it after building are executed but not checked, and the
-        log holds the payload text that was hashed. Then it is queued as by
+        checked when it was built (see :class:`Transaction`). Either way it
+        holds its own copy of the payload it hashed. Then it is queued as by
         :meth:`_enqueue`.
         """
         if not tx.sealed:
@@ -710,7 +722,7 @@ class Ledger:
             raise BadNonceError(
                 f"nonce {tx.nonce} for {tx.sender.hex}, expected {expected}"
             )
-        self._mempool.setdefault(tx.sender, deque()).append(tx)
+        self._mempool.setdefault(tx.sender.raw, deque()).append(tx)
 
     # -- execution -----------------------------------------------------------
 
@@ -742,7 +754,7 @@ class Ledger:
             tx = queue.popleft()
             selected.append(tx)
             if not queue:
-                del self._mempool[tx.sender]
+                del self._mempool[tx.sender.raw]
             elif queue[0].submitted_at <= timestamp:
                 heapq.heappush(heap, entry(queue))
         return selected
@@ -770,17 +782,17 @@ class Ledger:
         height = self.height + 1
         outcomes: list[ExecutionOutcome] = []
         for tx in transactions:
-            if tx.nonce != self._executed_nonce.get(tx.sender, 0):
+            sender = tx.sender
+            if tx.nonce != self._executed_nonce.get(sender.raw, 0):
                 raise CorruptLogError(
-                    f"nonce gap for {tx.sender.hex} at height {height}", height=height
+                    f"nonce gap for {sender.hex} at height {height}", height=height
                 )
             try:
-                value = self._execute(tx)
-                outcomes.append(ExecutionOutcome(tx=tx, status="ok", value=value))
+                outcomes.append(ExecutionOutcome(tx, "ok", self._execute(tx)))
             except LedgerError as exc:
-                outcomes.append(ExecutionOutcome(tx=tx, status=exc.code, message=str(exc)))
-            self._accumulator.count("nonces", tx.sender.hex, 1)
-            self._executed_nonce[tx.sender] = tx.nonce + 1
+                outcomes.append(ExecutionOutcome(tx, exc.code, None, str(exc)))
+            self._accumulator.count("nonces", sender.hex, 1)
+            self._executed_nonce[sender.raw] = tx.nonce + 1
         results = tuple(outcome.status for outcome in outcomes)
         if block is None:
             block = Block.seal(

@@ -37,6 +37,7 @@ class ContextSchema:
     name: str
     required: frozenset[str]
     optional: frozenset[str] = frozenset()
+    allowed: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if type(self.name) is not str or not self.name:
@@ -49,15 +50,18 @@ class ContextSchema:
         overlap = self.required & self.optional
         if overlap:
             raise ConfigInvalidError(f"schema keys both required and optional: {sorted(overlap)}")
+        object.__setattr__(self, "allowed", self.required | self.optional)
 
     def validate(self, context: Context) -> None:
-        keys = set(context.keys())
+        keys = context.keys()
+        if self.required <= keys <= self.allowed:
+            return
         missing = self.required - keys
         if missing:
             raise SchemaViolationError(
                 f"context missing required keys {sorted(missing)} for schema {self.name!r}"
             )
-        extra = keys - self.required - self.optional
+        extra = keys - self.allowed
         if extra:
             raise SchemaViolationError(
                 f"context has keys {sorted(extra)} outside schema {self.name!r}"
@@ -159,20 +163,22 @@ def resolve_client(value: object, label: str) -> ClientId:
         raise ConfigInvalidError(f"bad {label} {value!r}: {exc}") from exc
 
 
+def _reject_unknown_fields(data: dict, allowed: set[str], label: str) -> None:
+    unknown = set(data) - allowed
+    if unknown:
+        raise ConfigInvalidError(f"unknown {label} fields: {sorted(unknown)}")
+
+
 def policy_from_dict(data: object) -> UseCasePolicy:
     """Parse the policy definition format loaded at ledger genesis."""
     if not isinstance(data, dict):
         raise ConfigInvalidError("policy definition must be a JSON object")
-    unknown = set(data) - {"schema", "exposure", "assignment"}
-    if unknown:
-        raise ConfigInvalidError(f"unknown policy fields: {sorted(unknown)}")
+    _reject_unknown_fields(data, {"schema", "exposure", "assignment"}, "policy")
 
     schema_data = data.get("schema")
     if not isinstance(schema_data, dict) or "name" not in schema_data:
         raise ConfigInvalidError("policy requires schema {name, required[], optional[]}")
-    unknown = set(schema_data) - {"name", "required", "optional"}
-    if unknown:
-        raise ConfigInvalidError(f"unknown schema fields: {sorted(unknown)}")
+    _reject_unknown_fields(schema_data, {"name", "required", "optional"}, "schema")
     for key_list in ("required", "optional"):
         value = schema_data.get(key_list, [])
         if not isinstance(value, list) or any(type(k) is not str for k in value):
@@ -186,9 +192,7 @@ def policy_from_dict(data: object) -> UseCasePolicy:
     exposure_data = data.get("exposure", {})
     if not isinstance(exposure_data, dict):
         raise ConfigInvalidError("policy exposure must be an object")
-    unknown = set(exposure_data) - {"allowUpdate", "allowInvalidate"}
-    if unknown:
-        raise ConfigInvalidError(f"unknown exposure fields: {sorted(unknown)}")
+    _reject_unknown_fields(exposure_data, {"allowUpdate", "allowInvalidate"}, "exposure")
     exposure = ExposureFlags(
         allow_update=exposure_data.get("allowUpdate", True),
         allow_invalidate=exposure_data.get("allowInvalidate", True),
@@ -203,9 +207,7 @@ def policy_from_dict(data: object) -> UseCasePolicy:
         allowed |= {"price"}
     elif kind == WHITELIST:
         allowed |= {"admin", "members"}
-    unknown = set(assignment_data) - allowed
-    if unknown:
-        raise ConfigInvalidError(f"unknown assignment fields: {sorted(unknown)}")
+    _reject_unknown_fields(assignment_data, allowed, "assignment")
     admin, members = None, frozenset()
     if kind == WHITELIST:
         admin = resolve_client(assignment_data.get("admin"), "assignment.admin")
@@ -314,12 +316,11 @@ class PolicyLayer:
         self._registry.mint(self._mint_key, caller, token_id)
         self._next_token_id += 1
         if assignment.kind == FEE:
-            if caller not in self._balances:
+            old = self._balances.get(caller)
+            if old is None:
                 self._seeded_total += balance  # the initial balance, credited now
-            self._on_write(
-                "balances", caller.hex, self._balances.get(caller), balance - assignment.price
-            )
-            self._balances[caller] = balance - assignment.price
+            new = self._balances[caller] = balance - assignment.price
+            self._on_write("balances", caller.hex, None if old is None else lambda: old, new)
             self._treasury += assignment.price
         return token_id
 
@@ -339,7 +340,7 @@ class PolicyLayer:
         self._require_admin(caller)
         if member in self._whitelist:
             self._whitelist.remove(member)
-            self._on_write("whitelist", member.hex, True, None)
+            self._on_write("whitelist", member.hex, lambda: True, None)
 
     def create_provenance_checked(
         self, caller: ClientId, token_id: int, inputs: list[int], context: Context

@@ -13,7 +13,6 @@ state digest.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from itertools import chain
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -164,16 +163,23 @@ class ProvenanceLayer:
         context_check: Callable[[Context], None] | None = None,
     ) -> None:
         """Replace a record's context. ``context_check`` runs after the status
-        check so schema errors surface last, per the fixed error order."""
+        check so schema errors surface last, per the fixed error order. An
+        equal context changes nothing and writes nothing."""
         record = self._writable_record(caller, prov_id)
         if context_check is not None:
             context_check(new_context)
-        self._store.replace_record(self._store_key, record, replace(record, context=new_context))
+        if new_context != record.context:
+            new = ProvenanceRecord(
+                prov_id, record.token_id, record.input_ids, new_context, record.index, record.status
+            )
+            self._store.replace_record(self._store_key, record, new)
 
     def invalidate_provenance(self, caller: ClientId, prov_id: int) -> None:
         """Logical delete: the record stays readable and associated, but can
         no longer serve as an input to new records."""
         record = self._writable_record(caller, prov_id)
-        self._store.replace_record(
-            self._store_key, record, replace(record, status=RecordStatus.INVALIDATED)
+        new = ProvenanceRecord(
+            prov_id, record.token_id, record.input_ids, record.context, record.index,
+            RecordStatus.INVALIDATED,
         )
+        self._store.replace_record(self._store_key, record, new)

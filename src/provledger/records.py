@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, KeysView, Mapping
 
 from .canonical import canonical_json
 from .errors import DuplicateProvenanceIdError, RecordNotFoundError
@@ -45,22 +45,22 @@ class Context:
     __slots__ = ("_entries",)
 
     def __init__(self, entries: Mapping[str, str] | Iterable[tuple[str, str]] = ()):
-        items = check_context_entries(dict(entries))
-        self._entries = {key: items[key] for key in sorted(items)}
+        self._entries = dict(sorted(check_context_entries(dict(entries)).items()))
 
     @classmethod
     def from_checked(cls, entries: Mapping[str, str]) -> "Context":
         """A context of ``entries`` that :func:`check_context_entries` already
         accepted, built without checking them again."""
         context = cls.__new__(cls)
-        context._entries = {key: entries[key] for key in sorted(entries)}
+        context._entries = dict(sorted(entries.items()))
         return context
 
     def as_dict(self) -> dict[str, str]:
         return dict(self._entries)
 
-    def keys(self) -> list[str]:
-        return list(self._entries)
+    def keys(self) -> KeysView[str]:
+        """A read-only view of the keys, in sorted order."""
+        return self._entries.keys()
 
     def get(self, key: str, default: str | None = None) -> str | None:
         return self._entries.get(key, default)
@@ -146,15 +146,9 @@ class RecordStore:
         if prov_id in self._records:
             raise DuplicateProvenanceIdError(f"record {prov_id} already exists")
         index = len(self._records)
-        record = ProvenanceRecord(
-            id=prov_id,
-            token_id=token_id,
-            input_ids=tuple(input_ids),
-            context=context,
-            index=index,
-            status=RecordStatus.VALID,
+        record = self._records[prov_id] = ProvenanceRecord(
+            prov_id, token_id, tuple(input_ids), context, index, RecordStatus.VALID
         )
-        self._records[prov_id] = record
         self._on_write("records", prov_id, None, record.as_dict())
         return index
 
@@ -165,11 +159,11 @@ class RecordStore:
         return record
 
     def replace_record(self, key: object, old: ProvenanceRecord, new: ProvenanceRecord) -> None:
-        """Store ``new`` in place of ``old``, the record stored under its id.
-        History stays in the block log."""
+        """Store ``new`` in place of ``old``, the record stored under its id,
+        which it differs from. History stays in the block log."""
         self._require_internal(key)
         self._records[new.id] = new
-        self._on_write("records", new.id, old.as_dict(), new.as_dict())
+        self._on_write("records", new.id, old.as_dict, new.as_dict())
 
     def record_count(self) -> int:
         return len(self._records)

@@ -96,31 +96,15 @@ def run_scenario(ledger: Ledger, steps: list[ScenarioStep]) -> list[StepOutcome]
             tx = ledger.submit_payload(sender, payload, fee=step.fee)
         except LedgerError as exc:
             outcome = StepOutcome(
-                index=index,
-                alias=step.alias,
-                tx_hash="",
-                block_height=ledger.height,
-                status=exc.code,
-                expect=step.expect,
-                value=None,
-                message=str(exc),
+                index, step.alias, "", ledger.height, exc.code, step.expect, None, str(exc)
             )
-            outcomes.append(outcome)
-            if not outcome.matched:
-                break
-            continue
-        block, block_outcomes = ledger.produce_block()
-        executed = next(o for o in block_outcomes if o.tx.hash == tx.hash)
-        outcome = StepOutcome(
-            index=index,
-            alias=step.alias,
-            tx_hash=tx.hash,
-            block_height=block.height,
-            status=executed.status,
-            expect=step.expect,
-            value=executed.value,
-            message=executed.message,
-        )
+        else:
+            block, block_outcomes = ledger.produce_block()
+            executed = next(o for o in block_outcomes if o.tx.hash == tx.hash)
+            outcome = StepOutcome(
+                index, step.alias, tx.hash, block.height, executed.status, step.expect,
+                executed.value, executed.message,
+            )
         outcomes.append(outcome)
         if not outcome.matched:
             break

@@ -10,12 +10,15 @@ give equal sums whatever order they were written in. The state digest is
 SHA-256 over the accumulator followed by the canonical JSON of the scalar
 fields.
 
-The layers report each write through one hook, ``(kind, key, old, new)``
-with ``None`` for an absent leaf; a set member's value is ``True``. A
-counter is a member leaf with a multiplicity (Clarke et al., "Incremental
-Multiset Hash Functions", 2003): a sender's executed nonce count ``n`` is
-``n`` copies of ``["nonces", address, true]``, so a step of the counter
-adds one leaf, not the old and the new value.
+The layers report each write that changes a value through one hook,
+``(kind, key, old, new)``, with ``new`` ``None`` for a removed leaf; a set
+member's value is ``True``. ``old`` is ``None`` for an absent leaf, else a
+function returning the value as it was before the write, which the hook
+calls only when it holds no leaf for the key (see below). A counter is a
+member leaf with a multiplicity (Clarke et al., "Incremental Multiset Hash
+Functions", 2003): a sender's executed nonce count ``n`` is ``n`` copies of
+``["nonces", address, true]``, so a step of the counter adds one leaf, not
+the old and the new value.
 
 A member leaf never changes, so :meth:`StateAccumulator.count` reads it from
 a bounded memo: a sender's member leaf is hashed once while it is among the
@@ -25,9 +28,10 @@ A write that replaces a stored value subtracts the old value's leaf, which
 this accumulator itself added when it wrote that value. So each accumulator
 holds the leaf added by each of its last ``HELD_LEAVES`` (512) replacing
 writes, one per ``(kind, key)`` and at most ~1.2 MB, and the next write of
-that key subtracts the held leaf instead of hashing the old value again. A
-creation holds nothing: a value rewritten once, such as a record's status
-or a token's approvals, is the one likely to be rewritten again.
+that key subtracts the held leaf instead of building and hashing the old
+value again. A creation holds nothing: a value rewritten once, such as a
+record's status or a token's approvals, is the one likely to be rewritten
+again. A write hashes its new leaf, if any, and its old one unless held.
 
 Neither memo changes a digest. The from-scratch :func:`snapshot_digest`
 reads neither and hashes every leaf itself, so it stays an independent
@@ -51,7 +55,7 @@ _MASK = (1 << (8 * LEAF_BYTES)) - 1
 # scalar snapshot fields, hashed beside the accumulator instead of as leaves
 SCALARS = ("configDigest", "nextProvId", "nextTokenId", "policyDigest", "seededTotal", "treasury")
 
-WriteHook = Callable[[str, Any, Any, Any], None]
+WriteHook = Callable[[str, Any, Callable[[], Any] | None, Any], None]
 
 
 def ignore_write(kind: str, key: Any, old: Any, new: Any) -> None:
@@ -79,16 +83,14 @@ class StateAccumulator:
         # (kind, key) -> the leaf its last replacing write added, oldest first
         self._held: OrderedDict[tuple[str, Any], int] = OrderedDict()
 
-    def write(self, kind: str, key: Any, old: Any, new: Any) -> None:
-        """Replace leaf ``[kind, key, old]`` with ``[kind, key, new]``."""
-        if old == new:
-            return
+    def write(self, kind: str, key: Any, old: Callable[[], Any] | None, new: Any) -> None:
+        """Replace leaf ``[kind, key, old()]`` with ``[kind, key, new]``."""
         if old is None:  # a creation: nothing is held, as the last write removed the key
             self._sum += _leaf(kind, key, new)
             return
         slot = (kind, key)
         held = self._held.pop(slot, None)
-        self._sum -= _leaf(kind, key, old) if held is None else held
+        self._sum -= _leaf(kind, key, old()) if held is None else held
         if new is not None:
             leaf = _leaf(kind, key, new)
             self._sum += leaf

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     DuplicateTokenError,
@@ -94,11 +95,12 @@ class ClientId:
 ZERO_CLIENT = ClientId(b"\x00" * ADDRESS_BYTES)
 
 
-@dataclass
-class Token:
+class Token(NamedTuple):
+    """A token's state; a write stores a new one, leaving the old one intact."""
+
     id: int
     owner: ClientId
-    approved: set[ClientId] = field(default_factory=set)
+    approved: frozenset[ClientId] = frozenset()
 
     def as_dict(self) -> dict:
         return {
@@ -113,7 +115,7 @@ class TokenRegistry:
 
     Minting requires the assignment key held by the policy layer; transfer
     and approve authenticate through the explicit ``caller`` argument. Each
-    write is reported to ``on_write`` as a ``tokens`` leaf.
+    write that changes a token is reported to ``on_write`` as a ``tokens`` leaf.
     """
 
     def __init__(self, mint_key: object, on_write: WriteHook = ignore_write):
@@ -129,7 +131,7 @@ class TokenRegistry:
             raise ZeroAddressError("cannot mint to the zero address")
         if token_id in self._tokens:
             raise DuplicateTokenError(f"token {token_id} already minted")
-        token = self._tokens[token_id] = Token(id=token_id, owner=to)
+        token = self._tokens[token_id] = Token(token_id, to)
         self._on_write("tokens", token_id, None, token.as_dict())
 
     def exists(self, token_id: int) -> bool:
@@ -153,18 +155,17 @@ class TokenRegistry:
             raise NotAuthorizedError(f"{caller.hex} may not transfer token {token_id}")
         if to.is_zero:
             raise ZeroAddressError("cannot transfer to the zero address")
-        old = token.as_dict()
-        token.owner = to
-        token.approved.clear()
-        self._on_write("tokens", token_id, old, token.as_dict())
+        if to != token.owner or token.approved:
+            new = self._tokens[token_id] = Token(token_id, to)
+            self._on_write("tokens", token_id, token.as_dict, new.as_dict())
 
     def approve(self, caller: ClientId, operator: ClientId, token_id: int) -> None:
         token = self._get(token_id)
         if caller != token.owner:
             raise NotAuthorizedError(f"{caller.hex} does not own token {token_id}")
-        old = token.as_dict()
-        token.approved.add(operator)
-        self._on_write("tokens", token_id, old, token.as_dict())
+        if operator not in token.approved:
+            new = self._tokens[token_id] = Token(token_id, token.owner, token.approved | {operator})
+            self._on_write("tokens", token_id, token.as_dict, new.as_dict())
 
     def is_authorized(self, caller: ClientId, token_id: int) -> bool:
         """True iff caller is the owner or approved for the token."""

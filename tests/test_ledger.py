@@ -15,6 +15,7 @@ import pytest
 from provledger import (
     AssignmentStrategy,
     ClientId,
+    Context,
     ContextSchema,
     ExposureFlags,
     Ledger,
@@ -435,24 +436,39 @@ def test_an_unsealed_submission_is_queued_rebuilt(tmp_path):
     assert load_ledger(tmp_path).head == block
 
 
-def test_a_payload_edited_after_submission_fails_replay_at_its_block(tmp_path):
-    """The ledger executes the caller's payload dict, edits included, but
-    logs the payload text that was hashed: replay of that block diverges."""
+def test_a_payload_edited_after_submission_reaches_neither_execution_nor_the_log(tmp_path):
+    """A transaction keeps its own copy of the payload it checked and hashed:
+    edits the caller makes to its dict afterwards, nested context and inputs
+    included, through ``submit_payload`` or ``submit``, are neither executed
+    nor logged, and replay reloads an equal state."""
     ledger = quick_ledger()
     ledger.submit_payload(ALICE, REQUEST)
+    ledger.submit_payload(ALICE, create_payload(agent="root"))
     ledger.produce_block()
-    payload = create_payload(agent="a")
-    ledger.submit_payload(ALICE, payload)
-    payload["context"]["agent"] = "b"
+    via_payload = create_payload(inputs=[1], agent="a")
+    tx = ledger.submit_payload(ALICE, via_payload)
+    via_payload["context"]["agent"] = "b"
+    via_payload["inputs"].append(99)
+    via_payload["tokenId"] = 9
+    fields = {"op": "updateContext", "provId": 1, "context": {"agent": "c"}}
+    unsealed = dataclasses.replace(ledger.build_transaction(ALICE, fields))
+    ledger.submit(unsealed)
+    fields["context"]["agent"] = "d"
     block, outcomes = ledger.produce_block()
-    assert outcomes[0].ok
-    assert ledger.machine.provenance.records.get_record(1).context.as_dict() == {"agent": "b"}
+    assert [outcome.ok for outcome in outcomes] == [True, True]
+    assert tx.payload == create_payload(inputs=[1], agent="a")
+    records = ledger.machine.provenance.records
+    assert records.get_record(2).context.as_dict() == {"agent": "a"}
+    assert records.get_record(2).input_ids == (1,)
+    assert records.get_record(1).context.as_dict() == {"agent": "c"}
     ledger.persist(tmp_path)
-    line = (tmp_path / BLOCKS_FILE).read_bytes().splitlines()[block.height]
-    assert json.loads(line)["transactions"][0]["payload"]["context"] == {"agent": "a"}
-    with pytest.raises(CorruptLogError) as info:
-        load_ledger(tmp_path)
-    assert info.value.height == block.height
+    line = json.loads((tmp_path / BLOCKS_FILE).read_bytes().splitlines()[block.height])
+    assert [each["payload"] for each in line["transactions"]] == [
+        create_payload(inputs=[1], agent="a"), {**fields, "context": {"agent": "c"}}
+    ]
+    loaded = load_ledger(tmp_path)
+    assert loaded.head == block
+    assert loaded.state_snapshot() == ledger.state_snapshot()
 
 
 def test_transactions_and_blocks_are_hashable():
@@ -1500,17 +1516,23 @@ def test_digest_follows_its_definition():
     assert ledger.state_digest() == naive_state_digest(snapshot)
 
 
+def old_value(value):
+    """The hook's ``old`` argument for a stored ``value``: ``None`` for an
+    absent leaf, else a function returning it."""
+    return None if value is None else lambda: value
+
+
 def test_accumulator_is_order_free_and_undoes_writes():
     empty = StateAccumulator().digest({})
     writes = [("nonces", "a", None, 1), ("nonces", "b", None, 1), ("nonces", "a", 1, 2)]
     forward, direct = StateAccumulator(), StateAccumulator()
-    for write in writes:
-        forward.write(*write)
+    for kind, key, old, new in writes:
+        forward.write(kind, key, old_value(old), new)
     direct.write("nonces", "b", None, 1)
     direct.write("nonces", "a", None, 2)
     assert forward.digest({}) == direct.digest({}) != empty
     for kind, key, old, new in reversed(writes):
-        forward.write(kind, key, new, old)
+        forward.write(kind, key, old_value(new), old)
     assert forward.digest({}) == empty
     counted, units = StateAccumulator(), StateAccumulator()
     counted.count("nonces", "a", 3)
@@ -1570,6 +1592,114 @@ def test_each_executed_op_hashes_only_the_leaves_it_stores(tmp_path, monkeypatch
     assert load_ledger(tmp_path).head == ledger.head
     assert hashed == produced
     assert hashed.count("nonces") == 2  # ALICE and BOB
+
+
+def counted_old_values(monkeypatch) -> list:
+    """The kind of every old value a write hook builds from now on, in order,
+    for ledgers and layers made after the call."""
+    built = []
+    real_write = StateAccumulator.write
+
+    def counting_write(self, kind, key, old, new):
+        def counted_old():
+            built.append(kind)
+            return old()
+
+        real_write(self, kind, key, None if old is None else counted_old, new)
+
+    monkeypatch.setattr(StateAccumulator, "write", counting_write)
+    return built
+
+
+def test_a_rewrite_builds_the_old_value_only_when_its_leaf_is_not_held(tmp_path, monkeypatch):
+    """Leaf hashes and old values built per executed transaction, in
+    production and in replay: the first rewrite of a record, a token or a
+    balance builds and hashes the old value, and each later one subtracts the
+    held leaf and builds nothing. A rewrite that changes nothing (an equal
+    context, an operator approved again, a transfer to the owner of a token
+    with no approvals) hashes and builds nothing. These are README's counts."""
+    statehash._member_leaf.cache_clear()
+    hashed = counted_leaf_hashes(monkeypatch)
+    built = counted_old_values(monkeypatch)
+    ledger = quick_ledger(policy=fee_policy(price=2, initial_balance=20))
+    paid = {"op": "requestToken", "payment": 2}
+
+    def update(agent):
+        return {"op": "updateContext", "provId": 1, "context": {"agent": agent}}
+
+    def approve(operator):
+        return {"op": "approve", "tokenId": 1, "operator": operator.hex}
+
+    def transfer(token_id, from_, to):
+        return {"op": "transfer", "tokenId": token_id, "from": from_.hex, "to": to.hex}
+
+    steps = [
+        (ALICE, paid, ["tokens", "nonces", "balances"], []),
+        (ALICE, create_payload(), ["records"], []),
+        (ALICE, update("b"), ["records", "records"], ["records"]),
+        (ALICE, update("c"), ["records"], []),
+        (ALICE, update("c"), [], []),
+        (ALICE, approve(BOB), ["tokens", "tokens"], ["tokens"]),
+        (ALICE, approve(BOB), [], []),
+        (ALICE, approve(CAROL), ["tokens"], []),
+        (ALICE, paid, ["tokens", "balances", "balances"], ["balances"]),
+        (ALICE, paid, ["tokens", "balances"], []),
+        (ALICE, {"op": "invalidate", "provId": 1}, ["records"], []),
+        (ALICE, transfer(1, ALICE, BOB), ["tokens"], []),
+        (BOB, transfer(1, BOB, BOB), ["nonces"], []),
+        (ALICE, transfer(2, ALICE, ALICE), [], []),
+    ]
+    produced = []
+    for sender, payload, expected_hashes, expected_builds in steps:
+        ledger.submit_payload(sender, payload)
+        hashed.clear()
+        built.clear()
+        _, outcomes = ledger.produce_block()
+        assert outcomes[0].ok, payload
+        assert sorted(hashed) == sorted(expected_hashes), payload
+        assert built == expected_builds, payload
+        produced.append((list(hashed), list(built)))
+    ledger.persist(tmp_path)
+    statehash._member_leaf.cache_clear()
+    hashed.clear()
+    built.clear()
+    assert load_ledger(tmp_path).head == ledger.head
+    assert hashed == [kind for each, _ in produced for kind in each]
+    assert built == [kind for _, each in produced for kind in each]
+
+
+@pytest.mark.parametrize("held", [0, statehash.HELD_LEAVES])
+def test_no_op_rewrites_leave_the_digest_unchanged(held, monkeypatch):
+    """An update to an equal context, a transfer to the owner of a token with
+    no approvals and the approval of an operator already approved hash
+    nothing and leave the digest as it was, whether the accumulator holds
+    the value's leaf or not; it stays the digest of the stored values."""
+    monkeypatch.setattr(statehash, "HELD_LEAVES", held)
+    accumulator = StateAccumulator()
+    machine = PolicyLayer.build(open_policy(), accumulator.write)
+    token = machine.request_token(ALICE)
+    prov_id = machine.create_provenance_checked(ALICE, token, [], Context({"agent": "a"}))
+    machine.gate_update(ALICE, prov_id, Context({"agent": "b"}))
+    machine.tokens.approve(ALICE, BOB, token)
+    assert len(accumulator._held) == min(held, 2)
+    digest = accumulator.digest({})
+    hashed = counted_leaf_hashes(monkeypatch)
+    machine.gate_update(ALICE, prov_id, Context({"agent": "b"}))
+    machine.tokens.approve(ALICE, BOB, token)
+    assert hashed == [] and accumulator.digest({}) == digest
+    machine.tokens.transfer(ALICE, ALICE, CAROL, token)  # clears BOB's approval
+    digest = accumulator.digest({})
+    hashed.clear()
+    machine.tokens.transfer(CAROL, CAROL, CAROL, token)
+    assert hashed == [] and accumulator.digest({}) == digest
+    fresh = StateAccumulator()
+    for kind, items in (
+        ("records", machine.provenance.records.snapshot()),
+        ("tokens", machine.tokens.snapshot()),
+    ):
+        for item in items:
+            fresh.write(kind, item["id"], None, item)
+    assert fresh.digest({}) == accumulator.digest({})
 
 
 MEMO_SIZE = statehash._member_leaf.cache_info().maxsize
@@ -1642,14 +1772,19 @@ def rewrite_schedule(policy_name: str, agent: str = "a"):
     of leaf and rewrites each stored value again and again: record updates
     and invalidations, token approvals and transfers, and either repeated
     fee-charging token requests (balances) or a whitelist member removed and
-    added back; ``agent`` tags the record contexts. Yields the ledger and
-    each of its blocks."""
+    added back; ``agent`` tags the record contexts. Among them are rewrites
+    that change nothing (an equal context, an operator approved again, a
+    transfer to the owner of a token with no approvals) and transfers that
+    clear approvals. Yields the ledger and each of its blocks."""
 
     def update(prov_id, tag):
         return {"op": "updateContext", "provId": prov_id, "context": {"agent": f"{agent}{tag}"}}
 
     def approve(operator):
         return {"op": "approve", "tokenId": 1, "operator": operator.hex}
+
+    def transfer(from_, to):
+        return {"op": "transfer", "tokenId": 1, "from": from_.hex, "to": to.hex}
 
     if policy_name == "fee":
         ledger = quick_ledger(policy=fee_policy(price=2, initial_balance=20), capacity=20)
@@ -1675,10 +1810,13 @@ def rewrite_schedule(policy_name: str, agent: str = "a"):
         )
     blocks += [
         [(ALICE, {"op": "invalidate", "provId": 1}), (ALICE, update(2, "x"))],
-        [(ALICE, {"op": "transfer", "tokenId": 1, "from": ALICE.hex, "to": BOB.hex})],
-        [(BOB, approve(CAROL)), (BOB, approve(MALLORY))],
-        [(BOB, {"op": "transfer", "tokenId": 1, "from": BOB.hex, "to": ALICE.hex})],
+        [(ALICE, update(3, 3))],
+        [(ALICE, transfer(ALICE, BOB))],
+        [(BOB, approve(CAROL)), (BOB, approve(MALLORY)), (BOB, approve(CAROL))],
+        [(BOB, transfer(BOB, ALICE))],
+        [(ALICE, transfer(ALICE, ALICE))],
         [(ALICE, approve(BOB)), (ALICE, {"op": "invalidate", "provId": 2})],
+        [(ALICE, transfer(ALICE, ALICE)), (ALICE, update(3, 3))],
     ]
     for block in blocks:
         for sender, payload in block:
@@ -1706,6 +1844,7 @@ def test_block_hashes_do_not_depend_on_the_held_leaves(policy_name, monkeypatch)
     unheld = []
     for ledger, block in rewrite_schedule(policy_name):
         assert not ledger._accumulator._held
+        assert block.state_digest == naive_state_digest(ledger.state_snapshot())
         unheld.append(block.block_hash)
     assert unheld == held
 

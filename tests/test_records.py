@@ -184,7 +184,7 @@ def test_self_reference_rejected():
 
 def test_context_keys_sorted_in_canonical_form():
     context = Context({"zulu": "1", "alpha": "2"})
-    assert context.keys() == ["alpha", "zulu"]
+    assert list(context.keys()) == ["alpha", "zulu"]
     assert context.canonical() == '{"alpha":"2","zulu":"1"}'
     assert Context({"alpha": "2", "zulu": "1"}) == context
 
