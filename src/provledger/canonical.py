@@ -16,6 +16,19 @@ The prebuilt encoder skips the circular-reference check: it gets no
 ``markers`` dict, since a shared one would keep stale ids after an encoding
 error. That is safe because everything encoded here is either parsed JSON or
 built from checked fields, and neither can contain itself.
+
+Values built from checked fields, the ones hashed on every block, are
+encoded by :func:`checked_json` instead, in one ``orjson`` pass that writes
+the same bytes several times faster. Such a value holds only dicts with
+``str`` keys, lists, tuples, ``str``, ``int``, ``bool`` and ``None``, never a
+float: orjson writes ``1e+16`` as ``1e16`` and NaN as ``null``, so
+:func:`canonical_json` stays the stdlib encoder for values that may hold
+floats (CLI output, unparsed log lines, the policy and config digests). What
+orjson refuses (an ``int`` outside 64 bits, a lone surrogate, a subclass, a
+non-``str`` key, any other unknown type) falls back to :func:`canonical_json`,
+so it gives the bytes or the error the stdlib gives. orjson also writes an
+``Enum`` member and a ``UUID``, which the stdlib refuses; neither is a checked
+value.
 """
 
 from __future__ import annotations
@@ -24,6 +37,8 @@ import hashlib
 import json
 from json import encoder as _json_encoder
 from typing import Any, Callable
+
+import orjson
 
 ZERO_DIGEST = "0" * 64
 
@@ -57,6 +72,22 @@ def make_canonical_json(c_make_encoder: Callable | None) -> Callable[[Any], str]
 
 
 canonical_json = make_canonical_json(_json_encoder.c_make_encoder)
+
+_ORJSON_OPTIONS = (
+    orjson.OPT_SORT_KEYS
+    | orjson.OPT_PASSTHROUGH_SUBCLASS
+    | orjson.OPT_PASSTHROUGH_DATACLASS
+    | orjson.OPT_PASSTHROUGH_DATETIME
+)
+
+
+def checked_json(value: Any) -> bytes:
+    """The UTF-8 bytes of a float-free value's canonical JSON form (see the
+    module docstring). A lone surrogate raises ``UnicodeEncodeError``."""
+    try:
+        return orjson.dumps(value, option=_ORJSON_OPTIONS)
+    except TypeError:  # orjson.JSONEncodeError is a TypeError
+        return canonical_json(value).encode("utf-8")
 
 
 def text_digest(text: str) -> str:

@@ -17,6 +17,7 @@ consume the sender's nonce but leave the state machine untouched.
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import json
 import random
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .canonical import ZERO_DIGEST, canonical_json, digest_of, text_digest
+from .canonical import ZERO_DIGEST, canonical_json, checked_json, digest_of, text_digest
 from .errors import (
     BadNonceError,
     ConfigInvalidError,
@@ -363,7 +364,10 @@ class Transaction:
         _check_uint(fee, "fee")
         _check_uint(submitted_at, "submittedAt")
         payload = _copy_payload(validate_payload(payload)) if copy else validate_payload(payload)
-        payload_text = canonical_json(payload)
+        try:
+            payload_text = checked_json(payload).decode("utf-8")
+        except UnicodeEncodeError as exc:  # a lone surrogate, which UTF-8 cannot hold
+            raise MalformedPayloadError(f"payload is not UTF-8 text: {exc.reason}") from exc
         text = cls.hashed_text(sender, nonce, payload_text, fee, submitted_at)
         tx = cls(sender, nonce, payload, fee, submitted_at, text_digest(text))
         object.__setattr__(tx, "payload_text", payload_text)
@@ -437,7 +441,7 @@ class Block:
         results: Iterable[str],
         state_digest: str,
     ) -> str:
-        return digest_of(
+        data = checked_json(
             {
                 "height": height,
                 "parentHash": parent_hash,
@@ -447,6 +451,7 @@ class Block:
                 "txHashes": list(tx_hashes),
             }
         )
+        return hashlib.sha256(data).hexdigest()
 
     @classmethod
     def seal(
@@ -478,7 +483,7 @@ class Block:
         """The canonical JSON text of :meth:`wire_dict`, written from each
         transaction's :meth:`~Transaction.wire_text`, so no payload is
         encoded again."""
-        header = canonical_json(
+        header = checked_json(
             {
                 "blockHash": self.block_hash,
                 "height": self.height,
@@ -488,7 +493,7 @@ class Block:
                 "timestamp": self.timestamp,
                 "transactions": [],
             }
-        )
+        ).decode("utf-8")
         # "transactions" sorts last, so the header's text ends in "[]}"
         return header[:-2] + ",".join(tx.wire_text() for tx in self.transactions) + "]}"
 
@@ -517,14 +522,17 @@ class Block:
             raise MalformedPayloadError("results must be a list of non-empty strings")
         if len(results) != len(transactions):
             raise MalformedPayloadError("results and transactions must align")
-        block = cls.seal(
-            height=data["height"],
-            parent_hash=data["parentHash"],
-            timestamp=data["timestamp"],
-            transactions=transactions,
-            results=tuple(results),
-            state_digest=data["stateDigest"],
-        )
+        try:
+            block = cls.seal(
+                height=data["height"],
+                parent_hash=data["parentHash"],
+                timestamp=data["timestamp"],
+                transactions=transactions,
+                results=tuple(results),
+                state_digest=data["stateDigest"],
+            )
+        except UnicodeEncodeError as exc:  # a lone surrogate in a result
+            raise MalformedPayloadError(f"results are not UTF-8 text: {exc.reason}") from exc
         if block.block_hash != data["blockHash"]:
             raise MalformedPayloadError("block hash does not match its contents")
         if line is not None and line != block.wire_line():

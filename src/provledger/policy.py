@@ -47,6 +47,12 @@ class ContextSchema:
         for key in self.required | self.optional:
             if type(key) is not str or not key:
                 raise ConfigInvalidError(f"schema keys must be non-empty strings, got {key!r}")
+        try:  # every digest of the policy hashes these texts' UTF-8 bytes
+            "".join((self.name, *self.required, *self.optional)).encode("utf-8")
+        except UnicodeEncodeError as exc:  # a lone surrogate
+            raise ConfigInvalidError(
+                f"schema name and keys are not UTF-8 text: {exc.reason}"
+            ) from exc
         overlap = self.required & self.optional
         if overlap:
             raise ConfigInvalidError(f"schema keys both required and optional: {sorted(overlap)}")

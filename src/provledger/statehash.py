@@ -45,7 +45,7 @@ import hashlib
 from collections import OrderedDict
 from typing import Any, Callable
 
-from .canonical import canonical_json
+from .canonical import checked_json
 
 LEAF_BYTES = 2048
 MEMBER_MEMO_SIZE = 1024  # member leaves held: at most ~2.2 MB
@@ -63,7 +63,7 @@ def ignore_write(kind: str, key: Any, old: Any, new: Any) -> None:
 
 
 def _leaf(kind: str, key: Any, value: Any) -> int:
-    data = canonical_json([kind, key, value]).encode("utf-8")
+    data = checked_json([kind, key, value])
     return int.from_bytes(hashlib.shake_256(data).digest(LEAF_BYTES), "little")
 
 
@@ -111,7 +111,7 @@ class StateAccumulator:
 
 def _digest(total: int, scalars: dict) -> str:
     """SHA-256 over the reduced sum ``total`` and the scalar fields."""
-    data = total.to_bytes(LEAF_BYTES, "little") + canonical_json(scalars).encode("utf-8")
+    data = total.to_bytes(LEAF_BYTES, "little") + checked_json(scalars)
     return hashlib.sha256(data).hexdigest()
 
 

@@ -359,6 +359,42 @@ def test_init_rejects_non_utf8_policy(runner, tmp_path):
     assert not (tmp_path / "ledger").exists()
 
 
+def test_init_rejects_a_lone_surrogate_in_the_policy(runner, tmp_path):
+    policy = tmp_path / "policy.json"
+    policy.write_text('{"schema": {"name": "\\ud800", "required": ["agent"]}}')
+    result = runner.invoke(
+        main,
+        [
+            "init",
+            "--policy",
+            str(policy),
+            "--config",
+            str(FIXTURES / "sim_config.json"),
+            "--out",
+            str(tmp_path / "ledger"),
+        ],
+    )
+    assert_config_invalid(result)
+    assert not (tmp_path / "ledger").exists()
+
+
+def test_create_rejects_a_lone_surrogate_in_the_context(runner, ledger_dir):
+    """An argument byte that is not UTF-8, such as 0xff, reaches the command
+    as a lone surrogate, which no hashed text can hold: the payload is refused
+    and nothing is logged."""
+    d = str(ledger_dir)
+    runner.invoke(main, ["token", "request", "--as", "alice", "--dir", d])
+    log = (ledger_dir / "blocks.jsonl").read_bytes()
+    context = '{"agent": "\udcff", "time": "1"}'
+    result = runner.invoke(
+        main, ["prov", "create", "--as", "alice", "--token", "1", "--context", context, "--dir", d]
+    )
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert json.loads(result.stderr.strip())["error"] == "MalformedPayload"
+    assert (ledger_dir / "blocks.jsonl").read_bytes() == log
+
+
 def test_scenario_run_rejects_non_utf8_script(runner, ledger_dir, tmp_path):
     script = tmp_path / "script.json"
     script.write_bytes(b"\xff\xfe{}")

@@ -1127,6 +1127,9 @@ LINE_EDITS = {
     "trailing space": lambda line: line + " ",
     "escaped non-ASCII character": text_edit("é", r"\\u00e9"),
     "escaped ASCII character": text_edit('"agent"', r'"\\u0061gent"'),
+    # a lone surrogate, which UTF-8 cannot hold, so no hash can be taken over it
+    "lone surrogate in a context": text_edit('"agent":"', r'"agent":"\\ud800'),
+    "lone surrogate in a result": text_edit(r'"results":\["', r'"results":["\\udfff'),
     "float fee": text_edit(r'"fee":(\d+)', r'"fee":\1.0'),
     "float height": text_edit(r'"height":(\d+)', r'"height":\1.0'),
     "float fee and a space": text_edit(r'"fee":(\d+)', r'"fee": \1.0'),
