@@ -79,7 +79,18 @@ def _parse_inputs(text: str) -> list[int]:
         return []
     if not _ID_LIST.fullmatch(text):
         raise ConfigInvalidError(f"bad inputs {text!r}: expected comma-separated decimal ids")
-    return [int(part) for part in text.split(",")]
+    try:
+        return [int(part) for part in text.split(",")]
+    except ValueError as exc:  # an id over the interpreter's int-to-text digit limit
+        raise ConfigInvalidError(f"bad inputs: {exc}") from exc
+
+
+def _parse_context(text: str) -> object:
+    """The JSON value of a ``--context`` argument."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # nesting too deep raises RecursionError
+        raise ConfigInvalidError(f"bad context: {exc}") from exc
 
 
 @contextlib.contextmanager
@@ -180,16 +191,11 @@ def prov():
 @_handle_errors
 def prov_create(alias: str, token_id: int, inputs: str, context_json: str, fee: int, directory: str):
     """Create a provenance record for a token."""
-    input_ids = _parse_inputs(inputs)
-    try:
-        context = json.loads(context_json)
-    except ValueError as exc:
-        raise ConfigInvalidError(f"bad context: {exc}") from exc
     payload = {
         "op": "createProvenance",
         "tokenId": token_id,
-        "inputs": input_ids,
-        "context": context,
+        "inputs": _parse_inputs(inputs),
+        "context": _parse_context(context_json),
     }
     _mutate(directory, alias, payload, fee)
 
@@ -214,10 +220,7 @@ def prov_get(prov_id: int, directory: str):
 @_handle_errors
 def prov_update(alias: str, prov_id: int, context_json: str, fee: int, directory: str):
     """Replace a record's context (if the policy exposes update)."""
-    try:
-        context = json.loads(context_json)
-    except ValueError as exc:
-        raise ConfigInvalidError(f"bad context: {exc}") from exc
+    context = _parse_context(context_json)
     _mutate(directory, alias, {"op": "updateContext", "provId": prov_id, "context": context}, fee)
 
 

@@ -112,15 +112,13 @@ def _check_uint(value: object, label: str) -> int:
     return value
 
 
-def _check_address(
-    value: object, label: str, parse: Callable[[str], Any] | None = None
-) -> Any:
+def _check_address(value: object, label: str) -> str:
     """``value`` if :meth:`ClientId.from_hex` accepts it, checked without
-    building the address; with ``parse``, what ``parse`` makes of it."""
+    building the address."""
     if type(value) is not str:
         raise MalformedPayloadError(f"{label} must be a 0x-hex address string")
     try:
-        return check_hex_address(value) if parse is None else parse(value)
+        return check_hex_address(value)
     except ValueError as exc:
         raise MalformedPayloadError(f"bad {label}: {exc}") from exc
 
@@ -366,9 +364,11 @@ class Transaction:
         payload = _copy_payload(validate_payload(payload)) if copy else validate_payload(payload)
         try:
             payload_text = checked_json(payload).decode("utf-8")
+            text = cls.hashed_text(sender, nonce, payload_text, fee, submitted_at)
         except UnicodeEncodeError as exc:  # a lone surrogate, which UTF-8 cannot hold
             raise MalformedPayloadError(f"payload is not UTF-8 text: {exc.reason}") from exc
-        text = cls.hashed_text(sender, nonce, payload_text, fee, submitted_at)
+        except ValueError as exc:  # an int over the interpreter's int-to-text digit limit
+            raise MalformedPayloadError(f"transaction is not encodable: {exc}") from exc
         tx = cls(sender, nonce, payload, fee, submitted_at, text_digest(text))
         object.__setattr__(tx, "payload_text", payload_text)
         return tx
@@ -405,7 +405,7 @@ class Transaction:
                 f"transaction must have exactly fields {sorted(_TX_FIELDS)}"
             )
         tx = cls.build(
-            sender=_check_address(data["sender"], "sender", ClientId.from_hex),
+            sender=ClientId.from_checked_hex(_check_address(data["sender"], "sender")),
             nonce=data["nonce"],
             payload=data["payload"],
             fee=data["fee"],
@@ -902,7 +902,8 @@ def read_json_file(path: str | Path, label: str) -> Any:
         raise IoFailureError(f"cannot read {label}: {exc}") from exc
     try:
         return json.loads(data.decode("utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError is a ValueError
+    # UnicodeDecodeError is a ValueError; nesting too deep raises RecursionError
+    except (ValueError, RecursionError) as exc:
         raise ConfigInvalidError(f"{label} is not valid UTF-8 JSON: {exc}") from exc
 
 
@@ -981,12 +982,18 @@ def _decode_line(raw: bytes, height: int) -> tuple[str, Any]:
     try:
         text = raw.decode("utf-8")
         return text, json.loads(text)
-    except (UnicodeDecodeError, ValueError) as exc:
+    except (UnicodeDecodeError, ValueError, RecursionError) as exc:
         raise CorruptLogError(f"unparseable log line: {exc}", height=height) from exc
 
 
 def _require_canonical(text: str, parsed: Any, height: int) -> None:
-    if canonical_json(parsed) != text:
+    """A value nested too deep to encode again is not canonical, whatever
+    depth its text parsed at."""
+    try:
+        canonical = canonical_json(parsed)
+    except RecursionError:
+        canonical = None
+    if canonical != text:
         raise CorruptLogError(NOT_CANONICAL, height=height)
 
 

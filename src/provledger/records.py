@@ -10,10 +10,10 @@ checks every workflow precondition before it writes.
 from __future__ import annotations
 
 import enum
+import reprlib
 from dataclasses import dataclass
 from typing import Iterable, KeysView, Mapping
 
-from .canonical import canonical_json
 from .errors import DuplicateProvenanceIdError, RecordNotFoundError
 from .statehash import WriteHook, ignore_write
 
@@ -30,7 +30,9 @@ def check_context_entries(items: Mapping) -> Mapping:
         if type(key) is not str or not key:
             raise ValueError(f"context keys must be non-empty strings, got {key!r}")
         if type(value) is not str:
-            raise ValueError(f"context values must be strings, got {value!r}")
+            # a bounded repr: a value nested near the recursion limit parses
+            # but has no full repr
+            raise ValueError(f"context values must be strings, got {reprlib.repr(value)}")
     return items
 
 
@@ -64,9 +66,6 @@ class Context:
 
     def get(self, key: str, default: str | None = None) -> str | None:
         return self._entries.get(key, default)
-
-    def canonical(self) -> str:
-        return canonical_json(self._entries)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Context):

@@ -1,18 +1,23 @@
-"""Canonical JSON: the prebuilt encoder, its fallback, the transaction text
-written around a payload and the block line written from those texts, each
-against the naive oracle."""
+"""Canonical JSON: the stdlib encoder behind ``canonical_json``, the
+transaction text written around a payload and the block line written from
+those texts, each against the naive oracle; and the traffic that keeps
+``canonical_json`` a plain stdlib encoder: a fixed number of calls per
+load or verify, none per block. ``checked_json``, the orjson encoder of
+hashed values, has its own tests in ``test_checked_encoder``."""
 
 from __future__ import annotations
 
 import json
-from json import encoder as json_encoder
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from provledger import Block, ClientId, Transaction
-from provledger.canonical import canonical_json, make_canonical_json
+from provledger import Block, ClientId, Transaction, load_ledger, verify_chain
+from provledger import canonical
+from provledger import ledger as ledger_module
+from provledger.canonical import canonical_json
 from provledger.ledger import BLOCKS_FILE, OPS
 from oracles import naive_canonical
 from support import ALICE, BOB, CAROL, quick_ledger
@@ -38,38 +43,22 @@ json_values = st.recursive(
     max_leaves=20,
 )
 
-NO_C_ENCODER = json_encoder.c_make_encoder is None
-encoders = pytest.mark.parametrize(
-    "encode",
-    [
-        pytest.param(canonical_json, id="module"),
-        pytest.param(
-            None if NO_C_ENCODER else make_canonical_json(json_encoder.c_make_encoder),
-            id="prebuilt",
-            marks=pytest.mark.skipif(NO_C_ENCODER, reason="this Python has no C JSON encoder"),
-        ),
-        pytest.param(make_canonical_json(None), id="fallback"),
-    ],
-)
 
-
-@encoders
 @settings(max_examples=200, deadline=None)
 @given(value=json_values)
-def test_canonical_json_matches_the_oracle(encode, value):
-    assert encode(value) == naive_canonical(value)
+def test_canonical_json_matches_the_oracle(value):
+    assert canonical_json(value) == naive_canonical(value)
 
 
-@encoders
-def test_an_unencodable_value_leaves_the_encoder_usable(encode):
+def test_an_unencodable_value_leaves_the_encoder_usable():
     """A failed call leaves nothing behind: an encoder sharing one markers
     dict between calls would still hold ``value``'s id and report it as a
     circular reference."""
     value = {"a": [1, 2], "b": object()}
     with pytest.raises(TypeError, match="not JSON serializable"):
-        encode(value)
+        canonical_json(value)
     value["b"] = value["a"]
-    assert encode(value) == '{"a":[1,2],"b":[1,2]}'
+    assert canonical_json(value) == '{"a":[1,2],"b":[1,2]}'
 
 
 uints = st.integers(min_value=0, max_value=WIDE)
@@ -177,3 +166,77 @@ def test_every_persisted_line_matches_the_oracle(tmp_path):
     assert all(line == naive_canonical(json.loads(line)) for line in lines)
     logged_ops = {tx["payload"]["op"] for line in lines for tx in json.loads(line)["transactions"]}
     assert logged_ops == set(OPS)
+
+
+# --- the traffic canonical_json serves -----------------------------------------
+
+@pytest.fixture
+def canonical_calls(monkeypatch) -> list:
+    """Every value encoded through ``canonical_json``, wrapped in each
+    ``provledger`` module that holds it, the defining one included."""
+    calls = []
+
+    def counted(value):
+        calls.append(value)
+        return canonical_json(value)
+
+    patched = [
+        module
+        for name, module in sys.modules.items()
+        if (name == "provledger" or name.startswith("provledger."))
+        and getattr(module, "canonical_json", None) is canonical_json
+    ]
+    assert canonical in patched and ledger_module in patched
+    for module in patched:
+        monkeypatch.setattr(module, "canonical_json", counted)
+    return calls
+
+
+def chain_with_transactions(directory, blocks: int):
+    """A persisted ledger of ``blocks`` blocks after genesis, each holding a
+    transaction; bound to ``directory``."""
+    ledger = quick_ledger()
+    ledger.submit_payload(ALICE, {"op": "requestToken", "payment": 0})
+    ledger.produce_block()
+    for i in range(blocks - 1):
+        ledger.submit_payload(
+            ALICE,
+            {"op": "createProvenance", "tokenId": 1, "inputs": [], "context": {"agent": f"a{i}"}},
+        )
+        ledger.produce_block()
+    ledger.persist(directory)
+    return ledger
+
+
+def test_load_and_verify_encode_through_canonical_json_a_fixed_number_of_times(
+    tmp_path, canonical_calls
+):
+    """Only the policy digest, the config digest and the genesis line go
+    through ``canonical_json`` on a load: a per-block or per-transaction
+    value there would make the count grow with the chain."""
+    counts = {}
+    for blocks in (3, 30):
+        directory = tmp_path / str(blocks)
+        chain_with_transactions(directory, blocks)
+        canonical_calls.clear()
+        load_ledger(directory)
+        loaded = len(canonical_calls)
+        canonical_calls.clear()
+        assert verify_chain(directory).ok is True
+        counts[blocks] = (loaded, len(canonical_calls))
+    assert counts[3] == counts[30]
+    assert counts[3][0] > 0  # the wrapper sees the calls
+
+
+def test_producing_and_persisting_blocks_never_calls_canonical_json(tmp_path, canonical_calls):
+    ledger = chain_with_transactions(tmp_path / "ledger", 3)
+    canonical_calls.clear()
+    for i in range(5):
+        ledger.submit_payload(
+            ALICE,
+            {"op": "createProvenance", "tokenId": 1, "inputs": [1], "context": {"agent": f"b{i}"}},
+        )
+        ledger.produce_block()
+        ledger.persist(tmp_path / "ledger")
+    assert ledger.height == 8
+    assert canonical_calls == []

@@ -1,7 +1,8 @@
 """The encoder of checked values (``checked_json``) against the stdlib oracle:
 over the float-free values it is given, on every call of a seeded chain's
 production, persist, load and verify, and where it falls back to the stdlib
-encoder (integers wider than 64 bits, lone surrogates, unknown types)."""
+encoder (integers wider than 64 bits, lone surrogates, unknown types), and
+integers too long to have a text at all."""
 
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ from provledger import (
 from provledger import canonical, statehash
 from provledger import ledger as ledger_module
 from provledger.canonical import checked_json
+from provledger.errors import MalformedPayloadError
 from provledger.ledger import BLOCKS_FILE
 from oracles import naive_canonical
 from support import ALICE, BOB, CAROL, MALLORY
@@ -253,3 +255,25 @@ def test_a_nonce_over_64_bits_is_hashed_as_the_stdlib_encodes_it():
     assert tx.hash == stdlib_tx_hash(tx)
     assert tx.payload_text == naive_canonical(tx.payload)
     assert Transaction.from_wire(json.loads(tx.wire_text())) == tx
+
+
+# the smallest integer whose text exceeds the interpreter's int-to-text limit
+OVER_DIGIT_LIMIT = 10 ** sys.get_int_max_str_digits()
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no int-to-text digit limit")
+@pytest.mark.parametrize("field", ["payment", "fee", "nonce", "submittedAt"])
+def test_an_integer_over_the_digit_limit_is_a_malformed_payload(field):
+    """Such an integer has no JSON text: the payload encoder or the
+    transaction text raises ``ValueError``, which the build reports."""
+    ledger = Ledger(UseCasePolicy(schema=SCHEMA), SimConfig(block_interval_ms=1000, block_capacity=5))
+    fields = {"payment": 0, "fee": 1, "nonce": None, "submittedAt": None, field: OVER_DIGIT_LIMIT}
+    with pytest.raises(MalformedPayloadError, match="^transaction is not encodable: Exceeds"):
+        ledger.build_transaction(
+            ALICE,
+            {"op": "requestToken", "payment": fields["payment"]},
+            fee=fields["fee"],
+            nonce=fields["nonce"],
+            submitted_at=fields["submittedAt"],
+        )
+    assert ledger.build_transaction(ALICE, {"op": "requestToken", "payment": WIDE}, fee=WIDE)

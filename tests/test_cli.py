@@ -402,6 +402,60 @@ def test_scenario_run_rejects_non_utf8_script(runner, ledger_dir, tmp_path):
     assert_config_invalid(result)
 
 
+# far beyond the recursion limit of any interpreter, so parsing always fails
+TOO_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("reader", ["policy", "config", "scenario"])
+def test_an_input_file_nested_too_deep_is_config_invalid(runner, tmp_path, reader):
+    deep = tmp_path / "deep.json"
+    deep.write_text(TOO_DEEP)
+    policy, config = str(FIXTURES / "vaccine_policy.json"), str(FIXTURES / "sim_config.json")
+    out = tmp_path / "ledger"
+    if reader == "scenario":
+        runner.invoke(main, ["init", "--policy", policy, "--config", config, "--out", str(out)])
+        log = (out / "blocks.jsonl").read_bytes()
+        result = runner.invoke(main, ["scenario", "run", str(deep), "--dir", str(out)])
+        assert (out / "blocks.jsonl").read_bytes() == log
+    else:
+        files = {"policy": policy, "config": config, reader: str(deep)}
+        result = runner.invoke(
+            main,
+            ["init", "--policy", files["policy"], "--config", files["config"], "--out", str(out)],
+        )
+        assert not out.exists()
+    assert_config_invalid(result)
+
+
+@pytest.mark.parametrize("name", ["policy.json", "config.json"])
+def test_verify_reports_a_policy_or_config_nested_too_deep(runner, ledger_dir, name):
+    (ledger_dir / name).write_text(TOO_DEEP)
+    result = runner.invoke(main, ["verify", str(ledger_dir)])
+    assert result.exit_code == 1
+    verdict = out_json(result)
+    assert (verdict["ok"], verdict["firstCorruptHeight"]) == (False, 0)
+    assert verdict["reason"].startswith(f"{name.split('.')[0]} file is not valid UTF-8 JSON")
+
+
+@pytest.mark.parametrize("command", ["create", "update"])
+def test_a_context_nested_too_deep_is_config_invalid(runner, ledger_dir, command):
+    d = str(ledger_dir)
+    runner.invoke(main, ["token", "request", "--as", "alice", "--dir", d])
+    runner.invoke(
+        main,
+        ["prov", "create", "--as", "alice", "--token", "1", "--context",
+         '{"agent": "a", "time": "1am"}', "--dir", d],
+    )
+    log = (ledger_dir / "blocks.jsonl").read_bytes()
+    target = ["--token", "1"] if command == "create" else ["--id", "1"]
+    result = runner.invoke(
+        main, ["prov", command, "--as", "alice", *target, "--context", "[" * 3000, "--dir", d]
+    )
+    assert_config_invalid(result)
+    assert result.stdout == ""
+    assert (ledger_dir / "blocks.jsonl").read_bytes() == log
+
+
 def test_graph_rejects_negative_depth(runner, ledger_dir):
     d = str(ledger_dir)
     runner.invoke(main, ["token", "request", "--as", "alice", "--dir", d])
@@ -432,6 +486,17 @@ def test_create_rejects_inputs_that_are_not_decimal_ids(runner, ledger_dir, inpu
     result = create_with_inputs(runner, d, inputs)
     assert_config_invalid(result)
     assert result.stdout == ""  # rejected before anything was submitted
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no int-to-text digit limit")
+def test_create_rejects_an_input_id_over_the_digit_limit(runner, ledger_dir):
+    d = str(ledger_dir)
+    runner.invoke(main, ["token", "request", "--as", "alice", "--dir", d])
+    log = (ledger_dir / "blocks.jsonl").read_bytes()
+    result = create_with_inputs(runner, d, "9" * (sys.get_int_max_str_digits() + 1))
+    assert_config_invalid(result)
+    assert result.stdout == ""
+    assert (ledger_dir / "blocks.jsonl").read_bytes() == log
 
 
 @pytest.mark.parametrize("inputs, expected", [("", []), ("1", [1]), (" 1 , 2 ", [1, 2])])

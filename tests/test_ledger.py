@@ -37,7 +37,14 @@ from provledger.errors import (
     MalformedPayloadError,
     RecordNotFoundError,
 )
-from provledger.ledger import BLOCKS_FILE, NOT_CANONICAL, OPS, Block, resolve_payload
+from provledger.ledger import (
+    BLOCKS_FILE,
+    NOT_CANONICAL,
+    OPS,
+    Block,
+    _require_canonical,
+    resolve_payload,
+)
 from provledger import statehash
 from provledger.statehash import StateAccumulator, snapshot_digest
 from oracles import naive_line_is_canonical, naive_select, naive_state_digest
@@ -203,13 +210,14 @@ def test_tampered_transaction_hash_rejected():
 def test_transaction_from_wire_parses_the_sender_once(monkeypatch):
     tx = quick_ledger().build_transaction(ALICE, REQUEST)
     parsed = []
-    real_from_hex = ClientId.from_hex.__func__
+    for name in ("from_hex", "from_checked_hex"):
+        real = getattr(ClientId, name).__func__
 
-    def counting_from_hex(cls, text):
-        parsed.append(text)
-        return real_from_hex(cls, text)
+        def counting(cls, text, real=real):
+            parsed.append(text)
+            return real(cls, text)
 
-    monkeypatch.setattr(ClientId, "from_hex", classmethod(counting_from_hex))
+        monkeypatch.setattr(ClientId, name, classmethod(counting))
     assert Transaction.from_wire(tx.wire_dict()) == tx
     assert parsed == [ALICE.hex]
     with pytest.raises(MalformedPayloadError, match="^sender must be a 0x-hex address string$"):
@@ -1042,6 +1050,61 @@ def test_log_line_edge_cases(tmp_path, edit, verdict):
     if edit == "blank line":
         assert result.pop("reason").startswith("unparseable log line")
     assert result == verdict
+
+
+def nested_lists(depth: int) -> str:
+    return "[" * depth + "]" * depth
+
+
+# every depth near the default recursion limit, where parsing, checking and
+# encoding a line run out of stack at slightly different depths, and one far
+# beyond it
+NESTING_DEPTHS = [*range(900, 1101), 100_000]
+
+
+@pytest.mark.parametrize("where", ["line", "payload", "context value"])
+def test_a_line_nested_too_deep_fails_verification_at_its_height(tmp_path, where):
+    """However deep the nesting, verify reports the line at its height and
+    never raises: a line that parses is malformed or, when it is too deep to
+    encode again, not canonical; one too deep to parse is unparseable."""
+    _, directory = busy_ledger(tmp_path)
+    path = directory / BLOCKS_FILE
+    lines = path.read_bytes().splitlines(keepends=True)
+    height = len(lines) - 1
+    last = json.loads(lines[-1])
+    tx = last["transactions"][0]
+    if where == "line":
+        last = "@"
+    elif where == "payload":
+        tx["payload"] = "@"
+    else:
+        tx["payload"]["context"]["agent"] = "@"
+    template = canonical_json(last)
+    reasons = set()
+    for depth in NESTING_DEPTHS:
+        line = template.replace('"@"', nested_lists(depth))
+        path.write_bytes(b"".join(lines[:-1]) + line.encode() + b"\n")
+        result = verify_chain(directory)
+        assert (result.ok, result.first_corrupt_height) == (False, height), depth
+        reasons.add(result.reason)
+    expected = (
+        "unparseable log line: ",
+        NOT_CANONICAL,
+        "block must be a JSON object",
+        "payload must be a JSON object",
+        "context values must be strings, got [[[",
+    )
+    assert all(reason.startswith(expected) for reason in reasons), reasons
+    assert any(reason.startswith(expected[0]) for reason in reasons)
+
+
+def test_a_parsed_value_too_deep_to_encode_is_not_canonical():
+    value = []
+    for _ in range(100_000):
+        value = [value]
+    with pytest.raises(CorruptLogError, match=f"^{NOT_CANONICAL}$") as caught:
+        _require_canonical(nested_lists(100_001), value, 5)
+    assert caught.value.height == 5
 
 
 def varied_chain(directory):

@@ -185,7 +185,7 @@ def test_self_reference_rejected():
 def test_context_keys_sorted_in_canonical_form():
     context = Context({"zulu": "1", "alpha": "2"})
     assert list(context.keys()) == ["alpha", "zulu"]
-    assert context.canonical() == '{"alpha":"2","zulu":"1"}'
+    assert list(context.as_dict()) == ["alpha", "zulu"]
     assert Context({"alpha": "2", "zulu": "1"}) == context
 
 
@@ -194,6 +194,16 @@ def test_context_rejects_bad_entries():
         Context({"": "v"})
     with pytest.raises(ValueError):
         Context({"k": 3})  # type: ignore[dict-item]
+
+
+def test_a_value_too_deep_to_repr_is_rejected_with_a_bounded_repr():
+    """A context value parsed near the recursion limit has no full repr, so
+    the rejection shows a bounded one rather than raising RecursionError."""
+    value = []
+    for _ in range(100_000):
+        value = [value]
+    with pytest.raises(ValueError, match=r"^context values must be strings, got \[\[\["):
+        Context({"agent": value})
 
 
 def test_snapshot_export_shape():
