@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .canonical import canonical_json
 from .errors import AmbiguousLineageError
 from .provenance import ProvenanceLayer
 from .records import ProvenanceRecord
@@ -27,9 +26,6 @@ class ProvenanceGraph:
             "nodes": [record.as_dict() for record in self.nodes],
             "edges": [list(edge) for edge in self.edges],
         }
-
-    def to_json(self) -> str:
-        return canonical_json(self.as_dict())
 
     def to_dot(self) -> str:
         lines = ["digraph provenance {"]

@@ -242,7 +242,8 @@ def test_integers_over_64_bits_persist_reload_and_verify(tmp_path):
     assert loaded.head == ledger.head
     assert loaded.state_snapshot() == ledger.state_snapshot()
     assert verify_chain(directory).ok is True
-    # why the log is parsed with json.loads: orjson reads such a number as a float
+    # why a line that orjson parses is read again with json.loads when its
+    # value is not a block: orjson reads such a number as a float
     line = (directory / BLOCKS_FILE).read_bytes().splitlines()[1]
     assert json.loads(line)["transactions"][0]["fee"] == 2**70
     assert orjson.loads(b'{"a":18446744073709551616}') == {"a": 1.8446744073709552e19}

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import hashlib
 import json
 import random
 import re
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -47,7 +49,7 @@ from provledger.ledger import (
 )
 from provledger import statehash
 from provledger.statehash import StateAccumulator, snapshot_digest
-from oracles import naive_line_is_canonical, naive_select, naive_state_digest
+from oracles import naive_canonical, naive_line_is_canonical, naive_select, naive_state_digest
 from support import (
     ALICE,
     BOB,
@@ -228,9 +230,10 @@ def test_transaction_from_wire_parses_the_sender_once(monkeypatch):
 
 def test_addresses_and_contexts_are_built_once_per_path(tmp_path, monkeypatch):
     """Validation checks a payload's addresses and context without building
-    them; execution builds each once. Replay adds one parse per sender.
-    Every constructor of an address or a context is counted: the checking
-    ones and those that build from already checked text."""
+    them; execution builds each once. Replay adds one parse per distinct
+    sender, however many transactions it sends. Every constructor of an
+    address or a context is counted: the checking ones and those that build
+    from already checked text."""
     from provledger.records import Context
 
     addresses, contexts = [], []
@@ -261,6 +264,7 @@ def test_addresses_and_contexts_are_built_once_per_path(tmp_path, monkeypatch):
     for sender, payload, built in [
         (ALICE, create_payload(agent="x"), ([], [{"agent": "x"}])),
         (ALICE, transfer, ([ALICE.hex, BOB.hex], [])),
+        (BOB, create_payload(agent="y"), ([], [{"agent": "y"}])),
     ]:
         ledger.submit_payload(sender, payload)
         assert (addresses, contexts) == ([], []), payload["op"]
@@ -271,15 +275,17 @@ def test_addresses_and_contexts_are_built_once_per_path(tmp_path, monkeypatch):
         contexts.clear()
     ledger.persist(tmp_path)
     assert load_ledger(tmp_path).head == ledger.head
-    # senders of the request, the create and the transfer, then its addresses
-    assert addresses == [ALICE.hex] * 4 + [BOB.hex]
-    assert contexts == [{"agent": "x"}]
+    # the request's sender, whose create and transfer reuse its address, the
+    # transfer's addresses, then the last create's sender
+    assert addresses == [ALICE.hex, ALICE.hex, BOB.hex, BOB.hex]
+    assert contexts == [{"agent": "x"}, {"agent": "y"}]
 
 
 def test_each_address_and_context_is_checked_once_per_path(tmp_path, monkeypatch):
     """On the submit -> execute path and again on replay, each address text
     goes through ``check_hex_address`` once and each context through
-    ``check_context_entries`` once. Replay also parses each sender."""
+    ``check_context_entries`` once. Replay also parses each distinct sender
+    once."""
     from provledger import ledger as ledger_mod
     from provledger import records as records_mod
     from provledger import tokens as tokens_mod
@@ -318,10 +324,8 @@ def test_each_address_and_context_is_checked_once_per_path(tmp_path, monkeypatch
         contexts.clear()
     ledger.persist(tmp_path)
     assert load_ledger(tmp_path).head == ledger.head
-    # the request's sender, then each step's sender and payload addresses
-    assert addresses == [ALICE.hex] + [
-        address for _, checked, _ in steps for address in [ALICE.hex, *checked]
-    ]
+    # the sender of all five transactions once, then each step's payload addresses
+    assert addresses == [ALICE.hex] + [address for _, checked, _ in steps for address in checked]
     assert contexts == [{"agent": "x"}, {"agent": "y"}]
 
 
@@ -1131,9 +1135,9 @@ def varied_chain(directory):
     return directory / BLOCKS_FILE
 
 
-def naive_parse_block(raw: bytes, height: int) -> Block:
-    """The parse step with the whole line encoded and compared before the
-    block is parsed."""
+def naive_parse_block(raw: bytes, height: int, senders: dict) -> Block:
+    """The parse step with the stdlib parser alone and the whole line encoded
+    and compared before the block is parsed; every sender is built anew."""
     try:
         text = raw.decode("utf-8")
         parsed = json.loads(text)
@@ -1179,6 +1183,45 @@ def text_edit(pattern, replacement):
 
 changed_hash = text_edit(r'"hash":"(.)', lambda m: '"hash":"' + ("1" if m[1] == "0" else "0"))
 
+
+def naive_hash(value) -> str:
+    return hashlib.sha256(naive_canonical(value).encode("utf-8")).hexdigest()
+
+
+def resealed(block: dict) -> str:
+    """The canonical line of ``block`` with its block hash computed again."""
+    fields = ("height", "parentHash", "results", "stateDigest", "timestamp")
+    header = {key: block[key] for key in fields}
+    header["txHashes"] = [tx["hash"] for tx in block["transactions"]]
+    return naive_canonical(dict(block, blockHash=naive_hash(header)))
+
+
+def resealed_fee(fee):
+    """An edit giving the first transaction ``fee`` and computing its hash
+    and the block's again: the fee is not state, so the line stays valid."""
+
+    def edit(line):
+        block = json.loads(line)
+        if not block["transactions"]:
+            return None
+        tx = block["transactions"][0]
+        tx["fee"] = fee
+        tx["hash"] = naive_hash({key: value for key, value in tx.items() if key != "hash"})
+        return resealed(block)
+
+    return edit
+
+
+def relinked(lines: list[str], height: int) -> list[str]:
+    """``lines`` with every line after ``height`` resealed onto the new hash
+    of the line before it."""
+    lines = list(lines)
+    for later in range(height + 1, len(lines)):
+        parent_hash = json.loads(lines[later - 1])["blockHash"]
+        lines[later] = resealed(dict(json.loads(lines[later]), parentHash=parent_hash))
+    return lines
+
+
 LINE_EDITS = {
     "unchanged": lambda line: line,
     "block keys reordered": reversed_keys_at(),
@@ -1205,14 +1248,30 @@ LINE_EDITS = {
         changed_hash(line) and reversed_keys_at()(changed_hash(line))
     ),
     "CRLF": lambda line: line + "\r",
+    # where orjson and the stdlib read a line differently: orjson reads an
+    # integer over 64 bits as a float, and refuses the rest
+    "fee of 2**64": resealed_fee(2**64),
+    "fee of 2**70": resealed_fee(2**70),
+    "NaN fee": text_edit(r'"fee":\d+', '"fee":NaN'),
+    "Infinity fee": text_edit(r'"fee":\d+', '"fee":Infinity'),
+    "fee past the int-to-text digit limit": text_edit(
+        r'"fee":\d+', '"fee":' + "9" * (sys.get_int_max_str_digits() + 1)
+    ),
+    "UTF-8 BOM": lambda line: "\ufeff" + line,
+    # written as the byte 0xff, which no UTF-8 text holds
+    "invalid UTF-8 byte": text_edit('"agent":"', '"agent":"\udcff'),
 }
+
+# edits after which the chain is still valid, once the later lines are relinked
+VALID_EDITS = {"unchanged", "fee of 2**64", "fee of 2**70"}
 
 
 @pytest.mark.parametrize("name", sorted(LINE_EDITS))
 def test_line_check_matches_the_naive_oracle(tmp_path, monkeypatch, name):
     """Each one-line edit of a varied log gets the same verdict, height and
-    reason whether a line's form is checked from the transactions' wire
-    texts or by encoding the whole parsed line."""
+    reason whether a line is parsed with orjson, then the stdlib, and its
+    form checked from the transactions' wire texts, or parsed with the
+    stdlib alone and checked by encoding the whole parsed line."""
     from provledger import ledger as ledger_mod
 
     path = varied_chain(tmp_path / "ledger")
@@ -1225,12 +1284,16 @@ def test_line_check_matches_the_naive_oracle(tmp_path, monkeypatch, name):
             continue
         edited_lines += 1
         lines = original[:height] + [edited] + original[height + 1 :]
-        path.write_bytes("".join(each + "\n" for each in lines).encode("utf-8"))
+        if name in VALID_EDITS:
+            lines = relinked(lines, height)
+        # surrogateescape writes the lone surrogate U+DCFF as the byte 0xff
+        text = "".join(each + "\n" for each in lines)
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
         verdict = verify_chain(path.parent).as_dict()
         with monkeypatch.context() as patched:
             patched.setattr(ledger_mod, "_parse_block", naive_parse_block)
             assert verify_chain(path.parent).as_dict() == verdict, (height, edited)
-        if name == "unchanged":
+        if name in VALID_EDITS:
             assert verdict == {"ok": True}
         else:
             assert verdict["ok"] is False and verdict["firstCorruptHeight"] == height

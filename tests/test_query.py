@@ -11,6 +11,7 @@ from provledger import (
     Context,
     RecordStore,
     Trace,
+    canonical_json,
     derivation_graph,
     lineage,
     load_ledger,
@@ -142,7 +143,7 @@ def test_derivation_graph_depth_bound_matches_oracle():
     nodes, edges = naive_derivation(records, ids["conv"], 1)
     assert {record.id for record in graph.nodes} == nodes
     assert set(graph.edges) == edges
-    assert graph.to_json() == serialize_graph(records, nodes, edges)
+    assert canonical_json(graph.as_dict()) == serialize_graph(records, nodes, edges)
 
 
 def test_derivation_graph_no_inputs():
@@ -210,8 +211,8 @@ def test_identical_stores_serialize_identically():
     first, ids_a = build_vaccine_story()
     second, ids_b = build_vaccine_story()
     assert ids_a == ids_b
-    a = derivation_graph(first.provenance, ids_a["conv"], 3).to_json()
-    b = derivation_graph(second.provenance, ids_b["conv"], 3).to_json()
+    a = canonical_json(derivation_graph(first.provenance, ids_a["conv"], 3).as_dict())
+    b = canonical_json(derivation_graph(second.provenance, ids_b["conv"], 3).as_dict())
     assert a.encode() == b.encode()
 
 
@@ -248,7 +249,7 @@ def test_oracle_equivalence_on_random_dags():
             depth = rng.randint(0, 4)
             nodes, edges = naive_derivation(records, prov_id, depth)
             graph = derivation_graph(stack.provenance, prov_id, depth)
-            assert graph.to_json() == serialize_graph(records, nodes, edges)
+            assert canonical_json(graph.as_dict()) == serialize_graph(records, nodes, edges)
 
         for token in tokens:
             expected_chains = naive_traces(records, by_token.get(token, []))
@@ -323,9 +324,8 @@ def assert_queries_match_oracles(machine, rng: random.Random) -> set[str]:
             seen.add("chain" if len(expected) > 2 else "short")
         depth = rng.randint(0, 4)
         nodes, edges = naive_derivation(records, prov_id, depth)
-        assert derivation_graph(provenance, prov_id, depth).to_json() == serialize_graph(
-            records, nodes, edges
-        )
+        graph = derivation_graph(provenance, prov_id, depth)
+        assert canonical_json(graph.as_dict()) == serialize_graph(records, nodes, edges)
     for token in machine.tokens.token_ids():
         associated = by_token.pop(token, [])
         expected = [
