@@ -22,6 +22,7 @@ import heapq
 import json
 import random
 import re
+import reprlib
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -125,13 +126,15 @@ def _check_address(value: object, label: str) -> str:
         raise MalformedPayloadError(f"bad {label}: {exc}") from exc
 
 
-def _sender(text: object, senders: dict[str, ClientId]) -> ClientId:
-    """The sender address ``text`` names, built once per distinct text:
-    ``senders`` maps each accepted text to its address."""
-    sender = senders.get(text) if type(text) is str else None
-    if sender is None:
-        sender = senders[text] = ClientId.from_checked_hex(_check_address(text, "sender"))
-    return sender
+def _sender(text: object, senders: dict[str, ClientId] | None) -> ClientId:
+    """The sender address ``text`` names. ``senders``, when given, maps each
+    accepted text to its address, so that each distinct text is built once."""
+    if senders is not None and type(text) is str:
+        sender = senders.get(text)
+        if sender is None:
+            sender = senders[text] = ClientId.from_checked_hex(_check_address(text, "sender"))
+        return sender
+    return ClientId.from_checked_hex(_check_address(text, "sender"))
 
 
 def _check_context(value: object, label: str) -> dict:
@@ -248,7 +251,7 @@ def _operation(payload: object) -> Operation:
         raise MalformedPayloadError("payload must be a JSON object")
     op = payload.get("op")
     if type(op) is not str or op not in OPS:
-        raise MalformedPayloadError(f"unknown operation {op!r}")
+        raise MalformedPayloadError(f"unknown operation {reprlib.repr(op)}")
     return OPS[op]
 
 
@@ -412,7 +415,8 @@ class Transaction:
         cls, data: object, senders: dict[str, ClientId] | None = None
     ) -> "Transaction":
         """The transaction ``data`` describes. ``senders``, shared by the
-        transactions of one load, keeps each sender address built once."""
+        transactions of one load, keeps each sender address built once;
+        without it, as for a one-off parse, the sender is built anew."""
         if not isinstance(data, dict):
             raise MalformedPayloadError("transaction must be a JSON object")
         if data.keys() != _TX_FIELDS:
@@ -420,7 +424,7 @@ class Transaction:
                 f"transaction must have exactly fields {sorted(_TX_FIELDS)}"
             )
         tx = cls.build(
-            sender=_sender(data["sender"], {} if senders is None else senders),
+            sender=_sender(data["sender"], senders),
             nonce=data["nonce"],
             payload=data["payload"],
             fee=data["fee"],
@@ -1033,10 +1037,11 @@ def _parse_block(raw: bytes, height: int, senders: dict[str, ClientId]) -> Block
     A line that orjson refuses, or whose value is not a block in canonical
     form, is read again with the stdlib, which alone decides its verdict:
     orjson reads an integer over 64 bits, a legal fee or timestamp, as a
-    float, and refuses some lines the stdlib reads, such as ones holding
-    NaN, a lone surrogate or nesting past 1024 levels. A line that passes
-    on orjson's value is the canonical text of a block and holds no float,
-    so the stdlib reads it the same way.
+    float; refuses some lines the stdlib reads, such as ones holding NaN or
+    a lone surrogate; and may parse nesting deeper than the stdlib can, so
+    checking its value may raise ``RecursionError``. A line that passes on
+    orjson's value is the canonical text of a block and holds no float, so
+    the stdlib reads it the same way.
 
     On the stdlib's value, :meth:`Block.from_wire` checks the form of a line
     that parses as a block. A line that does not is encoded whole, so that a
@@ -1045,7 +1050,7 @@ def _parse_block(raw: bytes, height: int, senders: dict[str, ClientId]) -> Block
     """
     try:
         return Block.from_wire(orjson.loads(raw), raw.decode("utf-8"), senders)
-    except (orjson.JSONDecodeError, MalformedPayloadError):
+    except (orjson.JSONDecodeError, MalformedPayloadError, RecursionError):
         pass  # the stdlib's reading below decides
     text, parsed = _decode_line(raw, height)
     try:

@@ -1066,7 +1066,7 @@ def nested_lists(depth: int) -> str:
 NESTING_DEPTHS = [*range(900, 1101), 100_000]
 
 
-@pytest.mark.parametrize("where", ["line", "payload", "context value"])
+@pytest.mark.parametrize("where", ["line", "payload", "op", "context value"])
 def test_a_line_nested_too_deep_fails_verification_at_its_height(tmp_path, where):
     """However deep the nesting, verify reports the line at its height and
     never raises: a line that parses is malformed or, when it is too deep to
@@ -1081,6 +1081,8 @@ def test_a_line_nested_too_deep_fails_verification_at_its_height(tmp_path, where
         last = "@"
     elif where == "payload":
         tx["payload"] = "@"
+    elif where == "op":
+        tx["payload"]["op"] = "@"
     else:
         tx["payload"]["context"]["agent"] = "@"
     template = canonical_json(last)
@@ -1096,6 +1098,7 @@ def test_a_line_nested_too_deep_fails_verification_at_its_height(tmp_path, where
         NOT_CANONICAL,
         "block must be a JSON object",
         "payload must be a JSON object",
+        "unknown operation [[[",
         "context values must be strings, got [[[",
     )
     assert all(reason.startswith(expected) for reason in reasons), reasons
@@ -1298,6 +1301,29 @@ def test_line_check_matches_the_naive_oracle(tmp_path, monkeypatch, name):
         else:
             assert verdict["ok"] is False and verdict["firstCorruptHeight"] == height
     assert edited_lines > 0
+
+
+def test_running_out_of_stack_on_orjsons_value_leaves_the_line_to_the_stdlib(
+    tmp_path, monkeypatch
+):
+    """orjson may parse nesting deeper than the stdlib can, so that checking
+    its value runs out of stack: the stdlib's reading then decides."""
+    from types import SimpleNamespace
+
+    import orjson
+
+    from provledger import ledger as ledger_mod
+
+    path = varied_chain(tmp_path / "ledger")
+    expected = load_ledger(path.parent).state_snapshot()
+
+    def out_of_stack(raw):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    stub = SimpleNamespace(loads=out_of_stack, JSONDecodeError=orjson.JSONDecodeError)
+    monkeypatch.setattr(ledger_mod, "orjson", stub)
+    assert load_ledger(path.parent).state_snapshot() == expected
+    assert verify_chain(path.parent).as_dict() == {"ok": True}
 
 
 def test_load_rejects_corruption(tmp_path):
