@@ -6,14 +6,15 @@ every record joins one of its token's parallel traces. Every record
 precondition is checked here, once; the record store stores what this layer
 hands it.
 
-The records are the stored facts; the traces and same-token links are
-indexes derived from them, so only the record store reports writes to the
-state digest.
+The records are the stored facts; the traces, the record → trace map and
+the same-token links are indexes derived from them, so only the record store
+reports writes to the state digest.
 """
 
 from __future__ import annotations
 
 from itertools import chain
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -31,12 +32,25 @@ class ProvenanceLayer:
     """Create/update/invalidate workflows plus the token-to-records map.
 
     A record's same-token link is fixed at creation, since its inputs and
-    every token id never change, and records are never deleted. So the link
-    and the token's trace partition are derived once, at creation, for the
-    queries: a new record extends the trace whose tail is its same-token
-    parent, or else opens a new trace, so each trace holds ascending ids.
-    Neither is hashed: the ``records`` leaves fix them, and replay rebuilds
-    them by re-executing every create.
+    every token id never change, and records are never deleted. So the link,
+    the token's trace partition and the record → trace map are derived once,
+    at creation, for the queries: a new record extends its same-token
+    parent's trace when the parent is that trace's tail, or else opens a new
+    trace, so each trace holds ascending ids. A lineage is then one slice
+    per trace segment. None of these is hashed: the ``records`` leaves fix
+    them, and replay rebuilds them by re-executing every create.
+
+    Two read-only live views are plain attributes, so a query reads each
+    without a call:
+
+    ``same_token_parents``
+        every record id -> its same-token parent: the id of its unique input
+        with the same token, ``0`` (the nil id) when it has none, or ``-n``
+        when ``n`` >= 2 inputs share its token and the record has no linear
+        history.
+    ``record_traces``
+        every record id -> the trace that holds it, the ascending ids of one
+        of its token's traces (see :meth:`token_traces`).
     """
 
     def __init__(
@@ -50,7 +64,9 @@ class ProvenanceLayer:
         self._store_key = store_key
         self._same_token_parent: dict[int, int] = {}
         self._traces: dict[int, list[list[int]]] = {}
-        self._trace_by_tail: dict[int, list[int]] = {}
+        self._trace_of: dict[int, list[int]] = {}
+        self.same_token_parents: Mapping[int, int] = MappingProxyType(self._same_token_parent)
+        self.record_traces: Mapping[int, Sequence[int]] = MappingProxyType(self._trace_of)
         self._next_prov_id = 1
 
     @property
@@ -60,14 +76,6 @@ class ProvenanceLayer:
     @property
     def next_prov_id(self) -> int:
         return self._next_prov_id
-
-    @property
-    def same_token_parents(self) -> Mapping[int, int]:
-        """Read-only map from every record id to its same-token parent: the
-        id of its unique input with the same token, ``0`` (the nil id) when
-        it has none, or ``-n`` when ``n`` >= 2 inputs share its token and
-        the record has no linear history."""
-        return self._same_token_parent
 
     def _require_authorized(self, caller: ClientId, token_id: int) -> None:
         """Raises ``TokenNotFoundError`` for a missing token, then
@@ -126,13 +134,13 @@ class ProvenanceLayer:
         parent = self._same_token_parent[prov_id] = (
             same_token[0] if len(same_token) == 1 else -len(same_token)
         )
-        # a parent of 0 or below is never a tail: tails are record ids
-        trace = self._trace_by_tail.pop(parent, None)
-        if trace is None:
+        # a parent of 0 or below is in no trace: only record ids are keys
+        trace = self._trace_of.get(parent)
+        if trace is None or trace[-1] != parent:
             trace = []
             self._traces.setdefault(token_id, []).append(trace)
         trace.append(prov_id)
-        self._trace_by_tail[prov_id] = trace
+        self._trace_of[prov_id] = trace
         return prov_id
 
     def token_traces(self, token_id: int) -> Sequence[Sequence[int]]:

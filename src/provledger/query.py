@@ -7,7 +7,9 @@ identical bytes.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import AmbiguousLineageError
 from .provenance import ProvenanceLayer
@@ -39,7 +41,7 @@ class ProvenanceGraph:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Trace:
     """One parallel provenance chain of a token; ``head`` is the latest record."""
 
@@ -53,22 +55,36 @@ class Trace:
 def lineage(layer: ProvenanceLayer, prov_id: int) -> list[int]:
     """Linear same-token history of a record, oldest first.
 
-    Walks backwards along each record's same-token parent (see
-    :attr:`ProvenanceLayer.same_token_parents`). A record with more than one
+    Read from the record → trace map (see
+    :attr:`ProvenanceLayer.record_traces`): the record's trace up to the
+    record, then, while a trace's first record forks off an earlier record,
+    that record's trace up to it. So a lineage costs one slice per trace
+    segment, not one step per ancestor. A record with more than one
     same-token input has no linear history and is reported as ambiguous
     rather than silently resolved.
     """
-    layer.records.get_record(prov_id)  # RecordNotFoundError for an unknown id
+    traces_of = layer.record_traces
+    try:
+        trace = traces_of[prov_id]
+    except KeyError:
+        layer.records.get_record(prov_id)  # RecordNotFoundError for an unknown id
+        raise
     parents = layer.same_token_parents
-    chain = [prov_id]
-    parent = parents[prov_id]
-    while parent > 0:
-        chain.append(parent)
-        parent = parents[parent]
+    found = trace[: bisect_left(trace, prov_id) + 1]
+    parent = parents[trace[0]]
+    if parent > 0:
+        # a fork: join the segments once, oldest first, since prepending
+        # each one would be quadratic in the number of segments
+        segments = [found]
+        while parent > 0:
+            trace = traces_of[parent]
+            segments.append(trace[: bisect_left(trace, parent) + 1])
+            parent = parents[trace[0]]
+        segments.reverse()
+        found = list(chain.from_iterable(segments))
     if parent < 0:
-        raise AmbiguousLineageError(f"record {chain[-1]} has {-parent} same-token inputs")
-    chain.reverse()
-    return chain
+        raise AmbiguousLineageError(f"record {trace[0]} has {-parent} same-token inputs")
+    return found
 
 
 def derivation_graph(layer: ProvenanceLayer, prov_id: int, max_depth: int) -> ProvenanceGraph:
@@ -105,4 +121,4 @@ def traces(layer: ProvenanceLayer, token_id: int) -> list[Trace]:
     from the partition the layer keeps as records are created (see
     :meth:`ProvenanceLayer.token_traces`). Forks and ambiguous merges open
     fresh chains. The traces are not hashed; replay rebuilds them."""
-    return [Trace(head=trace[-1], records=tuple(trace)) for trace in layer.token_traces(token_id)]
+    return [Trace(trace[-1], tuple(trace)) for trace in layer.token_traces(token_id)]

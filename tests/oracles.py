@@ -52,6 +52,22 @@ def naive_lineage(records: dict[int, dict], prov_id: int):
         chain.append(current["id"])
 
 
+def naive_ambiguity(records: dict[int, dict], prov_id: int) -> tuple[int, int]:
+    """Where the walk back from ``prov_id`` along unique same-token inputs
+    stops: the record it stops at and that record's same-token input count.
+    A count of 2 or more is the record an ambiguous lineage names."""
+    current = records[prov_id]
+    while True:
+        same_token = [
+            input_id
+            for input_id in current["inputProvenanceIds"]
+            if records[input_id]["tokenId"] == current["tokenId"]
+        ]
+        if len(same_token) != 1:
+            return current["id"], len(same_token)
+        current = records[same_token[0]]
+
+
 # --- derivation graph ---------------------------------------------------------
 
 def naive_derivation(records: dict[int, dict], prov_id: int, max_depth: int):

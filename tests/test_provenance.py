@@ -136,6 +136,27 @@ def test_parallel_traces_survive_invalidation(stack):
     assert lineage(stack.provenance, location2) == [location, location2]
 
 
+def test_link_and_trace_maps_are_read_only_live_views(stack):
+    """A caller cannot corrupt ``lineage`` through the maps the layer hands
+    out, and a map handed out earlier shows later creates."""
+    from provledger import lineage
+
+    token, (p1, p2, p3) = vaccine_chain(stack)
+    parents = stack.provenance.same_token_parents
+    record_traces = stack.provenance.record_traces
+    for view in (parents, record_traces):
+        with pytest.raises(TypeError):
+            view[p3] = 0
+        with pytest.raises(TypeError):
+            del view[p3]
+    assert lineage(stack.provenance, p3) == [p1, p2, p3]
+    fork = stack.provenance.create_provenance(ALICE, token, [p2], Context({"agent": "a"}))
+    assert parents[fork] == p2
+    assert record_traces[fork] == [fork]
+    assert record_traces[p1] == [p1, p2, p3]
+    assert lineage(stack.provenance, fork) == [p1, p2, fork]
+
+
 def test_update_and_invalidate_authorization(stack):
     token = stack.request_token(ALICE)
     prov_id = stack.provenance.create_provenance(ALICE, token, [], Context({"agent": "a"}))

@@ -20,6 +20,7 @@ from provledger import (
 from provledger.errors import AmbiguousLineageError, RecordNotFoundError, TokenNotFoundError
 from oracles import (
     export_records,
+    naive_ambiguity,
     naive_association,
     naive_derivation,
     naive_lineage,
@@ -70,6 +71,21 @@ def build_vaccine_story():
     }
 
 
+def assert_lineage_matches(provenance, records: dict[int, dict], prov_id: int):
+    """``lineage`` answers as the oracle does, an ambiguous one with the exact
+    message: the record the walk back stops at and its same-token input
+    count. Returns the oracle's chain, or None for an ambiguous lineage."""
+    expected = naive_lineage(records, prov_id)
+    if expected == "ambiguous":
+        named, count = naive_ambiguity(records, prov_id)
+        with pytest.raises(AmbiguousLineageError) as caught:
+            lineage(provenance, prov_id)
+        assert str(caught.value) == f"record {named} has {count} same-token inputs"
+        return None
+    assert lineage(provenance, prov_id) == expected
+    return expected
+
+
 def test_lineage_of_vaccine_chain():
     stack, ids = build_vaccine_story()
     p1, p2, p3 = ids["chain"]
@@ -104,8 +120,9 @@ def test_lineage_diamond_is_ambiguous(stack):
 
 
 def test_lineage_and_traces_lookups_do_not_grow_with_the_chain(stack, monkeypatch):
-    """Both queries follow the links fixed at creation instead of fetching
-    each record's inputs again."""
+    """Both queries read the traces kept at creation instead of fetching
+    each record's inputs again; ``lineage`` fetches a record only to report
+    an unknown id."""
     token = stack.request_token(ALICE)
     chain: list[int] = []
     for _ in range(50):
@@ -119,10 +136,146 @@ def test_lineage_and_traces_lookups_do_not_grow_with_the_chain(stack, monkeypatc
 
     monkeypatch.setattr(RecordStore, "get_record", counting)
     assert lineage(stack.provenance, chain[-1]) == chain
-    assert len(lookups) <= 2
+    assert lookups == []
+    with pytest.raises(RecordNotFoundError):
+        lineage(stack.provenance, chain[-1] + 1)
+    assert lookups == [chain[-1] + 1]
     lookups.clear()
     assert [trace.records for trace in traces(stack.provenance, token)] == [tuple(chain)]
     assert len(lookups) <= 2
+
+
+class SeededDag:
+    """Records created on a fresh stack over two tokens. Kept aside: each
+    token's records, those with a same-token child (so no trace's tail) and
+    those without."""
+
+    def __init__(self):
+        self.stack = layer(open_policy())
+        self.tokens = [self.stack.request_token(ALICE) for _ in range(2)]
+        self.token_of: dict[int, int] = {}
+        self.created: dict[int, list[int]] = {token: [] for token in self.tokens}
+        self.with_child: dict[int, list[int]] = {token: [] for token in self.tokens}
+        self.childless: dict[int, None] = {}
+
+    def create(self, token: int, inputs: list[int]) -> int:
+        prov_id = self.stack.provenance.create_provenance(ALICE, token, inputs, Context())
+        same_token = [i for i in inputs if self.token_of[i] == token]
+        if len(same_token) == 1 and same_token[0] in self.childless:
+            del self.childless[same_token[0]]
+            self.with_child[token].append(same_token[0])
+        self.token_of[prov_id] = token
+        self.created[token].append(prov_id)
+        self.childless[prov_id] = None
+        return prov_id
+
+
+def grow_forking_dag(rng: random.Random, extend: float, merge: float) -> SeededDag:
+    """A 20-record chain per token, then 300 records, each a merge of 2-3
+    same-token records (``merge``), an extension of a trace's tail
+    (``extend``), or else a fork off one of the newest records that already
+    have a child; a fifth of them also take a record of the other token."""
+    dag = SeededDag()
+    for token in dag.tokens:
+        previous: list[int] = []
+        for _ in range(20):
+            previous = [dag.create(token, previous)]
+    for _ in range(300):
+        token = rng.choice(dag.tokens)
+        roll = rng.random()
+        if roll < merge:
+            inputs = rng.sample(dag.created[token], rng.choice((2, 2, 3)))
+        elif roll < merge + extend:
+            inputs = [rng.choice([i for i in dag.childless if dag.token_of[i] == token])]
+        else:
+            inputs = [rng.choice(dag.with_child[token][-4:])]
+        if rng.random() < 0.2:
+            other = dag.tokens[0] if token == dag.tokens[1] else dag.tokens[1]
+            inputs.append(rng.choice(dag.created[other]))
+        dag.create(token, inputs)
+    return dag
+
+
+def oracle_trace_of(records: dict[int, dict]) -> dict[int, tuple[int, int]]:
+    """Record id -> (token, index of the oracle trace that holds it)."""
+    trace_of = {}
+    for token, associated in naive_association(records).items():
+        for index, trace in enumerate(naive_traces(records, associated)):
+            trace_of.update((rid, (token, index)) for rid in trace)
+    return trace_of
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize(
+    "shape, extend, merge",
+    [("every record forks", 0.0, 0.0), ("forks of forks", 0.5, 0.0),
+     ("merges above forks", 0.45, 0.15)],
+)
+def test_lineage_matches_oracle_on_forking_dags(shape, extend, merge, seed):
+    dag = grow_forking_dag(random.Random(f"{shape} {seed}"), extend, merge)
+    provenance = dag.stack.provenance
+    records = export_records(provenance)
+    trace_of = oracle_trace_of(records)
+    deepest, ambiguous_over_forks = 0, 0
+    for prov_id in records:
+        chain = assert_lineage_matches(provenance, records, prov_id)
+        if chain is None:
+            # the walk back from the record to the merge it names crosses a fork
+            named, _ = naive_ambiguity(records, prov_id)
+            cut = records | {named: {**records[named], "inputProvenanceIds": []}}
+            chain = naive_lineage(cut, prov_id)
+            ambiguous_over_forks += len({trace_of[rid] for rid in chain}) > 1
+        else:
+            deepest = max(deepest, len({trace_of[rid] for rid in chain}))
+    if shape == "every record forks":
+        # each record forks off the first chain, so no lineage spans more
+        assert deepest == 2
+    else:
+        assert deepest >= 4
+    assert (ambiguous_over_forks > 0) == (merge > 0)
+
+
+def test_lineage_of_a_long_chain_with_forks():
+    dag = SeededDag()
+    token = dag.tokens[0]
+    chain: list[int] = []
+    for _ in range(5_000):
+        chain.append(dag.create(token, chain[-1:]))
+    rng = random.Random(24)
+    forks = [dag.create(token, [rng.choice(chain[:-1])]) for _ in range(20)]
+    provenance = dag.stack.provenance
+    records = export_records(provenance)
+    assert lineage(provenance, chain[-1]) == chain
+    for prov_id in forks + rng.sample(chain, 30):
+        assert_lineage_matches(provenance, records, prov_id)
+
+
+@pytest.mark.parametrize("base", ["root", "merge"])
+def test_lineage_across_a_fork_chain_of_2000_segments(base):
+    """Each segment opens with a fork off a record of the one before that
+    already has a child; over a merge every lineage is ambiguous, and names
+    the merge 2,000 segments back."""
+    dag = SeededDag()
+    token = dag.tokens[0]
+    rng = random.Random(base)
+    roots = [dag.create(token, []) for _ in range(2)]
+    segment = [dag.create(token, roots if base == "merge" else roots[:1])]
+    heads = [segment[0]]
+    for _ in range(1, 2_000):
+        for _ in range(rng.randint(1, 2)):
+            segment.append(dag.create(token, segment[-1:]))
+        segment = [dag.create(token, [rng.choice(segment[:-1])])]
+        heads.append(segment[0])
+    segment.append(dag.create(token, segment[-1:]))
+    provenance = dag.stack.provenance
+    records = export_records(provenance)
+    for prov_id in [segment[-1], heads[-1], heads[1_000], *rng.sample(sorted(records), 20)]:
+        assert_lineage_matches(provenance, records, prov_id)
+    if base == "root":
+        chain = lineage(provenance, segment[-1])
+        trace_of = oracle_trace_of(records)
+        assert len({trace_of[rid] for rid in chain}) == 2_000
+        assert chain[0] == roots[0] and chain[-1] == segment[-1]
 
 
 def test_derivation_graph_of_converted_average():
@@ -239,13 +392,7 @@ def test_oracle_equivalence_on_random_dags():
 
         sample = created if len(created) <= 25 else rng.sample(created, 25)
         for prov_id in sample:
-            expected = naive_lineage(records, prov_id)
-            if expected == "ambiguous":
-                with pytest.raises(AmbiguousLineageError):
-                    lineage(stack.provenance, prov_id)
-            else:
-                assert lineage(stack.provenance, prov_id) == expected
-
+            assert_lineage_matches(stack.provenance, records, prov_id)
             depth = rng.randint(0, 4)
             nodes, edges = naive_derivation(records, prov_id, depth)
             graph = derivation_graph(stack.provenance, prov_id, depth)
@@ -313,14 +460,10 @@ def assert_queries_match_oracles(machine, rng: random.Random) -> set[str]:
     assert provenance.same_token_parents.keys() == records.keys()
     seen = set()
     for prov_id in records:
-        expected = naive_lineage(records, prov_id)
-        if expected == "ambiguous":
-            message = r"^record \d+ has \d+ same-token inputs$"
-            with pytest.raises(AmbiguousLineageError, match=message):
-                lineage(provenance, prov_id)
+        expected = assert_lineage_matches(provenance, records, prov_id)
+        if expected is None:
             seen.add("ambiguous")
         else:
-            assert lineage(provenance, prov_id) == expected
             seen.add("chain" if len(expected) > 2 else "short")
         depth = rng.randint(0, 4)
         nodes, edges = naive_derivation(records, prov_id, depth)
@@ -360,3 +503,20 @@ def test_queries_match_oracles_on_ledger_and_replay(tmp_path, seed):
         seen = assert_queries_match_oracles(machine, random.Random(seed))
         assert seen == {"ambiguous", "chain", "short"}
 
+
+@pytest.mark.parametrize("seed", range(2))
+def test_record_trace_map_on_ledger_and_replay(tmp_path, seed):
+    """The record → trace map holds exactly the stored records, each in one
+    of its token's traces, and replay rebuilds the same map."""
+    ledger = random_ledger(random.Random(6_000 + seed))
+    ledger.persist(tmp_path)
+    reloaded = load_ledger(tmp_path)
+    for provenance in (ledger.machine.provenance, reloaded.machine.provenance):
+        assert provenance.record_traces.keys() == export_records(provenance).keys()
+        for prov_id, trace in provenance.record_traces.items():
+            assert prov_id in trace
+            token = provenance.records.get_record(prov_id).token_id
+            assert any(trace is kept for kept in provenance.token_traces(token))
+    assert dict(reloaded.machine.provenance.record_traces) == dict(
+        ledger.machine.provenance.record_traces
+    )
