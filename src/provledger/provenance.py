@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from itertools import chain
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     InvalidInputError,
@@ -143,12 +143,14 @@ class ProvenanceLayer:
         self._trace_of[prov_id] = trace
         return prov_id
 
-    def token_traces(self, token_id: int) -> Sequence[Sequence[int]]:
-        """Read-only view of a token's parallel traces in the order they were
-        opened, each the ascending ids of one maximal same-token chain."""
+    def token_traces(self, token_id: int) -> Iterator[tuple[int, ...]]:
+        """A token's parallel traces in the order they were opened, each the
+        ascending ids of one maximal same-token chain, copied into a tuple as
+        it is read. An iterator, so a traces query builds no container of its
+        own; read it before the next create."""
         if not self._registry.exists(token_id):
             raise TokenNotFoundError(f"token {token_id} not found")
-        return self._traces.get(token_id, ())
+        return map(tuple, self._traces.get(token_id, ()))
 
     def get_associated_provenance(self, token_id: int) -> list[int]:
         """All record ids of a token in creation order (its traces, merged)."""

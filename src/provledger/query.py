@@ -117,8 +117,9 @@ def derivation_graph(layer: ProvenanceLayer, prov_id: int, max_depth: int) -> Pr
 
 
 def traces(layer: ProvenanceLayer, token_id: int) -> list[Trace]:
-    """A token's records partitioned into maximal same-token chains, copied
-    from the partition the layer keeps as records are created (see
-    :meth:`ProvenanceLayer.token_traces`). Forks and ambiguous merges open
-    fresh chains. The traces are not hashed; replay rebuilds them."""
-    return [Trace(trace[-1], tuple(trace)) for trace in layer.token_traces(token_id)]
+    """A token's records partitioned into maximal same-token chains, from the
+    partition the layer keeps as records are created, which
+    :meth:`ProvenanceLayer.token_traces` copies once. Forks and ambiguous
+    merges open fresh chains. The traces are not hashed; replay rebuilds
+    them."""
+    return [Trace(trace[-1], trace) for trace in layer.token_traces(token_id)]

@@ -98,11 +98,9 @@ class StateAccumulator:
             if len(self._held) > HELD_LEAVES:
                 self._held.popitem(last=False)
 
-    def count(self, kind: str, key: Any, delta: int) -> None:
-        """Add ``delta`` copies of the member leaf ``[kind, key, true]``;
-        a negative ``delta`` removes copies."""
-        leaf = _member_leaf(kind, key)
-        self._sum += leaf if delta == 1 else delta * leaf
+    def count(self, kind: str, key: Any) -> None:
+        """Add one copy of the member leaf ``[kind, key, true]``."""
+        self._sum += _member_leaf(kind, key)
 
     def digest(self, scalars: dict) -> str:
         self._sum &= _MASK  # also maps a negative sum to its residue

@@ -17,7 +17,7 @@ for path in (ROOT / "src", ROOT / "perfbench"):
 
 import engine  # noqa: E402
 import tracing  # noqa: E402
-from provledger import load_ledger  # noqa: E402
+from provledger import Transaction, load_ledger  # noqa: E402
 from support import ALICE, quick_ledger  # noqa: E402
 
 
@@ -27,6 +27,14 @@ def test_every_traced_target_is_an_own_attribute():
     assert targets
     missing = [(owner, attr) for owner, attr, _ in targets if attr not in vars(owner)]
     assert missing == []
+
+
+def test_transaction_build_is_the_constructor_under_another_name():
+    """``engine.build_block`` makes every transaction through
+    ``Transaction.build`` with five positional arguments."""
+    assert "build" in vars(Transaction)
+    request = {"op": "requestToken", "payment": 0}
+    assert Transaction.build(ALICE, 0, request, 1, 0) == Transaction(ALICE, 0, request, 1, 0)
 
 
 def test_fingerprint_agrees_with_a_reload(tmp_path):

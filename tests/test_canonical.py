@@ -105,7 +105,7 @@ def test_hashed_text_matches_the_oracle(sender, nonce, payload, fee, submitted_a
     }
     text = Transaction.hashed_text(sender, nonce, canonical_json(payload), fee, submitted_at)
     assert text == naive_canonical(plain)
-    tx = Transaction.build(sender, nonce, payload, fee, submitted_at)
+    tx = Transaction(sender, nonce, payload, fee, submitted_at)
     assert tx.payload_text == naive_canonical(payload)
     parsed = Transaction.from_wire(tx.wire_dict())
     assert parsed == tx
@@ -113,7 +113,7 @@ def test_hashed_text_matches_the_oracle(sender, nonce, payload, fee, submitted_a
 
 
 hashes = st.binary(min_size=32, max_size=32).map(bytes.hex)
-transactions = st.builds(Transaction.build, senders, uints, payloads, uints, uints)
+transactions = st.builds(Transaction, senders, uints, payloads, uints, uints)
 
 
 @settings(max_examples=200, deadline=None)

@@ -252,7 +252,7 @@ def test_integers_over_64_bits_persist_reload_and_verify(tmp_path):
 def test_a_nonce_over_64_bits_is_hashed_as_the_stdlib_encodes_it():
     """A sender reaches such a nonce only after as many transactions, so it
     is checked on the transaction alone."""
-    tx = Transaction.build(ALICE, 2**64 + 3, {"op": "requestToken", "payment": 2**64}, 2**65, 2**66)
+    tx = Transaction(ALICE, 2**64 + 3, {"op": "requestToken", "payment": 2**64}, 2**65, 2**66)
     assert tx.hash == stdlib_tx_hash(tx)
     assert tx.payload_text == naive_canonical(tx.payload)
     assert Transaction.from_wire(json.loads(tx.wire_text())) == tx

@@ -195,18 +195,16 @@ def test_block_hash_fields_must_be_lowercase_ascii_hex(field, value):
 
 
 def test_tampered_transaction_hash_rejected():
-    ledger = quick_ledger()
-    tx = ledger.build_transaction(ALICE, REQUEST)
-    forged = Transaction(
-        sender=tx.sender,
-        nonce=tx.nonce,
-        payload=tx.payload,
-        fee=tx.fee + 1,
-        submitted_at=tx.submitted_at,
-        hash=tx.hash,
-    )
-    with pytest.raises(MalformedPayloadError):
-        ledger.submit(forged)
+    """A hash is never passed in, so a forged one is refused when the
+    transaction is made, as a keyword or as a sixth positional argument. A
+    wire form's hash is checked in ``test_transaction_wire_field_errors``."""
+    tx = quick_ledger().build_transaction(ALICE, REQUEST)
+    fields = (tx.sender, tx.nonce, tx.payload, tx.fee + 1, tx.submitted_at)
+    for make in (Transaction, Transaction.build):
+        with pytest.raises(TypeError):
+            make(*fields, hash=tx.hash)
+        with pytest.raises(TypeError):
+            make(*fields, tx.hash)
 
 
 def test_transaction_from_wire_parses_the_sender_once(monkeypatch):
@@ -381,9 +379,9 @@ def test_transaction_wire_field_errors(data, message):
 
 
 def test_submit_payload_validates_and_hashes_once(monkeypatch):
-    """A transaction from ``Transaction.build`` is sealed and not rebuilt on
-    submission; one made by the constructor or by ``dataclasses.replace``
-    still is."""
+    """A transaction is validated and hashed once, when it is made by
+    ``submit_payload``, the constructor or ``dataclasses.replace``;
+    ``submit`` does neither."""
     from provledger import ledger as ledger_mod
 
     calls = {"validate": 0, "hash": 0}
@@ -403,49 +401,43 @@ def test_submit_payload_validates_and_hashes_once(monkeypatch):
     ledger = quick_ledger()
     ledger.submit_payload(ALICE, REQUEST)
     assert calls == {"validate": 1, "hash": 1}
-    built = Transaction.build(BOB, 0, REQUEST, 1, 0)
-    ledger.submit(built)
+    constructed = Transaction(BOB, 0, REQUEST, 1, 0)
     assert calls == {"validate": 2, "hash": 2}
-    template = Transaction.build(CAROL, 0, REQUEST, 1, 0)
-    constructed = Transaction(
-        template.sender, template.nonce, template.payload, template.fee,
-        template.submitted_at, template.hash,
-    )
+    replaced = dataclasses.replace(constructed, sender=CAROL)
+    assert calls == {"validate": 3, "hash": 3}
     ledger.submit(constructed)
-    assert calls == {"validate": 4, "hash": 4}
-    replaced = dataclasses.replace(Transaction.build(MALLORY, 0, REQUEST, 1, 0))
     ledger.submit(replaced)
-    assert calls == {"validate": 6, "hash": 6}
-    assert ledger.pending_count() == 4
+    assert calls == {"validate": 3, "hash": 3}
+    assert ledger.pending_count() == 3
 
 
-def test_only_built_transactions_are_sealed():
+def test_every_transaction_is_checked_and_hashed_when_made():
+    """The constructor, ``dataclasses.replace`` and ``from_wire`` each check
+    the fields and hash them, so every transaction carries the hash its
+    fields give and the payload text its log line is written from."""
     tx = quick_ledger().build_transaction(ALICE, REQUEST)
-    constructed = Transaction(tx.sender, tx.nonce, tx.payload, tx.fee, tx.submitted_at, tx.hash)
-    assert tx.sealed and not constructed.sealed
-    assert not dataclasses.replace(tx).sealed
-    # the seal takes no part in equality or the printed form
-    assert constructed == tx and repr(constructed) == repr(tx)
-    assert Transaction.from_wire(tx.wire_dict()).sealed
+    unhashed = {key: value for key, value in tx.wire_dict().items() if key != "hash"}
+    assert tx.hash == hashlib.sha256(naive_canonical(unhashed).encode("utf-8")).hexdigest()
+    assert tx.payload_text == naive_canonical(REQUEST)
+    constructed = Transaction(tx.sender, tx.nonce, tx.payload, tx.fee, tx.submitted_at)
     block = Block.seal(1, ZERO_DIGEST, 1000, (constructed,), ("ok",), ZERO_DIGEST)
-    assert all(each.sealed for each in Block.from_wire(block.wire_dict()).transactions)
+    made = [
+        constructed,
+        dataclasses.replace(tx),
+        Transaction.from_wire(tx.wire_dict()),
+        *Block.from_wire(block.wire_dict()).transactions,
+    ]
+    for each in made:
+        assert each == tx and each.hash == tx.hash
+        assert each.payload_text == tx.payload_text and each.wire_text() == tx.wire_text()
+    # the payload text is left out of the printed form
+    assert repr(constructed) == repr(tx) and "payload_text" not in repr(tx)
+    with pytest.raises(MalformedPayloadError, match="^sender must be a client address$"):
+        Transaction(ALICE.hex, 0, REQUEST, 1, 0)  # type: ignore[arg-type]
+    with pytest.raises(MalformedPayloadError, match="^unknown operation 'mystery'$"):
+        dataclasses.replace(tx, payload={"op": "mystery"})
     # slots: no per-instance dict on a transaction or an address
     assert not hasattr(tx, "__dict__") and not hasattr(ALICE, "__dict__")
-
-
-def test_an_unsealed_submission_is_queued_rebuilt(tmp_path):
-    """``submit`` queues the transaction it rebuilt, so every transaction a
-    ledger holds carries the payload text its log line is written from."""
-    ledger = quick_ledger()
-    tx = ledger.build_transaction(ALICE, REQUEST)
-    unsealed = dataclasses.replace(tx)
-    with pytest.raises(MalformedPayloadError, match="no wire text"):
-        unsealed.wire_text()
-    ledger.submit(unsealed)
-    block, _ = ledger.produce_block()
-    assert block.transactions == (tx,) and block.transactions[0].sealed
-    ledger.persist(tmp_path)
-    assert load_ledger(tmp_path).head == block
 
 
 def test_a_payload_edited_after_submission_reaches_neither_execution_nor_the_log(tmp_path):
@@ -463,8 +455,8 @@ def test_a_payload_edited_after_submission_reaches_neither_execution_nor_the_log
     via_payload["inputs"].append(99)
     via_payload["tokenId"] = 9
     fields = {"op": "updateContext", "provId": 1, "context": {"agent": "c"}}
-    unsealed = dataclasses.replace(ledger.build_transaction(ALICE, fields))
-    ledger.submit(unsealed)
+    replaced = dataclasses.replace(ledger.build_transaction(ALICE, fields))
+    ledger.submit(replaced)
     fields["context"]["agent"] = "d"
     block, outcomes = ledger.produce_block()
     assert [outcome.ok for outcome in outcomes] == [True, True]
@@ -494,24 +486,30 @@ def test_transactions_and_blocks_are_hashable():
     assert hash(block) == hash(Block.from_wire(block.wire_dict()))
 
 
-def test_replaced_transaction_is_rejected_by_submit():
-    """``dataclasses.replace`` drops the seal, so a changed field is caught
-    by the rebuilt hash."""
+def test_a_replaced_transaction_is_hashed_anew(tmp_path):
+    """``dataclasses.replace`` makes a transaction as the constructor does: a
+    changed field gets the hash a fresh construction gives, and a hash cannot
+    be replaced. ``submit`` queues the transaction as it is, and its block
+    reloads from the log."""
     ledger = quick_ledger()
     tx = ledger.build_transaction(ALICE, REQUEST)
-    forged = dataclasses.replace(tx, fee=tx.fee + 1)
-    with pytest.raises(MalformedPayloadError, match="hash does not match"):
-        ledger.submit(forged)
-    assert ledger.pending_count() == 0
-    ledger.submit(tx)
-    assert ledger.pending_count() == 1
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(tx, hash="0" * 64)
+    replaced = dataclasses.replace(tx, fee=tx.fee + 1)
+    fresh = Transaction(ALICE, tx.nonce, REQUEST, tx.fee + 1, tx.submitted_at)
+    assert replaced.hash == fresh.hash != tx.hash
+    assert ledger.submit(replaced) == replaced.hash
+    block, _ = ledger.produce_block()
+    assert block.transactions[0] is replaced
+    ledger.persist(tmp_path)
+    assert load_ledger(tmp_path).head == block
 
 
 def test_replay_rejects_transaction_submitted_after_its_block(tmp_path):
     """Production never includes a transaction stamped after the block, so a
     log holding one is corrupt at that height."""
     ledger = quick_ledger(interval=1000)
-    future = Transaction.build(ALICE, 0, REQUEST, 1, 1_000_001_000)
+    future = Transaction(ALICE, 0, REQUEST, 1, 1_000_001_000)
     ledger._append_block(ledger.next_block_timestamp(), [future])
     directory = tmp_path / "future"
     ledger.persist(directory)
@@ -1689,13 +1687,14 @@ def test_accumulator_is_order_free_and_undoes_writes():
     for kind, key, old, new in reversed(writes):
         forward.write(kind, key, old_value(new), old)
     assert forward.digest({}) == empty
-    counted, units = StateAccumulator(), StateAccumulator()
-    counted.count("nonces", "a", 3)
+    # three counts are the multiplicity 3 that the from-scratch digest reads
+    counted = StateAccumulator()
     for _ in range(3):
-        units.count("nonces", "a", 1)
-    assert counted.digest({}) == units.digest({}) != empty
-    counted.count("nonces", "a", -3)
-    assert counted.digest({}) == empty
+        counted.count("nonces", "a")
+    scalars = {name: 0 for name in statehash.SCALARS}
+    snapshot = {"records": [], "tokens": [], "balances": {}, "whitelist": [], **scalars}
+    assert counted.digest(scalars) == snapshot_digest(dict(snapshot, nonces={"a": 3}))
+    assert counted.digest(scalars) != snapshot_digest(dict(snapshot, nonces={"a": 2}))
 
 
 def counted_leaf_hashes(monkeypatch) -> list:
@@ -1915,7 +1914,7 @@ def test_from_scratch_digest_never_reads_the_memo(tmp_path, monkeypatch):
     held = list(loaded._accumulator._held.items())
     assert [key for key, _ in held] == [("records", 1), ("tokens", 1)]
     hashed = counted_leaf_hashes(monkeypatch)
-    StateAccumulator().count("nonces", ALICE.hex, 1)
+    StateAccumulator().count("nonces", ALICE.hex)
     assert hashed == []  # the memo is warm
     assert snapshot_digest(snapshot) == loaded.state_digest()
     assert sorted(hashed) == ["nonces"] * len(senders) + ["records"] + ["tokens"] * 3

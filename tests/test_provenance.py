@@ -137,8 +137,8 @@ def test_parallel_traces_survive_invalidation(stack):
 
 
 def test_link_and_trace_maps_are_read_only_live_views(stack):
-    """A caller cannot corrupt ``lineage`` through the maps the layer hands
-    out, and a map handed out earlier shows later creates."""
+    """A caller cannot corrupt ``lineage`` through the maps or the traces the
+    layer hands out, and a map handed out earlier shows later creates."""
     from provledger import lineage
 
     token, (p1, p2, p3) = vaccine_chain(stack)
@@ -149,6 +149,12 @@ def test_link_and_trace_maps_are_read_only_live_views(stack):
             view[p3] = 0
         with pytest.raises(TypeError):
             del view[p3]
+    (trace,) = stack.provenance.token_traces(token)
+    assert trace == (p1, p2, p3)
+    with pytest.raises(TypeError):
+        trace[2] = p1  # type: ignore[index]
+    with pytest.raises(AttributeError):
+        trace.append(p1)  # type: ignore[attr-defined]
     assert lineage(stack.provenance, p3) == [p1, p2, p3]
     fork = stack.provenance.create_provenance(ALICE, token, [p2], Context({"agent": "a"}))
     assert parents[fork] == p2

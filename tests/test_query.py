@@ -516,7 +516,7 @@ def test_record_trace_map_on_ledger_and_replay(tmp_path, seed):
         for prov_id, trace in provenance.record_traces.items():
             assert prov_id in trace
             token = provenance.records.get_record(prov_id).token_id
-            assert any(trace is kept for kept in provenance.token_traces(token))
+            assert tuple(trace) in provenance.token_traces(token)
     assert dict(reloaded.machine.provenance.record_traces) == dict(
         ledger.machine.provenance.record_traces
     )
