@@ -486,21 +486,37 @@ def test_transactions_and_blocks_are_hashable():
     assert hash(block) == hash(Block.from_wire(block.wire_dict()))
 
 
-def test_a_replaced_transaction_is_hashed_anew(tmp_path):
+def test_replaced_transaction_is_rejected_by_submit():
     """``dataclasses.replace`` makes a transaction as the constructor does: a
     changed field gets the hash a fresh construction gives, and a hash cannot
-    be replaced. ``submit`` queues the transaction as it is, and its block
-    reloads from the log."""
+    be replaced. A changed copy of a queued transaction reuses its nonce, so
+    ``submit`` rejects it and the original stays queued."""
     ledger = quick_ledger()
     tx = ledger.build_transaction(ALICE, REQUEST)
     with pytest.raises(ValueError, match="init=False"):
         dataclasses.replace(tx, hash="0" * 64)
-    replaced = dataclasses.replace(tx, fee=tx.fee + 1)
+    forged = dataclasses.replace(tx, fee=tx.fee + 1)
     fresh = Transaction(ALICE, tx.nonce, REQUEST, tx.fee + 1, tx.submitted_at)
-    assert replaced.hash == fresh.hash != tx.hash
-    assert ledger.submit(replaced) == replaced.hash
+    assert forged.hash == fresh.hash != tx.hash
+    ledger.submit(tx)
+    with pytest.raises(BadNonceError, match=f"nonce {tx.nonce} for {ALICE.hex}"):
+        ledger.submit(forged)
+    assert ledger.pending_count() == 1
     block, _ = ledger.produce_block()
-    assert block.transactions[0] is replaced
+    assert block.transactions == (tx,)
+
+
+def test_an_unsealed_submission_is_queued_rebuilt(tmp_path):
+    """A copy made by ``dataclasses.replace`` (once an unsealed transaction)
+    is rebuilt when it is made: it has its own wire text, ``submit`` queues
+    it as it is, and its block reloads from the log."""
+    ledger = quick_ledger()
+    tx = ledger.build_transaction(ALICE, REQUEST)
+    replaced = dataclasses.replace(tx)
+    assert replaced.wire_text() == tx.wire_text()
+    assert ledger.submit(replaced) == replaced.hash == tx.hash
+    block, _ = ledger.produce_block()
+    assert block.transactions == (tx,) and block.transactions[0] is replaced
     ledger.persist(tmp_path)
     assert load_ledger(tmp_path).head == block
 
