@@ -1317,6 +1317,67 @@ def test_line_check_matches_the_naive_oracle(tmp_path, monkeypatch, name):
     assert edited_lines > 0
 
 
+# one JSON token: a string, a number, a literal, or one structural character
+JSON_TOKEN = re.compile(rb'"(?:[^"\\]|\\.)*"|-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?|[a-zA-Z]+|.', re.S)
+# tokens an edit may put in a line: each JSON type, what orjson and the stdlib
+# read differently, and what no JSON parser reads
+FUZZ_TOKENS = [
+    b"{", b"}", b"[", b"]", b",", b":", b'"', b"", b" ", b"\\",
+    b"0", b"-0", b"1", b"1.0", b"1e3", b"-1", b"01",
+    b"18446744073709551615", b"18446744073709551616", b"1180591620717411303424",
+    b"null", b"true", b"false", b"NaN", b"Infinity", b"-Infinity",
+    b'""', b'"op"', b'"fee"', b'"\\u00e9"', b'"\\ud800"', "é".encode(), b"\xff", b"\xef\xbb\xbf",
+    b"{}", b"[]", b"[[[[", b'{"a":1}',
+]
+
+
+def fuzzed_line(rng: random.Random, line: bytes) -> bytes:
+    """``line`` after 1-3 random edits, each a byte or a whole JSON token
+    replaced, deleted or inserted; a random byte is ASCII, since the tokens
+    hold the non-ASCII and invalid UTF-8 cases."""
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.5:
+            position = rng.randrange(len(line) + 1)
+            cut = rng.choice([0, 1])
+            new = bytes([rng.randrange(128)]) if rng.random() < 0.5 else rng.choice(FUZZ_TOKENS)
+            line = line[:position] + new + line[position + cut :]
+        else:
+            tokens = JSON_TOKEN.findall(line)
+            position = rng.randrange(len(tokens))
+            tokens[position : position + rng.choice([0, 1])] = [rng.choice(FUZZ_TOKENS)]
+            line = b"".join(tokens)
+    return line
+
+
+FUZZ_CASES = 1000
+
+
+def test_line_edit_fuzz_matches_the_naive_oracle(tmp_path, monkeypatch):
+    """Seeded random edits of one line of a varied log get the same verdict
+    and height whether lines are parsed by ``_parse_block`` or by the stdlib
+    alone."""
+    from provledger import ledger as ledger_mod
+
+    path = varied_chain(tmp_path / "ledger")
+    original = path.read_bytes().splitlines(keepends=True)
+    rng = random.Random(2026)
+    verdicts = set()
+    for _ in range(FUZZ_CASES):
+        height = rng.randrange(len(original))
+        edited = fuzzed_line(rng, original[height].removesuffix(b"\n")) + b"\n"
+        path.write_bytes(b"".join(original[:height] + [edited] + original[height + 1 :]))
+        result = verify_chain(path.parent)
+        with monkeypatch.context() as patched:
+            patched.setattr(ledger_mod, "_parse_block", naive_parse_block)
+            oracle = verify_chain(path.parent)
+        assert (result.ok, result.first_corrupt_height) == (
+            oracle.ok, oracle.first_corrupt_height
+        ), (height, edited, result.reason, oracle.reason)
+        verdicts.add((result.ok, result.reason.split(":")[0] if result.reason else None))
+    # the edits reach more than one check
+    assert len(verdicts) > 5, verdicts
+
+
 def test_running_out_of_stack_on_orjsons_value_leaves_the_line_to_the_stdlib(
     tmp_path, monkeypatch
 ):
