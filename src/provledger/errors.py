@@ -94,6 +94,12 @@ class IoFailureError(LedgerError):
     code = "IoFailure"
 
 
+class ClockExhaustedError(LedgerError):
+    """The next block time would pass 2**64 - 1 ms, past what a log holds."""
+
+    code = "ClockExhausted"
+
+
 class CorruptLogError(LedgerError):
     code = "CorruptLog"
 

@@ -30,9 +30,10 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Seque
 
 import orjson
 
-from .canonical import ZERO_DIGEST, canonical_json, checked_json, digest_of, text_digest
+from .canonical import UINT64_MAX, ZERO_DIGEST, canonical_json, checked_json, digest_of, text_digest
 from .errors import (
     BadNonceError,
+    ClockExhaustedError,
     ConfigInvalidError,
     CorruptLogError,
     IoFailureError,
@@ -47,8 +48,6 @@ from .tokens import ClientId, check_hex_address
 BLOCKS_FILE = "blocks.jsonl"
 POLICY_FILE = "policy.json"
 CONFIG_FILE = "config.json"
-
-MAX_SEED = 2**64 - 1
 
 NOT_CANONICAL = "log line is not in canonical form"
 
@@ -69,11 +68,11 @@ class SimConfig:
     jitter: bool = False
 
     def __post_init__(self):
-        if type(self.block_interval_ms) is not int or self.block_interval_ms < 1:
-            raise ConfigInvalidError("block interval must be an integer >= 1 ms")
+        if type(self.block_interval_ms) is not int or not 1 <= self.block_interval_ms <= UINT64_MAX:
+            raise ConfigInvalidError("block interval must be an integer from 1 to 2**64 - 1 ms")
         if type(self.block_capacity) is not int or self.block_capacity < 1:
             raise ConfigInvalidError("block capacity must be an integer >= 1")
-        if type(self.rng_seed) is not int or not 0 <= self.rng_seed <= MAX_SEED:
+        if type(self.rng_seed) is not int or not 0 <= self.rng_seed <= UINT64_MAX:
             raise ConfigInvalidError("rng seed must be an unsigned 64-bit integer")
         if type(self.jitter) is not bool:
             raise ConfigInvalidError("jitter must be a boolean")
@@ -110,8 +109,8 @@ class SimConfig:
 # --- operations -------------------------------------------------------------
 
 def _check_uint(value: object, label: str) -> int:
-    if type(value) is not int or value < 0:
-        raise MalformedPayloadError(f"{label} must be a non-negative integer")
+    if type(value) is not int or not 0 <= value <= UINT64_MAX:
+        raise MalformedPayloadError(f"{label} must be an unsigned 64-bit integer")
     return value
 
 
@@ -353,11 +352,9 @@ class Transaction:
             object.__setattr__(self, "payload", payload)
         try:
             payload_text = checked_json(payload).decode("utf-8")
-            text = self.hashed_text(sender, self.nonce, payload_text, self.fee, self.submitted_at)
-        except UnicodeEncodeError as exc:  # a lone surrogate, which UTF-8 cannot hold
-            raise MalformedPayloadError(f"payload is not UTF-8 text: {exc.reason}") from exc
-        except ValueError as exc:  # an int over the interpreter's int-to-text digit limit
-            raise MalformedPayloadError(f"transaction is not encodable: {exc}") from exc
+        except orjson.JSONEncodeError as exc:  # a lone surrogate, which UTF-8 cannot hold
+            raise MalformedPayloadError(f"payload is not UTF-8 text: {exc}") from exc
+        text = self.hashed_text(sender, self.nonce, payload_text, self.fee, self.submitted_at)
         object.__setattr__(self, "hash", text_digest(text))
         object.__setattr__(self, "payload_text", payload_text)
 
@@ -544,17 +541,14 @@ class Block:
             raise MalformedPayloadError("results must be a list of non-empty strings")
         if len(results) != len(transactions):
             raise MalformedPayloadError("results and transactions must align")
-        try:
-            block = cls.seal(
-                height=data["height"],
-                parent_hash=data["parentHash"],
-                timestamp=data["timestamp"],
-                transactions=transactions,
-                results=tuple(results),
-                state_digest=data["stateDigest"],
-            )
-        except UnicodeEncodeError as exc:  # a lone surrogate in a result
-            raise MalformedPayloadError(f"results are not UTF-8 text: {exc.reason}") from exc
+        block = cls.seal(
+            height=data["height"],
+            parent_hash=data["parentHash"],
+            timestamp=data["timestamp"],
+            transactions=transactions,
+            results=tuple(results),
+            state_digest=data["stateDigest"],
+        )
         if block.block_hash != data["blockHash"]:
             raise MalformedPayloadError("block hash does not match its contents")
         if line is not None and line != block.wire_line():
@@ -784,9 +778,13 @@ class Ledger:
 
         Included transactions execute in selection order; failures are
         recorded with their error code and leave state untouched. An empty
-        mempool still yields an (empty) block.
+        mempool still yields an (empty) block. A next timestamp past 2**64 - 1
+        ms, which no log may hold, raises ``ClockExhaustedError`` before
+        anything is selected.
         """
         timestamp = self.next_block_timestamp()
+        if timestamp > UINT64_MAX:
+            raise ClockExhaustedError(f"the next block time, {timestamp} ms, is past 2**64 - 1")
         return self._append_block(timestamp, self._select_transactions(timestamp))
 
     def _append_block(
@@ -940,10 +938,9 @@ def load_ledger(directory: str | Path) -> Ledger:
     parent links, strictly increasing timestamps, result agreement under
     re-execution, and the post-state digest of every block.
 
-    Each line after genesis is parsed as :func:`_parse_block` says: with
-    ``orjson``, and again with the stdlib where that fails. The load builds
-    one address per distinct sender text, shared by every transaction it
-    reads.
+    Each line after genesis is read by :func:`_parse_block`, with
+    ``orjson`` alone. The load builds one address per distinct sender text,
+    shared by every transaction it reads.
     """
     path = Path(directory)
     policy = policy_from_dict(read_json_file(path / POLICY_FILE, "policy file"))
@@ -956,11 +953,9 @@ def load_ledger(directory: str | Path) -> Ledger:
     for height, raw in enumerate(_log_lines(ledger._log)):
         line = raw.removesuffix(b"\n")
         if height == 0:
-            # the genesis block is fully determined by policy and config; its
-            # text is compared, since 0.0 == 0 would pass a "height":0.0
-            text, parsed = _decode_line(line, 0)
-            _require_canonical(text, parsed, 0)
-            if text != ledger.head.wire_line():
+            # the genesis block is fully determined by policy and config, so
+            # its line must be exactly the expected one, byte for byte
+            if line != ledger.head.wire_line().encode("utf-8"):
                 raise CorruptLogError("genesis block mismatch", height=0)
         else:
             block = _parse_block(line, height, senders)
@@ -995,55 +990,22 @@ def _log_lines(path: Path) -> Iterator[bytes]:
         raise IoFailureError(f"cannot read block log: {exc}") from exc
 
 
-def _decode_line(raw: bytes, height: int) -> tuple[str, Any]:
-    """A log line's text and the JSON value the stdlib parses it to: the
-    reading that decides every verdict on a line."""
-    try:
-        text = raw.decode("utf-8")
-        return text, json.loads(text)
-    except (UnicodeDecodeError, ValueError, RecursionError) as exc:
-        raise CorruptLogError(f"unparseable log line: {exc}", height=height) from exc
-
-
-def _require_canonical(text: str, parsed: Any, height: int) -> None:
-    """A value nested too deep to encode again is not canonical, whatever
-    depth its text parsed at."""
-    try:
-        canonical = canonical_json(parsed)
-    except RecursionError:
-        canonical = None
-    if canonical != text:
-        raise CorruptLogError(NOT_CANONICAL, height=height)
-
-
 def _parse_block(raw: bytes, height: int, senders: dict[str, ClientId]) -> Block:
-    """The block on a log line after genesis, whose text must be canonical;
-    ``senders`` is passed to :meth:`Block.from_wire`.
+    """The block on a log line after genesis, read with ``orjson``, the one
+    reader of log lines; ``senders`` is passed to :meth:`Block.from_wire`.
 
-    The line is parsed with ``orjson``, a few times faster than the stdlib.
-    A line that orjson refuses, or whose value is not a block in canonical
-    form, is read again with the stdlib, which alone decides its verdict:
-    orjson reads an integer over 64 bits, a legal fee or timestamp, as a
-    float; refuses some lines the stdlib reads, such as ones holding NaN or
-    a lone surrogate; and may parse nesting deeper than the stdlib can, so
-    checking its value may raise ``RecursionError``. A line that passes on
-    orjson's value is the canonical text of a block and holds no float, so
-    the stdlib reads it the same way.
-
-    On the stdlib's value, :meth:`Block.from_wire` checks the form of a line
-    that parses as a block. A line that does not is encoded whole, so that a
-    line both malformed and not canonical is reported as not canonical, as a
-    check made before parsing would report it.
+    A line orjson refuses is ``unparseable log line``: invalid UTF-8 or
+    JSON, NaN, a lone surrogate, a number too large for a float. Otherwise
+    :meth:`Block.from_wire` decides, first on the value and then on the
+    form: a block whose text is not its canonical line is
+    :data:`NOT_CANONICAL`. orjson reads an integer over 64 bits as a float,
+    which no field accepts.
     """
     try:
         return Block.from_wire(orjson.loads(raw), raw.decode("utf-8"), senders)
-    except (orjson.JSONDecodeError, MalformedPayloadError, RecursionError):
-        pass  # the stdlib's reading below decides
-    text, parsed = _decode_line(raw, height)
-    try:
-        return Block.from_wire(parsed, text, senders)
+    except orjson.JSONDecodeError as exc:
+        raise CorruptLogError(f"unparseable log line: {exc}", height=height) from exc
     except MalformedPayloadError as exc:
-        _require_canonical(text, parsed, height)
         raise CorruptLogError(str(exc), height=height) from exc
 
 

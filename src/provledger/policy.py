@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .canonical import digest_of
+from .canonical import UINT64_MAX, digest_of
 from .errors import (
     ConfigInvalidError,
     InsufficientFeeError,
@@ -103,8 +103,9 @@ class AssignmentStrategy:
     def __post_init__(self):
         if self.kind not in (OPEN, FEE, WHITELIST):
             raise ConfigInvalidError(f"unknown assignment kind {self.kind!r}")
-        if type(self.price) is not int or type(self.initial_balance) is not int:
-            raise ConfigInvalidError("price and initial balance must be integers")
+        for label, value in (("price", self.price), ("initial balance", self.initial_balance)):
+            if type(value) is not int or not 0 <= value <= UINT64_MAX:
+                raise ConfigInvalidError(f"{label} must be an unsigned 64-bit integer")
         if self.admin is not None and type(self.admin) is not ClientId:
             raise ConfigInvalidError(f"assignment admin must be a ClientId, got {self.admin!r}")
         if type(self.members) is not frozenset or any(
@@ -119,8 +120,6 @@ class AssignmentStrategy:
             raise ConfigInvalidError("whitelist assignment requires an admin")
         if self.kind != WHITELIST and (self.admin is not None or self.members):
             raise ConfigInvalidError(f"{self.kind} assignment takes no admin or members")
-        if self.initial_balance < 0:
-            raise ConfigInvalidError("initial balance must be non-negative")
 
 
 @dataclass(frozen=True)

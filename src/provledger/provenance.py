@@ -13,9 +13,9 @@ reports writes to the state digest.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import chain
-from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator
 
 from .errors import (
     InvalidInputError,
@@ -32,25 +32,15 @@ class ProvenanceLayer:
     """Create/update/invalidate workflows plus the token-to-records map.
 
     A record's same-token link is fixed at creation, since its inputs and
-    every token id never change, and records are never deleted. So the link,
-    the token's trace partition and the record → trace map are derived once,
-    at creation, for the queries: a new record extends its same-token
-    parent's trace when the parent is that trace's tail, or else opens a new
-    trace, so each trace holds ascending ids. A lineage is then one slice
-    per trace segment. None of these is hashed: the ``records`` leaves fix
-    them, and replay rebuilds them by re-executing every create.
-
-    Two read-only live views are plain attributes, so a query reads each
-    without a call:
-
-    ``same_token_parents``
-        every record id -> its same-token parent: the id of its unique input
-        with the same token, ``0`` (the nil id) when it has none, or ``-n``
-        when ``n`` >= 2 inputs share its token and the record has no linear
-        history.
-    ``record_traces``
-        every record id -> the trace that holds it, the ascending ids of one
-        of its token's traces (see :meth:`token_traces`).
+    every token id never change, and records are never deleted. So the
+    token's trace partition and the record → trace map are derived once, at
+    creation, for the queries: a new record extends its same-token parent's
+    trace when the parent is that trace's tail, or else opens a new trace,
+    so each trace holds ascending ids. A lineage is then one slice per trace
+    segment, read with :meth:`trace_segment`, and the only link it reads is
+    that of a trace's first record, kept once per trace. None of these is
+    hashed: the ``records`` leaves fix them, and replay rebuilds them by
+    re-executing every create. No caller is handed a list the layer keeps.
     """
 
     def __init__(
@@ -62,11 +52,10 @@ class ProvenanceLayer:
         self._store = store
         self._registry = registry
         self._store_key = store_key
-        self._same_token_parent: dict[int, int] = {}
         self._traces: dict[int, list[list[int]]] = {}
-        self._trace_of: dict[int, list[int]] = {}
-        self.same_token_parents: Mapping[int, int] = MappingProxyType(self._same_token_parent)
-        self.record_traces: Mapping[int, Sequence[int]] = MappingProxyType(self._trace_of)
+        # record id -> (the trace holding it, the same-token parent of that
+        # trace's first record), one tuple shared by the records of a trace
+        self._trace_of: dict[int, tuple[list[int], int]] = {}
         self._next_prov_id = 1
 
     @property
@@ -131,17 +120,26 @@ class ProvenanceLayer:
         )
         self._next_prov_id += 1
         same_token = [record.id for record in input_records if record.token_id == token_id]
-        parent = self._same_token_parent[prov_id] = (
-            same_token[0] if len(same_token) == 1 else -len(same_token)
-        )
+        parent = same_token[0] if len(same_token) == 1 else -len(same_token)
         # a parent of 0 or below is in no trace: only record ids are keys
-        trace = self._trace_of.get(parent)
-        if trace is None or trace[-1] != parent:
-            trace = []
-            self._traces.setdefault(token_id, []).append(trace)
-        trace.append(prov_id)
-        self._trace_of[prov_id] = trace
+        entry = self._trace_of.get(parent)
+        if entry is None or entry[0][-1] != parent:
+            entry = ([], parent)
+            self._traces.setdefault(token_id, []).append(entry[0])
+        entry[0].append(prov_id)
+        self._trace_of[prov_id] = entry
         return prov_id
+
+    def trace_segment(self, prov_id: int) -> tuple[list[int], int]:
+        """The ascending ids of ``prov_id``'s trace up to ``prov_id``, in a
+        new list, and the same-token parent of that trace's first record:
+        the id of its unique input with the same token, ``0`` (the nil id)
+        when it has none, or ``-n`` when ``n`` >= 2 inputs share its token
+        and it has no linear history. ``KeyError`` for an id of no record."""
+        trace, parent = self._trace_of[prov_id]
+        if trace[-1] == prov_id:  # a trace's tail, such as a chain's latest record
+            return trace[:], parent
+        return trace[: bisect_left(trace, prov_id) + 1], parent
 
     def token_traces(self, token_id: int) -> Iterator[tuple[int, ...]]:
         """A token's parallel traces in the order they were opened, each the

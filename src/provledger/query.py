@@ -7,7 +7,6 @@ identical bytes.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 
@@ -55,35 +54,31 @@ class Trace:
 def lineage(layer: ProvenanceLayer, prov_id: int) -> list[int]:
     """Linear same-token history of a record, oldest first.
 
-    Read from the record → trace map (see
-    :attr:`ProvenanceLayer.record_traces`): the record's trace up to the
+    Read from the traces kept at creation (see
+    :meth:`ProvenanceLayer.trace_segment`): the record's trace up to the
     record, then, while a trace's first record forks off an earlier record,
     that record's trace up to it. So a lineage costs one slice per trace
     segment, not one step per ancestor. A record with more than one
     same-token input has no linear history and is reported as ambiguous
     rather than silently resolved.
     """
-    traces_of = layer.record_traces
     try:
-        trace = traces_of[prov_id]
+        found, parent = layer.trace_segment(prov_id)
     except KeyError:
         layer.records.get_record(prov_id)  # RecordNotFoundError for an unknown id
         raise
-    parents = layer.same_token_parents
-    found = trace[: bisect_left(trace, prov_id) + 1]
-    parent = parents[trace[0]]
     if parent > 0:
         # a fork: join the segments once, oldest first, since prepending
         # each one would be quadratic in the number of segments
         segments = [found]
         while parent > 0:
-            trace = traces_of[parent]
-            segments.append(trace[: bisect_left(trace, parent) + 1])
-            parent = parents[trace[0]]
+            segment, parent = layer.trace_segment(parent)
+            segments.append(segment)
         segments.reverse()
         found = list(chain.from_iterable(segments))
     if parent < 0:
-        raise AmbiguousLineageError(f"record {trace[0]} has {-parent} same-token inputs")
+        # found[0] opens the oldest segment: the record with several such inputs
+        raise AmbiguousLineageError(f"record {found[0]} has {-parent} same-token inputs")
     return found
 
 

@@ -108,8 +108,18 @@ class StateAccumulator:
 
 
 def _digest(total: int, scalars: dict) -> str:
-    """SHA-256 over the reduced sum ``total`` and the scalar fields."""
-    data = total.to_bytes(LEAF_BYTES, "little") + checked_json(scalars)
+    """SHA-256 over the reduced sum ``total`` and the canonical JSON of the
+    scalar fields, written around their values as
+    :meth:`~provledger.ledger.Transaction.hashed_text` is: the digests are
+    hex and the rest ints, whose text is their JSON. ``seededTotal`` and
+    ``treasury`` are sums, which may pass the 64 bits ``checked_json``
+    encodes."""
+    text = (
+        f'{{"configDigest":"{scalars["configDigest"]}","nextProvId":{scalars["nextProvId"]},'
+        f'"nextTokenId":{scalars["nextTokenId"]},"policyDigest":"{scalars["policyDigest"]}",'
+        f'"seededTotal":{scalars["seededTotal"]},"treasury":{scalars["treasury"]}}}'
+    )
+    data = total.to_bytes(LEAF_BYTES, "little") + text.encode("utf-8")
     return hashlib.sha256(data).hexdigest()
 
 

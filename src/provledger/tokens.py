@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .canonical import UINT64_MAX
 from .errors import (
     DuplicateTokenError,
     NotAuthorizedError,
@@ -23,13 +24,12 @@ from .errors import (
 from .statehash import WriteHook, ignore_write
 
 ADDRESS_BYTES = 32
-MAX_ID = 2**64 - 1
 
 _HEX_BODY = re.compile(f"[0-9a-f]{{{ADDRESS_BYTES * 2}}}")
 
 
 def validate_id(value: int, label: str = "id") -> int:
-    if type(value) is not int or not 1 <= value <= MAX_ID:
+    if type(value) is not int or not 1 <= value <= UINT64_MAX:
         raise ValueError(f"{label} must be an integer in [1, 2^64-1], got {value!r}")
     return value
 

@@ -1,8 +1,11 @@
 """The encoder of checked values (``checked_json``) against the stdlib oracle:
-over the float-free values it is given, on every call of a seeded chain's
-production, persist, load and verify, and where it falls back to the stdlib
-encoder (integers wider than 64 bits, lone surrogates, unknown types), and
-integers too long to have a text at all."""
+over the float-free values within 64 bits it is given, and on every call of
+a seeded chain's production, persist, load and verify. What it refuses
+(integers outside 64 bits, lone surrogates, unknown types) is refused, and
+2**64 is refused in every checked transaction field and on a log line (the
+config bounds are in ``test_ledger``'s ``CONFIGS``). Only the state's sums,
+``treasury`` and ``seededTotal``, may pass 64 bits; they are not encoded by
+it."""
 
 from __future__ import annotations
 
@@ -29,12 +32,13 @@ from provledger import (
 )
 from provledger import canonical, statehash
 from provledger import ledger as ledger_module
-from provledger.canonical import checked_json
+from provledger.canonical import UINT64_MAX, canonical_json, checked_json
 from provledger.errors import MalformedPayloadError
 from provledger.ledger import BLOCKS_FILE
-from oracles import naive_canonical
-from support import ALICE, BOB, CAROL, MALLORY
+from oracles import naive_canonical, naive_state_digest
+from support import ALICE, BOB, CAROL, MALLORY, quick_ledger
 from test_canonical import TRICKY_TEXTS
+from test_ledger import relinked, resealed_fee, varied_chain
 
 WIDE = 2**200
 # keys on both sides of the surrogate block and of the BMP's end, where a sort
@@ -44,8 +48,8 @@ BOUNDARY_KEYS = ["z", "퟿", "", "￿", "\U00010000", "\U0001f600", "\U0010ff
 scalars = (
     st.none()
     | st.booleans()
-    | st.integers()
-    | st.integers(min_value=-WIDE, max_value=WIDE)
+    | st.integers(min_value=0, max_value=UINT64_MAX)
+    | st.sampled_from([UINT64_MAX, 2**63, 2**63 - 1, 2**32])
     | st.text()
     | st.sampled_from(TRICKY_TEXTS)
 )
@@ -66,7 +70,7 @@ def stdlib_bytes(value) -> bytes:
 @settings(max_examples=300, deadline=None)
 @given(value=checked_values)
 def test_checked_json_matches_the_oracle(value):
-    assert checked_json(value) == stdlib_bytes(value)
+    assert checked_json(value) == canonical_json(value).encode("utf-8") == stdlib_bytes(value)
 
 
 def test_keys_sort_by_code_point():
@@ -92,22 +96,20 @@ class Name(str):
         {2: "a", 1: "b"},
         Count(7),
         {Name("k"): Name("v")},
+        {"agent": "\ud800"},
+        {"a": object()},
+        {"a": bytes(2)},
     ],
-    ids=["u64 + 1", "i64 - 1", "wide in a list", "int key", "int subclass", "str subclass"],
+    ids=[
+        "u64 + 1", "i64 - 1", "wide in a list", "int key", "int subclass", "str subclass",
+        "lone surrogate", "object", "bytes",
+    ],
 )
-def test_what_orjson_refuses_falls_back_to_the_stdlib_encoding(value):
-    with pytest.raises(TypeError):
-        orjson.dumps(value, option=orjson.OPT_SORT_KEYS | orjson.OPT_PASSTHROUGH_SUBCLASS)
-    assert checked_json(value) == stdlib_bytes(value)
-
-
-def test_a_fallback_raises_what_the_stdlib_raises():
-    with pytest.raises(UnicodeEncodeError):
-        checked_json({"agent": "\ud800"})
-    with pytest.raises(TypeError, match="not JSON serializable"):
-        checked_json({"a": object()})
-    with pytest.raises(TypeError, match="not JSON serializable"):
-        checked_json({"a": bytes(2)})
+def test_what_orjson_refuses_is_refused(value):
+    """No value a check accepts holds one of these, so nothing falls back to
+    another encoder."""
+    with pytest.raises(orjson.JSONEncodeError):
+        checked_json(value)
 
 
 # --- every call of a chain's life, wrapped -------------------------------------
@@ -122,15 +124,18 @@ SCHEMA = ContextSchema(
 def seeded_chain(directory, seed: int, wide: bool) -> Ledger:
     """A persisted chain of every op drawn from ``random.Random(seed)``,
     mostly on the sender's own tokens, with contexts of escaped and non-BMP
-    text; ``wide`` puts integers over 64 bits into balances, the treasury,
-    fees, payments and timestamps."""
+    text; ``wide`` puts integers near 2**64 - 1 into balances, fees,
+    payments and timestamps, and so a treasury and a seeded total over it."""
     rng = random.Random(seed)
-    base = 2**64 if wide else 0
+    price = 2**62 if wide else 5
     policy = UseCasePolicy(
         schema=SCHEMA,
-        assignment=AssignmentStrategy("fee", price=base + 5, initial_balance=base * 9 + 50),
+        assignment=AssignmentStrategy(
+            "fee", price=price, initial_balance=UINT64_MAX if wide else 50
+        ),
     )
-    ledger = Ledger(policy, SimConfig(block_interval_ms=base + 1000, block_capacity=5))
+    interval = 2**58 if wide else 1000  # 40 blocks stay within 64 bits
+    ledger = Ledger(policy, SimConfig(block_interval_ms=interval, block_capacity=5))
     tokens, records = ledger.machine.tokens, ledger.machine.provenance.records
     clients = [ALICE, BOB, CAROL, MALLORY]
     texts = TRICKY_TEXTS + ["café", "°C"]
@@ -149,7 +154,7 @@ def seeded_chain(directory, seed: int, wide: bool) -> Ledger:
                 weights=[4, 8, 3, 1, 2, 2, 1, 1],
             )[0]
             payload = {
-                "requestToken": {"payment": base + rng.randint(4, 9)},
+                "requestToken": {"payment": price + rng.randint(-1, 4)},
                 "createProvenance": {
                     "tokenId": token,
                     "inputs": sorted(rng.sample(range(1, record), min(record - 1, 2))),
@@ -162,7 +167,8 @@ def seeded_chain(directory, seed: int, wide: bool) -> Ledger:
                 "whitelistAdd": {"member": other.hex},
                 "whitelistRemove": {"member": other.hex},
             }[op]
-            ledger.submit_payload(sender, {"op": op, **payload}, fee=base + rng.randint(1, 4))
+            fee = UINT64_MAX - rng.randint(0, 3) if wide else rng.randint(1, 4)
+            ledger.submit_payload(sender, {"op": op, **payload}, fee=fee)
         ledger.produce_block()
         if rng.random() < 0.3:
             ledger.persist(directory)
@@ -203,11 +209,12 @@ def test_every_checked_encoding_of_a_chain_matches_the_oracle(tmp_path, monkeypa
     assert verify_chain(tmp_path / "ledger").ok is True
     # the load and the verify each encode about what production did
     assert produced > 100 and len(calls) > 2 * produced
-    # a number of 20 digits or more lies outside orjson's 64 bits
+    # a number of 20 digits lies near the 64-bit bound
     assert any(re.search(rb"[:,\[]\d{20}", data) for data in calls) is wide
+    assert (ledger.machine.treasury > UINT64_MAX) is wide
 
 
-# --- integers over 64 bits ------------------------------------------------------
+# --- the 64-bit bound ------------------------------------------------------------
 
 def stdlib_tx_hash(tx: Transaction) -> str:
     plain = {
@@ -221,41 +228,75 @@ def stdlib_tx_hash(tx: Transaction) -> str:
 
 
 def test_integers_over_64_bits_persist_reload_and_verify(tmp_path):
-    """A fee, payment, submission time, block time, balance and treasury of
-    2**64 or more are legal: they are hashed as the stdlib encodes them, and
-    the chain reloads and verifies."""
-    price = 2**64
+    """The treasury and the seeded total, sums that pass 2**64 although each
+    price and balance is within it, are hashed as the stdlib encodes them,
+    and the chain reloads and verifies; every other integer is 2**64 - 1."""
     policy = UseCasePolicy(
-        schema=SCHEMA, assignment=AssignmentStrategy("fee", price=price, initial_balance=3 * price)
+        schema=SCHEMA,
+        assignment=AssignmentStrategy("fee", price=UINT64_MAX, initial_balance=UINT64_MAX),
     )
-    ledger = Ledger(policy, SimConfig(block_interval_ms=2**64, block_capacity=5))
-    tx = ledger.submit_payload(
-        ALICE, {"op": "requestToken", "payment": price + 1}, fee=2**70, submitted_at=2**64
-    )
+    ledger = Ledger(policy, SimConfig(block_interval_ms=UINT64_MAX, block_capacity=5))
+    txs = [
+        ledger.submit_payload(
+            client, {"op": "requestToken", "payment": UINT64_MAX}, fee=UINT64_MAX,
+            submitted_at=UINT64_MAX,
+        )
+        for client in (ALICE, BOB, CAROL, MALLORY)
+    ]
     block, outcomes = ledger.produce_block()
-    assert outcomes[0].ok and block.timestamp == 2**64
-    assert ledger.machine.balance_of(ALICE) == ledger.machine.treasury * 2 == 2**65
-    assert tx.hash == stdlib_tx_hash(tx)
+    assert all(outcome.ok for outcome in outcomes) and block.timestamp == UINT64_MAX
+    assert ledger.machine.treasury == ledger.machine.seeded_total == 4 * UINT64_MAX
+    assert all(tx.hash == stdlib_tx_hash(tx) for tx in txs)
+    assert block.state_digest == naive_state_digest(ledger.state_snapshot())
     directory = tmp_path / "ledger"
     ledger.persist(directory)
     loaded = load_ledger(directory)
     assert loaded.head == ledger.head
     assert loaded.state_snapshot() == ledger.state_snapshot()
     assert verify_chain(directory).ok is True
-    # why a line that orjson parses is read again with json.loads when its
-    # value is not a block: orjson reads such a number as a float
     line = (directory / BLOCKS_FILE).read_bytes().splitlines()[1]
-    assert json.loads(line)["transactions"][0]["fee"] == 2**70
-    assert orjson.loads(b'{"a":18446744073709551616}') == {"a": 1.8446744073709552e19}
+    assert orjson.loads(line)["transactions"][0]["fee"] == UINT64_MAX
 
 
-def test_a_nonce_over_64_bits_is_hashed_as_the_stdlib_encodes_it():
-    """A sender reaches such a nonce only after as many transactions, so it
-    is checked on the transaction alone."""
-    tx = Transaction(ALICE, 2**64 + 3, {"op": "requestToken", "payment": 2**64}, 2**65, 2**66)
-    assert tx.hash == stdlib_tx_hash(tx)
-    assert tx.payload_text == naive_canonical(tx.payload)
-    assert Transaction.from_wire(json.loads(tx.wire_text())) == tx
+def request(field: str, value: int) -> dict:
+    """The build arguments of a ``requestToken`` (or, for ``tokenId``,
+    ``provId`` and ``inputs``, another op) with ``field`` set to ``value``."""
+    payload = {
+        "payment": {"op": "requestToken", "payment": value},
+        "tokenId": {"op": "approve", "tokenId": value, "operator": BOB.hex},
+        "provId": {"op": "invalidate", "provId": value},
+        "inputs": {"op": "createProvenance", "tokenId": 1, "inputs": [value], "context": {}},
+    }.get(field, {"op": "requestToken", "payment": 0})
+    fields = {"fee": 1, "nonce": None, "submitted_at": None}
+    if field in fields:
+        fields[field] = value
+    return {"payload": payload, **fields}
+
+
+CHECKED_FIELDS = ["payment", "tokenId", "provId", "inputs", "fee", "nonce", "submitted_at"]
+
+
+@pytest.mark.parametrize("field", CHECKED_FIELDS)
+def test_2_to_the_64_is_refused_in_every_checked_field(field):
+    label = {"inputs": "input id", "submitted_at": "submittedAt"}.get(field, field)
+    ledger = quick_ledger()
+    ledger.build_transaction(ALICE, **request(field, UINT64_MAX))
+    message = f"^{label} must be an unsigned 64-bit integer$"
+    with pytest.raises(MalformedPayloadError, match=message):
+        ledger.build_transaction(ALICE, **request(field, 2**64))
+
+
+@pytest.mark.parametrize("fee", [2**64, 2**70])
+def test_2_to_the_64_is_refused_as_a_log_value(tmp_path, fee):
+    """A log line whose transaction's fee is over 64 bits, with every hash
+    computed again, fails at its height: orjson reads the fee as a float."""
+    path = varied_chain(tmp_path / "ledger")
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[1] = resealed_fee(fee)(lines[1])
+    path.write_text("".join(line + "\n" for line in relinked(lines, 1)), encoding="utf-8")
+    assert verify_chain(path.parent).as_dict() == {
+        "ok": False, "firstCorruptHeight": 1, "reason": "fee must be an unsigned 64-bit integer"
+    }
 
 
 # the smallest integer whose text exceeds the interpreter's int-to-text limit
@@ -265,11 +306,12 @@ OVER_DIGIT_LIMIT = 10 ** sys.get_int_max_str_digits()
 @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no int-to-text digit limit")
 @pytest.mark.parametrize("field", ["payment", "fee", "nonce", "submittedAt"])
 def test_an_integer_over_the_digit_limit_is_a_malformed_payload(field):
-    """Such an integer has no JSON text: the payload encoder or the
-    transaction text raises ``ValueError``, which the build reports."""
+    """Such an integer has no JSON text; it is refused by the 64-bit bound
+    before anything would write it."""
     ledger = Ledger(UseCasePolicy(schema=SCHEMA), SimConfig(block_interval_ms=1000, block_capacity=5))
     fields = {"payment": 0, "fee": 1, "nonce": None, "submittedAt": None, field: OVER_DIGIT_LIMIT}
-    with pytest.raises(MalformedPayloadError, match="^transaction is not encodable: Exceeds"):
+    message = f"^{field} must be an unsigned 64-bit integer$"
+    with pytest.raises(MalformedPayloadError, match=message):
         ledger.build_transaction(
             ALICE,
             {"op": "requestToken", "payment": fields["payment"]},
@@ -277,4 +319,6 @@ def test_an_integer_over_the_digit_limit_is_a_malformed_payload(field):
             nonce=fields["nonce"],
             submitted_at=fields["submittedAt"],
         )
-    assert ledger.build_transaction(ALICE, {"op": "requestToken", "payment": WIDE}, fee=WIDE)
+    assert ledger.build_transaction(
+        ALICE, {"op": "requestToken", "payment": UINT64_MAX}, fee=UINT64_MAX
+    )

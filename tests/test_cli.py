@@ -359,6 +359,55 @@ def test_init_rejects_non_utf8_policy(runner, tmp_path):
     assert not (tmp_path / "ledger").exists()
 
 
+@pytest.mark.parametrize(
+    "file, field, message",
+    [
+        (
+            "config",
+            {"blockIntervalMs": 2**64},
+            "block interval must be an integer from 1 to 2**64 - 1 ms",
+        ),
+        (
+            "policy",
+            {"assignment": {"type": "fee", "price": 2**64}},
+            "price must be an unsigned 64-bit integer",
+        ),
+        (
+            "policy",
+            {"assignment": {"type": "fee", "price": 1, "initialBalance": 2**64}},
+            "initial balance must be an unsigned 64-bit integer",
+        ),
+    ],
+    ids=["blockIntervalMs", "price", "initialBalance"],
+)
+def test_init_rejects_a_config_value_over_64_bits(runner, tmp_path, file, field, message):
+    paths = {"policy": FIXTURES / "vaccine_policy.json", "config": FIXTURES / "sim_config.json"}
+    data = json.loads(paths[file].read_text(encoding="utf-8"))
+    data.update(field)
+    paths[file] = tmp_path / f"{file}.json"
+    paths[file].write_text(json.dumps(data), encoding="utf-8")
+    args = ["init", "--policy", str(paths["policy"]), "--config", str(paths["config"])]
+    result = runner.invoke(main, [*args, "--out", str(tmp_path / "ledger")])
+    assert_config_invalid(result)
+    assert json.loads(result.stderr)["message"] == message
+    assert not (tmp_path / "ledger").exists()
+
+
+def test_a_fee_over_64_bits_is_a_malformed_payload(runner, ledger_dir):
+    d = str(ledger_dir)
+    log = (ledger_dir / "blocks.jsonl").read_bytes()
+    result = runner.invoke(
+        main, ["token", "request", "--as", "alice", "--fee", str(2**70), "--dir", d]
+    )
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    error = json.loads(result.stderr.strip())
+    assert error == {
+        "error": "MalformedPayload", "message": "fee must be an unsigned 64-bit integer"
+    }
+    assert (ledger_dir / "blocks.jsonl").read_bytes() == log
+
+
 def test_init_rejects_a_lone_surrogate_in_the_policy(runner, tmp_path):
     policy = tmp_path / "policy.json"
     policy.write_text('{"schema": {"name": "\\ud800", "required": ["agent"]}}')

@@ -33,6 +33,7 @@ from provledger import (
 from provledger.canonical import ZERO_DIGEST, canonical_json
 from provledger.errors import (
     BadNonceError,
+    ClockExhaustedError,
     ConfigInvalidError,
     CorruptLogError,
     IoFailureError,
@@ -44,7 +45,6 @@ from provledger.ledger import (
     NOT_CANONICAL,
     OPS,
     Block,
-    _require_canonical,
     resolve_payload,
 )
 from provledger import statehash
@@ -356,10 +356,11 @@ _TX_FIELDS_MESSAGE = (
         (_wire(sender=ALICE.hex.upper().replace("0X", "0x")),
          "bad sender: client address must be 64 lowercase hex chars"),
         (_wire(sender="0x" + "00" * 32), "sender must not be the zero address"),
-        (_wire(nonce=-1), "nonce must be a non-negative integer"),
-        (_wire(fee=True), "fee must be a non-negative integer"),
-        (_wire(submittedAt=-5), "submittedAt must be a non-negative integer"),
-        (_wire(submittedAt=False), "submittedAt must be a non-negative integer"),
+        (_wire(nonce=-1), "nonce must be an unsigned 64-bit integer"),
+        (_wire(fee=True), "fee must be an unsigned 64-bit integer"),
+        (_wire(fee=2**64), "fee must be an unsigned 64-bit integer"),
+        (_wire(submittedAt=-5), "submittedAt must be an unsigned 64-bit integer"),
+        (_wire(submittedAt=False), "submittedAt must be an unsigned 64-bit integer"),
         (_wire(hash="A" * 64), "transaction hash must be 64 lowercase hex chars"),
         (_wire(hash="a" * 63), "transaction hash must be 64 lowercase hex chars"),
         (_wire(hash=7), "transaction hash must be 64 lowercase hex chars"),
@@ -368,7 +369,7 @@ _TX_FIELDS_MESSAGE = (
     ids=[
         "missing key", "extra key", "sender not a string", "sender without 0x",
         "sender bad hex", "sender upper-case hex", "zero sender", "negative nonce",
-        "bool fee", "negative submittedAt", "bool submittedAt", "upper-case hash",
+        "bool fee", "fee of 2**64", "negative submittedAt", "bool submittedAt", "upper-case hash",
         "short hash", "hash not a string", "hash mismatch",
     ],
 )
@@ -1046,10 +1047,7 @@ def test_memory_is_bounded_by_state_not_chain_length(tmp_path):
         ("empty", {"ok": False, "firstCorruptHeight": 0, "reason": "empty block log"}),
         ("no final newline", {"ok": True}),
         ("blank line", {"ok": False, "firstCorruptHeight": 2}),
-        (
-            "crlf",
-            {"ok": False, "firstCorruptHeight": 0, "reason": "log line is not in canonical form"},
-        ),
+        ("crlf", {"ok": False, "firstCorruptHeight": 0, "reason": "genesis block mismatch"}),
     ],
 )
 def test_log_line_edge_cases(tmp_path, edit, verdict):
@@ -1074,17 +1072,17 @@ def nested_lists(depth: int) -> str:
     return "[" * depth + "]" * depth
 
 
-# every depth near the default recursion limit, where parsing, checking and
-# encoding a line run out of stack at slightly different depths, and one far
-# beyond it
+# every depth near the default recursion limit, where a recursive parser or
+# checker would run out of stack, and one far beyond it
 NESTING_DEPTHS = [*range(900, 1101), 100_000]
 
 
 @pytest.mark.parametrize("where", ["line", "payload", "op", "context value"])
 def test_a_line_nested_too_deep_fails_verification_at_its_height(tmp_path, where):
     """However deep the nesting, verify reports the line at its height and
-    never raises: a line that parses is malformed or, when it is too deep to
-    encode again, not canonical; one too deep to parse is unparseable."""
+    never raises: a line that parses is malformed at the field that holds
+    the nesting, whose check reads no deeper than it must; one a reader
+    refuses as too deep is unparseable."""
     _, directory = busy_ledger(tmp_path)
     path = directory / BLOCKS_FILE
     lines = path.read_bytes().splitlines(keepends=True)
@@ -1107,25 +1105,14 @@ def test_a_line_nested_too_deep_fails_verification_at_its_height(tmp_path, where
         result = verify_chain(directory)
         assert (result.ok, result.first_corrupt_height) == (False, height), depth
         reasons.add(result.reason)
-    expected = (
-        "unparseable log line: ",
-        NOT_CANONICAL,
-        "block must be a JSON object",
-        "payload must be a JSON object",
-        "unknown operation [[[",
-        "context values must be strings, got [[[",
-    )
-    assert all(reason.startswith(expected) for reason in reasons), reasons
-    assert any(reason.startswith(expected[0]) for reason in reasons)
-
-
-def test_a_parsed_value_too_deep_to_encode_is_not_canonical():
-    value = []
-    for _ in range(100_000):
-        value = [value]
-    with pytest.raises(CorruptLogError, match=f"^{NOT_CANONICAL}$") as caught:
-        _require_canonical(nested_lists(100_001), value, 5)
-    assert caught.value.height == 5
+    malformed = {
+        "line": "block must be a JSON object",
+        "payload": "payload must be a JSON object",
+        "op": "unknown operation [[[",
+        "context value": "context values must be strings, got [[[",
+    }[where]
+    assert all(reason.startswith(("unparseable log line: ", malformed)) for reason in reasons)
+    assert any(reason.startswith(malformed) for reason in reasons), reasons
 
 
 def varied_chain(directory):
@@ -1152,20 +1139,36 @@ def varied_chain(directory):
     return directory / BLOCKS_FILE
 
 
+def refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def int_as_orjson_reads(text: str) -> int | float:
+    """An integer literal as orjson reads it: an ``int`` within 64 bits,
+    else a ``float``, which no field accepts."""
+    value = int(text)
+    return value if -(2**63) <= value <= 2**64 - 1 else float(text)
+
+
 def naive_parse_block(raw: bytes, height: int, senders: dict) -> Block:
-    """The parse step with the stdlib parser alone and the whole line encoded
-    and compared before the block is parsed; every sender is built anew."""
+    """The parse step with the stdlib alone: ``json.loads`` refuses NaN and
+    Infinity, reads an integer outside 64 bits as orjson does, and a line
+    holding a lone surrogate, which no UTF-8 text holds, is refused too.
+    The value is checked as a block first; then the whole line is encoded
+    and compared. Every sender is built anew."""
     try:
         text = raw.decode("utf-8")
-        parsed = json.loads(text)
+        parsed = json.loads(text, parse_constant=refuse_constant, parse_int=int_as_orjson_reads)
+        naive_canonical(parsed).encode("utf-8")  # UnicodeEncodeError is a ValueError
     except ValueError as exc:
         raise CorruptLogError(f"unparseable log line: {exc}", height=height) from exc
-    if not naive_line_is_canonical(text):
-        raise CorruptLogError(NOT_CANONICAL, height=height)
     try:
-        return Block.from_wire(parsed)
+        block = Block.from_wire(parsed)
     except MalformedPayloadError as exc:
         raise CorruptLogError(str(exc), height=height) from exc
+    if not naive_line_is_canonical(text):
+        raise CorruptLogError(NOT_CANONICAL, height=height)
+    return block
 
 
 def unsorted_json(value) -> str:
@@ -1265,10 +1268,10 @@ LINE_EDITS = {
         changed_hash(line) and reversed_keys_at()(changed_hash(line))
     ),
     "CRLF": lambda line: line + "\r",
-    # where orjson and the stdlib read a line differently: orjson reads an
-    # integer over 64 bits as a float, and refuses the rest
+    # integers outside 64 bits, which orjson reads as floats
     "fee of 2**64": resealed_fee(2**64),
     "fee of 2**70": resealed_fee(2**70),
+    "fee of 2**64 - 1": resealed_fee(2**64 - 1),
     "NaN fee": text_edit(r'"fee":\d+', '"fee":NaN'),
     "Infinity fee": text_edit(r'"fee":\d+', '"fee":Infinity'),
     "fee past the int-to-text digit limit": text_edit(
@@ -1280,15 +1283,28 @@ LINE_EDITS = {
 }
 
 # edits after which the chain is still valid, once the later lines are relinked
-VALID_EDITS = {"unchanged", "fee of 2**64", "fee of 2**70"}
+VALID_EDITS = {"unchanged", "fee of 2**64 - 1"}
+# edits orjson refuses with its own wording: the oracle's reason is the
+# stdlib's, so only the verdict and the height are compared
+UNPARSEABLE_EDITS = {
+    "leading zero",
+    "NaN fee",
+    "Infinity fee",
+    "fee past the int-to-text digit limit",
+    "UTF-8 BOM",
+    "invalid UTF-8 byte",
+    "lone surrogate in a context",
+    "lone surrogate in a result",
+}
 
 
 @pytest.mark.parametrize("name", sorted(LINE_EDITS))
 def test_line_check_matches_the_naive_oracle(tmp_path, monkeypatch, name):
     """Each one-line edit of a varied log gets the same verdict, height and
-    reason whether a line is parsed with orjson, then the stdlib, and its
-    form checked from the transactions' wire texts, or parsed with the
-    stdlib alone and checked by encoding the whole parsed line."""
+    reason whether a line is parsed with orjson and its form checked from
+    the transactions' wire texts, or parsed with the stdlib alone and
+    checked by encoding the whole parsed line; an edit both refuse gets the
+    same verdict and height, each reason unparseable."""
     from provledger import ledger as ledger_mod
 
     path = varied_chain(tmp_path / "ledger")
@@ -1309,7 +1325,11 @@ def test_line_check_matches_the_naive_oracle(tmp_path, monkeypatch, name):
         verdict = verify_chain(path.parent).as_dict()
         with monkeypatch.context() as patched:
             patched.setattr(ledger_mod, "_parse_block", naive_parse_block)
-            assert verify_chain(path.parent).as_dict() == verdict, (height, edited)
+            oracle = verify_chain(path.parent).as_dict()
+        if name in UNPARSEABLE_EDITS and height > 0:
+            reasons = verdict.pop("reason"), oracle.pop("reason")
+            assert all(r.startswith("unparseable log line: ") for r in reasons), reasons
+        assert oracle == verdict, (height, edited)
         if name in VALID_EDITS:
             assert verdict == {"ok": True}
         else:
@@ -1376,29 +1396,6 @@ def test_line_edit_fuzz_matches_the_naive_oracle(tmp_path, monkeypatch):
         verdicts.add((result.ok, result.reason.split(":")[0] if result.reason else None))
     # the edits reach more than one check
     assert len(verdicts) > 5, verdicts
-
-
-def test_running_out_of_stack_on_orjsons_value_leaves_the_line_to_the_stdlib(
-    tmp_path, monkeypatch
-):
-    """orjson may parse nesting deeper than the stdlib can, so that checking
-    its value runs out of stack: the stdlib's reading then decides."""
-    from types import SimpleNamespace
-
-    import orjson
-
-    from provledger import ledger as ledger_mod
-
-    path = varied_chain(tmp_path / "ledger")
-    expected = load_ledger(path.parent).state_snapshot()
-
-    def out_of_stack(raw):
-        raise RecursionError("maximum recursion depth exceeded")
-
-    stub = SimpleNamespace(loads=out_of_stack, JSONDecodeError=orjson.JSONDecodeError)
-    monkeypatch.setattr(ledger_mod, "orjson", stub)
-    assert load_ledger(path.parent).state_snapshot() == expected
-    assert verify_chain(path.parent).as_dict() == {"ok": True}
 
 
 def test_load_rejects_corruption(tmp_path):
@@ -1487,7 +1484,16 @@ CONFIGS = {
         exposure=ExposureFlags(allow_update=False, allow_invalidate=False),
         assignment=AssignmentStrategy("open", initial_balance=7),
     ),
+    "64-bit edge": lambda: built(
+        SimConfig(2**64 - 1, 5),
+        assignment=AssignmentStrategy("fee", price=2**64 - 1, initial_balance=2**64 - 1),
+    ),
     # values the wire parsers reject, so a ledger built from them could not be loaded
+    "interval 2**64": lambda: built(SimConfig(2**64, 5)),
+    "fee price=2**64": lambda: built(assignment=AssignmentStrategy("fee", price=2**64)),
+    "initial_balance=2**64": lambda: built(
+        assignment=AssignmentStrategy("open", initial_balance=2**64)
+    ),
     "jitter=1": lambda: built(SimConfig(1000, 5, jitter=1)),
     "jitter='no'": lambda: built(SimConfig(1000, 5, jitter="no")),
     "fee price=True": lambda: built(assignment=AssignmentStrategy("fee", price=True)),
@@ -1525,7 +1531,7 @@ CONFIGS = {
     "allow_update=1": lambda: built(exposure=ExposureFlags(allow_update=1)),
     "allow_invalidate='false'": lambda: built(exposure=ExposureFlags(allow_invalidate="false")),
 }
-GOOD_CONFIGS = ("jitter", "fee", "whitelist", "closed")
+GOOD_CONFIGS = ("jitter", "fee", "whitelist", "closed", "64-bit edge")
 
 
 @pytest.mark.parametrize("name", sorted(set(CONFIGS) - set(GOOD_CONFIGS)))
@@ -1554,6 +1560,24 @@ def test_every_constructible_config_survives_persist_and_load(tmp_path, name):
     loaded = assert_log_matches(ledger, tmp_path, produced)
     assert (loaded.policy, loaded.config) == (policy, config)
     assert verify_chain(tmp_path).ok is True
+
+
+@pytest.mark.parametrize("jitter", [False, True])
+def test_a_block_past_the_64_bit_clock_is_refused_and_changes_nothing(jitter):
+    """The next block time must fit in 64 bits: past it, ``produce_block``
+    raises before it selects anything, so the mempool, the state and the
+    head stay as they were."""
+    ledger = Ledger(open_policy(), SimConfig(2**62, 5, jitter=jitter))
+    while ledger.next_block_timestamp() <= 2**64 - 1:
+        ledger.submit_payload(ALICE, REQUEST)
+        ledger.produce_block()
+    ledger.submit_payload(ALICE, REQUEST)
+    head, state, pending = ledger.head, ledger.state_snapshot(), ledger.pending_count()
+    with pytest.raises(ClockExhaustedError) as caught:
+        ledger.produce_block()
+    assert caught.value.code == "ClockExhausted"
+    assert (ledger.head, ledger.state_snapshot(), ledger.pending_count()) == (head, state, pending)
+    assert ledger.head.timestamp <= 2**64 - 1 < ledger.next_block_timestamp()
 
 
 def test_wire_forms_are_canonical(tmp_path):
@@ -1752,26 +1776,29 @@ def old_value(value):
     return None if value is None else lambda: value
 
 
+# the scalar fields a digest is taken with, all zero
+ZERO_SCALARS = dict.fromkeys(statehash.SCALARS, 0)
+
+
 def test_accumulator_is_order_free_and_undoes_writes():
-    empty = StateAccumulator().digest({})
+    empty = StateAccumulator().digest(ZERO_SCALARS)
     writes = [("nonces", "a", None, 1), ("nonces", "b", None, 1), ("nonces", "a", 1, 2)]
     forward, direct = StateAccumulator(), StateAccumulator()
     for kind, key, old, new in writes:
         forward.write(kind, key, old_value(old), new)
     direct.write("nonces", "b", None, 1)
     direct.write("nonces", "a", None, 2)
-    assert forward.digest({}) == direct.digest({}) != empty
+    assert forward.digest(ZERO_SCALARS) == direct.digest(ZERO_SCALARS) != empty
     for kind, key, old, new in reversed(writes):
         forward.write(kind, key, old_value(new), old)
-    assert forward.digest({}) == empty
+    assert forward.digest(ZERO_SCALARS) == empty
     # three counts are the multiplicity 3 that the from-scratch digest reads
     counted = StateAccumulator()
     for _ in range(3):
         counted.count("nonces", "a")
-    scalars = {name: 0 for name in statehash.SCALARS}
-    snapshot = {"records": [], "tokens": [], "balances": {}, "whitelist": [], **scalars}
-    assert counted.digest(scalars) == snapshot_digest(dict(snapshot, nonces={"a": 3}))
-    assert counted.digest(scalars) != snapshot_digest(dict(snapshot, nonces={"a": 2}))
+    snapshot = {"records": [], "tokens": [], "balances": {}, "whitelist": [], **ZERO_SCALARS}
+    assert counted.digest(ZERO_SCALARS) == snapshot_digest(dict(snapshot, nonces={"a": 3}))
+    assert counted.digest(ZERO_SCALARS) != snapshot_digest(dict(snapshot, nonces={"a": 2}))
 
 
 def counted_leaf_hashes(monkeypatch) -> list:
@@ -1913,16 +1940,16 @@ def test_no_op_rewrites_leave_the_digest_unchanged(held, monkeypatch):
     machine.gate_update(ALICE, prov_id, Context({"agent": "b"}))
     machine.tokens.approve(ALICE, BOB, token)
     assert len(accumulator._held) == min(held, 2)
-    digest = accumulator.digest({})
+    digest = accumulator.digest(ZERO_SCALARS)
     hashed = counted_leaf_hashes(monkeypatch)
     machine.gate_update(ALICE, prov_id, Context({"agent": "b"}))
     machine.tokens.approve(ALICE, BOB, token)
-    assert hashed == [] and accumulator.digest({}) == digest
+    assert hashed == [] and accumulator.digest(ZERO_SCALARS) == digest
     machine.tokens.transfer(ALICE, ALICE, CAROL, token)  # clears BOB's approval
-    digest = accumulator.digest({})
+    digest = accumulator.digest(ZERO_SCALARS)
     hashed.clear()
     machine.tokens.transfer(CAROL, CAROL, CAROL, token)
-    assert hashed == [] and accumulator.digest({}) == digest
+    assert hashed == [] and accumulator.digest(ZERO_SCALARS) == digest
     fresh = StateAccumulator()
     for kind, items in (
         ("records", machine.provenance.records.snapshot()),
@@ -1930,7 +1957,7 @@ def test_no_op_rewrites_leave_the_digest_unchanged(held, monkeypatch):
     ):
         for item in items:
             fresh.write(kind, item["id"], None, item)
-    assert fresh.digest({}) == accumulator.digest({})
+    assert fresh.digest(ZERO_SCALARS) == accumulator.digest(ZERO_SCALARS)
 
 
 MEMO_SIZE = statehash._member_leaf.cache_info().maxsize

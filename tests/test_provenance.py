@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import given, settings
@@ -137,30 +138,53 @@ def test_parallel_traces_survive_invalidation(stack):
 
 
 def test_link_and_trace_maps_are_read_only_live_views(stack):
-    """A caller cannot corrupt ``lineage`` through the maps or the traces the
-    layer hands out, and a map handed out earlier shows later creates."""
+    """A caller cannot corrupt ``lineage`` through the segments or the
+    traces the layer hands out, and the layer answers for later creates."""
     from provledger import lineage
 
     token, (p1, p2, p3) = vaccine_chain(stack)
-    parents = stack.provenance.same_token_parents
-    record_traces = stack.provenance.record_traces
-    for view in (parents, record_traces):
-        with pytest.raises(TypeError):
-            view[p3] = 0
-        with pytest.raises(TypeError):
-            del view[p3]
-    (trace,) = stack.provenance.token_traces(token)
+    provenance = stack.provenance
+    segment, parent = provenance.trace_segment(p3)
+    assert (segment, parent) == ([p1, p2, p3], 0)
+    segment[2] = 0
+    del segment[0]
+    assert provenance.trace_segment(p3) == ([p1, p2, p3], 0)
+    (trace,) = provenance.token_traces(token)
     assert trace == (p1, p2, p3)
     with pytest.raises(TypeError):
         trace[2] = p1  # type: ignore[index]
     with pytest.raises(AttributeError):
         trace.append(p1)  # type: ignore[attr-defined]
-    assert lineage(stack.provenance, p3) == [p1, p2, p3]
-    fork = stack.provenance.create_provenance(ALICE, token, [p2], Context({"agent": "a"}))
-    assert parents[fork] == p2
-    assert record_traces[fork] == [fork]
-    assert record_traces[p1] == [p1, p2, p3]
-    assert lineage(stack.provenance, fork) == [p1, p2, fork]
+    assert lineage(provenance, p3) == [p1, p2, p3]
+    fork = provenance.create_provenance(ALICE, token, [p2], Context({"agent": "a"}))
+    assert provenance.trace_segment(fork) == ([fork], p2)
+    assert provenance.trace_segment(p1) == ([p1], 0)
+    assert lineage(provenance, fork) == [p1, p2, fork]
+
+
+def test_editing_what_the_layer_hands_out_leaves_lineage_intact(stack):
+    """An edit of every trace list a caller can reach, such as an
+    ``insert(0, 99)``, leaves ``lineage`` as it was. A public map whose
+    values were the layer's own lists once let such an edit make it raise
+    ``KeyError: 99``."""
+    from provledger import lineage
+
+    token, (p1, p2, p3) = vaccine_chain(stack)
+    provenance = stack.provenance
+    expected = [[p1, p2], [p1, p2, p3]]
+    for name in dir(provenance):  # the lists in any public map
+        value = getattr(provenance, name)
+        if not name.startswith("_") and isinstance(value, Mapping):
+            for item in value.values():
+                if isinstance(item, list):
+                    item.insert(0, 99)
+    assert [lineage(provenance, prov_id) for prov_id in (p2, p3)] == expected
+    for prov_id in (p1, p2, p3):
+        provenance.trace_segment(prov_id)[0].insert(0, 99)
+    for trace in provenance.token_traces(token):
+        with pytest.raises(AttributeError):
+            trace.insert(0, 99)  # type: ignore[attr-defined]
+    assert [lineage(provenance, prov_id) for prov_id in (p2, p3)] == expected
 
 
 def test_update_and_invalidate_authorization(stack):

@@ -450,6 +450,18 @@ def random_ledger(rng: random.Random):
     return ledger
 
 
+def trace_segments(provenance) -> dict:
+    """Every id the layer answers :meth:`~ProvenanceLayer.trace_segment` for
+    -> its answer, probing one id past the last record and the nil id."""
+    segments = {}
+    for prov_id in range(provenance.next_prov_id + 1):
+        try:
+            segments[prov_id] = provenance.trace_segment(prov_id)
+        except KeyError:
+            pass
+    return segments
+
+
 def assert_queries_match_oracles(machine, rng: random.Random) -> set[str]:
     """Every record's lineage and a random-depth graph, and every token's
     association list and traces, against the plain-data oracles, with the
@@ -457,7 +469,7 @@ def assert_queries_match_oracles(machine, rng: random.Random) -> set[str]:
     provenance = machine.provenance
     records = export_records(provenance)
     by_token = naive_association(records)
-    assert provenance.same_token_parents.keys() == records.keys()
+    assert trace_segments(provenance).keys() == records.keys()
     seen = set()
     for prov_id in records:
         expected = assert_lineage_matches(provenance, records, prov_id)
@@ -498,7 +510,7 @@ def test_queries_match_oracles_on_ledger_and_replay(tmp_path, seed):
     reloaded = load_ledger(tmp_path)
     assert "associated" not in ledger.state_snapshot()
     assert reloaded.state_snapshot() == ledger.state_snapshot()
-    assert reloaded.machine.provenance.same_token_parents == ledger.machine.provenance.same_token_parents
+    assert trace_segments(reloaded.machine.provenance) == trace_segments(ledger.machine.provenance)
     for machine in (ledger.machine, reloaded.machine):
         seen = assert_queries_match_oracles(machine, random.Random(seed))
         assert seen == {"ambiguous", "chain", "short"}
@@ -512,11 +524,14 @@ def test_record_trace_map_on_ledger_and_replay(tmp_path, seed):
     ledger.persist(tmp_path)
     reloaded = load_ledger(tmp_path)
     for provenance in (ledger.machine.provenance, reloaded.machine.provenance):
-        assert provenance.record_traces.keys() == export_records(provenance).keys()
-        for prov_id, trace in provenance.record_traces.items():
-            assert prov_id in trace
+        segments = trace_segments(provenance)
+        assert segments.keys() == export_records(provenance).keys()
+        for prov_id, (segment, _) in segments.items():
+            assert segment[-1] == prov_id
             token = provenance.records.get_record(prov_id).token_id
-            assert tuple(trace) in provenance.token_traces(token)
-    assert dict(reloaded.machine.provenance.record_traces) == dict(
-        ledger.machine.provenance.record_traces
+            assert any(
+                trace[: len(segment)] == tuple(segment) for trace in provenance.token_traces(token)
+            )
+    assert trace_segments(reloaded.machine.provenance) == trace_segments(
+        ledger.machine.provenance
     )
