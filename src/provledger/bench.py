@@ -12,6 +12,7 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass
 
+from .canonical import UINT64_MAX
 from .errors import ConfigInvalidError
 from .ledger import Ledger, SimConfig
 from .policy import AssignmentStrategy, ContextSchema, ExposureFlags, UseCasePolicy
@@ -73,10 +74,10 @@ def run_benchmark(config: SimConfig, tx_count: int, window_ms: int, fee: int) ->
     """
     if type(tx_count) is not int or tx_count < 1:
         raise ConfigInvalidError("tx count must be an integer >= 1")
-    if type(window_ms) is not int or window_ms < 1:
-        raise ConfigInvalidError("window must be an integer >= 1 ms")
-    if type(fee) is not int or fee < 0:
-        raise ConfigInvalidError("fee must be a non-negative integer")
+    if type(window_ms) is not int or not 1 <= window_ms <= UINT64_MAX:
+        raise ConfigInvalidError("window must be an integer from 1 to 2**64 - 1 ms")
+    if type(fee) is not int or not 0 <= fee <= UINT64_MAX:
+        raise ConfigInvalidError("fee must be an unsigned 64-bit integer")
 
     ledger = Ledger(_BENCH_POLICY, config)
     client = ClientId.from_alias(_BENCH_CLIENT_ALIAS)

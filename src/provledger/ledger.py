@@ -266,16 +266,6 @@ def validate_payload(payload: object) -> dict:
     return payload
 
 
-def _copy_payload(payload: dict) -> dict:
-    """A checked payload's copy that shares no list or dict: only context and inputs hold one."""
-    copy = dict(payload)
-    if "context" in copy:
-        copy["context"] = dict(copy["context"])
-    if "inputs" in copy:
-        copy["inputs"] = list(copy["inputs"])
-    return copy
-
-
 def resolve_payload(machine: PolicyLayer, payload: object) -> dict:
     """Complete a client-written payload before submission.
 
@@ -320,24 +310,24 @@ class Transaction:
 
     The constructor, ``dataclasses.replace`` and :meth:`from_wire` all check
     every field and compute ``hash``, which covers every other field and is
-    never passed in. ``payload_text`` is the payload's canonical JSON text
-    that the hash was computed from, and what the log line is written from;
-    it takes no part in equality. A transaction keeps its own copy of the
-    payload it checked, so later edits to the caller's dict reach neither
-    execution nor the log; with ``copy=False`` it keeps ``payload`` itself,
-    for a dict no caller holds.
+    never passed in. The payload is kept once, as ``payload_text``: its
+    canonical JSON text, which the hash was computed from, the log line is
+    written from and execution decodes. The dict passed in is checked and
+    encoded, not kept, so later edits to it reach neither execution nor the
+    log; each read of ``payload`` decodes the text into a new dict. Since
+    ``payload`` is not a stored field, ``dataclasses.replace`` must name it.
+    ``payload_text`` takes no part in equality; ``hash`` does.
     """
 
     sender: ClientId
     nonce: int
-    payload: dict
+    payload: InitVar[dict]
     fee: int
     submitted_at: int
-    copy: InitVar[bool] = field(default=True, kw_only=True)
     hash: str = field(init=False)
     payload_text: str = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self, copy: bool) -> None:
+    def __post_init__(self, payload: dict) -> None:
         sender = self.sender
         if not isinstance(sender, ClientId):
             raise MalformedPayloadError("sender must be a client address")
@@ -346,22 +336,13 @@ class Transaction:
         _check_uint(self.nonce, "nonce")
         _check_uint(self.fee, "fee")
         _check_uint(self.submitted_at, "submittedAt")
-        payload = validate_payload(self.payload)
-        if copy:
-            payload = _copy_payload(payload)
-            object.__setattr__(self, "payload", payload)
         try:
-            payload_text = checked_json(payload).decode("utf-8")
+            payload_text = checked_json(validate_payload(payload)).decode("utf-8")
         except orjson.JSONEncodeError as exc:  # a lone surrogate, which UTF-8 cannot hold
             raise MalformedPayloadError(f"payload is not UTF-8 text: {exc}") from exc
         text = self.hashed_text(sender, self.nonce, payload_text, self.fee, self.submitted_at)
         object.__setattr__(self, "hash", text_digest(text))
         object.__setattr__(self, "payload_text", payload_text)
-
-    def __hash__(self) -> int:
-        # equal transactions have equal ``hash`` fields; the payload dict
-        # itself is unhashable
-        return hash(self.hash)
 
     @staticmethod
     def hashed_text(
@@ -423,13 +404,19 @@ class Transaction:
             payload=data["payload"],
             fee=data["fee"],
             submitted_at=data["submittedAt"],
-            copy=False,
         )
         if tx.hash != data["hash"]:
             # a hash equal to the computed one is well-formed
             _check_hash_hex(data["hash"], "transaction hash")
             raise MalformedPayloadError("transaction hash does not match its fields")
         return tx
+
+
+# set after the class body, where it would be the ``payload`` InitVar's default
+Transaction.payload = property(
+    lambda self: orjson.loads(self.payload_text),
+    doc="A new dict decoded from ``payload_text``, the text that was hashed.",
+)
 
 
 @dataclass(frozen=True)
@@ -715,32 +702,29 @@ class Ledger:
         return Transaction(sender, nonce, payload, fee, submitted_at)
 
     def submit(self, tx: Transaction) -> str:
-        """Queue a transaction made elsewhere, as :meth:`_enqueue` does;
-        returns its hash. It was checked and hashed when it was made (see
-        :class:`Transaction`)."""
-        self._enqueue(tx)
-        return tx.hash
-
-    def submit_payload(
-        self, sender: ClientId, payload: dict, fee: int = 1, submitted_at: int | None = None
-    ) -> Transaction:
-        tx = self.build_transaction(sender, payload, fee=fee, submitted_at=submitted_at)
-        self._enqueue(tx)
-        return tx
-
-    def _enqueue(self, tx: Transaction) -> None:
-        """Queue a well-formed transaction. Its nonce must be the sender's next
-        counting executed and pending ones, which also rejects a resubmission."""
+        """Queue a transaction, checked and hashed when it was made (see
+        :class:`Transaction`); returns its hash. Its nonce must be the
+        sender's next counting executed and pending ones, which also rejects
+        a resubmission."""
         expected = self.next_nonce(tx.sender)
         if tx.nonce != expected:
             raise BadNonceError(
                 f"nonce {tx.nonce} for {tx.sender.hex}, expected {expected}"
             )
         self._mempool.setdefault(tx.sender.raw, deque()).append(tx)
+        return tx.hash
+
+    def submit_payload(
+        self, sender: ClientId, payload: dict, fee: int = 1, submitted_at: int | None = None
+    ) -> Transaction:
+        tx = self.build_transaction(sender, payload, fee=fee, submitted_at=submitted_at)
+        self.submit(tx)
+        return tx
 
     # -- execution -----------------------------------------------------------
 
     def _execute(self, tx: Transaction) -> dict:
+        # decoded from the hashed text: a new dict, which the op's contexts take over
         payload = tx.payload
         return OPS[payload["op"]].handler(self._machine, tx.sender, payload) or {}
 

@@ -50,11 +50,13 @@ class Context:
         self._entries = dict(sorted(check_context_entries(dict(entries)).items()))
 
     @classmethod
-    def from_checked(cls, entries: Mapping[str, str]) -> "Context":
-        """A context of ``entries`` that :func:`check_context_entries` already
-        accepted, built without checking them again."""
+    def from_checked(cls, entries: dict[str, str]) -> "Context":
+        """A context that takes ownership of ``entries``: a new dict, held by
+        no caller, whose keys are already sorted, as in a dict decoded from
+        canonical JSON, and which :func:`check_context_entries` already
+        accepted. It is neither checked, sorted nor copied again."""
         context = cls.__new__(cls)
-        context._entries = dict(sorted(entries.items()))
+        context._entries = entries
         return context
 
     def as_dict(self) -> dict[str, str]:

@@ -108,6 +108,11 @@ def test_benchmark_validates_load():
         run_benchmark(HEADLINE, tx_count=10, window_ms=0, fee=1)
     with pytest.raises(ConfigInvalidError):
         run_benchmark(HEADLINE, tx_count=10, window_ms=1000, fee=-1)
+    # every integer a transaction or the clock holds fits in 64 bits
+    with pytest.raises(ConfigInvalidError, match=r"^fee must be an unsigned 64-bit integer$"):
+        run_benchmark(HEADLINE, tx_count=10, window_ms=1000, fee=2**64)
+    with pytest.raises(ConfigInvalidError, match=r"^window must be an integer from 1 to 2\*\*64 - 1 ms$"):
+        run_benchmark(HEADLINE, tx_count=10, window_ms=2**64, fee=1)
 
 
 def test_latency_ordering_under_contention():

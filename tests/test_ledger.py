@@ -12,6 +12,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import orjson
 import pytest
 
 from provledger import (
@@ -404,7 +405,7 @@ def test_submit_payload_validates_and_hashes_once(monkeypatch):
     assert calls == {"validate": 1, "hash": 1}
     constructed = Transaction(BOB, 0, REQUEST, 1, 0)
     assert calls == {"validate": 2, "hash": 2}
-    replaced = dataclasses.replace(constructed, sender=CAROL)
+    replaced = dataclasses.replace(constructed, sender=CAROL, payload=constructed.payload)
     assert calls == {"validate": 3, "hash": 3}
     ledger.submit(constructed)
     ledger.submit(replaced)
@@ -424,7 +425,7 @@ def test_every_transaction_is_checked_and_hashed_when_made():
     block = Block.seal(1, ZERO_DIGEST, 1000, (constructed,), ("ok",), ZERO_DIGEST)
     made = [
         constructed,
-        dataclasses.replace(tx),
+        dataclasses.replace(tx, payload=tx.payload),
         Transaction.from_wire(tx.wire_dict()),
         *Block.from_wire(block.wire_dict()).transactions,
     ]
@@ -442,7 +443,7 @@ def test_every_transaction_is_checked_and_hashed_when_made():
 
 
 def test_a_payload_edited_after_submission_reaches_neither_execution_nor_the_log(tmp_path):
-    """A transaction keeps its own copy of the payload it checked and hashed:
+    """A transaction keeps only the text of the payload it checked and hashed:
     edits the caller makes to its dict afterwards, nested context and inputs
     included, through ``submit_payload`` or ``submit``, are neither executed
     nor logged, and replay reloads an equal state."""
@@ -456,7 +457,7 @@ def test_a_payload_edited_after_submission_reaches_neither_execution_nor_the_log
     via_payload["inputs"].append(99)
     via_payload["tokenId"] = 9
     fields = {"op": "updateContext", "provId": 1, "context": {"agent": "c"}}
-    replaced = dataclasses.replace(ledger.build_transaction(ALICE, fields))
+    replaced = dataclasses.replace(ledger.build_transaction(ALICE, fields), payload=fields)
     ledger.submit(replaced)
     fields["context"]["agent"] = "d"
     block, outcomes = ledger.produce_block()
@@ -476,9 +477,45 @@ def test_a_payload_edited_after_submission_reaches_neither_execution_nor_the_log
     assert loaded.state_snapshot() == ledger.state_snapshot()
 
 
+def test_an_edit_through_a_submitted_transaction_is_not_executed(tmp_path):
+    """Each read of ``payload`` decodes a new dict from the hashed text, so
+    editing what a submitted transaction hands out changes nothing the
+    ledger executes: the persisted directory verifies and the record keeps
+    the hashed context."""
+    ledger = quick_ledger()
+    ledger.submit_payload(ALICE, REQUEST)
+    ledger.produce_block()
+    tx = ledger.submit_payload(ALICE, create_payload(agent="hashed"))
+    tx.payload["context"]["agent"] = "EDITED"
+    _, outcomes = ledger.produce_block()
+    assert [outcome.status for outcome in outcomes] == ["ok"]
+    ledger.persist(tmp_path)
+    assert verify_chain(tmp_path).as_dict() == {"ok": True}
+    record = ledger.machine.provenance.records.get_record(1)
+    assert record.context.as_dict() == {"agent": "hashed"}
+    assert tx.payload == create_payload(agent="hashed")
+
+
+def test_a_transaction_keeps_its_payload_once_as_text():
+    """The constructor, ``dataclasses.replace`` and ``from_wire`` keep the
+    payload only as its canonical text: no slot holds a dict or a list, and
+    each read of ``payload`` is a new dict decoded from that text."""
+    tx = quick_ledger().build_transaction(ALICE, create_payload(inputs=[1], agent="a"))
+    made = [
+        Transaction(BOB, 0, create_payload(agent="b"), 1, 0),
+        dataclasses.replace(tx, payload=create_payload(agent="c")),
+        Transaction.from_wire(json.loads(tx.wire_text())),
+    ]
+    for each in made:
+        held = {name: getattr(each, name) for name in Transaction.__slots__}
+        assert [name for name, value in held.items() if isinstance(value, (dict, list))] == []
+        assert each.payload == orjson.loads(each.payload_text)
+        assert each.payload is not each.payload
+
+
 def test_transactions_and_blocks_are_hashable():
-    """A transaction hashes by its ``hash`` field, which equal transactions
-    share, so it can be a set member although its payload is a dict."""
+    """Equal transactions hash equally, so a transaction can be a set
+    member; its payload is held as text."""
     tx = quick_ledger().build_transaction(ALICE, REQUEST)
     rebuilt = Transaction.from_wire(json.loads(json.dumps(tx.wire_dict())))
     assert rebuilt is not tx and rebuilt.payload is not tx.payload
@@ -495,8 +532,8 @@ def test_replaced_transaction_is_rejected_by_submit():
     ledger = quick_ledger()
     tx = ledger.build_transaction(ALICE, REQUEST)
     with pytest.raises(ValueError, match="init=False"):
-        dataclasses.replace(tx, hash="0" * 64)
-    forged = dataclasses.replace(tx, fee=tx.fee + 1)
+        dataclasses.replace(tx, payload=tx.payload, hash="0" * 64)
+    forged = dataclasses.replace(tx, payload=tx.payload, fee=tx.fee + 1)
     fresh = Transaction(ALICE, tx.nonce, REQUEST, tx.fee + 1, tx.submitted_at)
     assert forged.hash == fresh.hash != tx.hash
     ledger.submit(tx)
@@ -513,7 +550,7 @@ def test_an_unsealed_submission_is_queued_rebuilt(tmp_path):
     it as it is, and its block reloads from the log."""
     ledger = quick_ledger()
     tx = ledger.build_transaction(ALICE, REQUEST)
-    replaced = dataclasses.replace(tx)
+    replaced = dataclasses.replace(tx, payload=tx.payload)
     assert replaced.wire_text() == tx.wire_text()
     assert ledger.submit(replaced) == replaced.hash == tx.hash
     block, _ = ledger.produce_block()
