@@ -16,10 +16,6 @@ class LedgerError(Exception):
 
 # --- record store ---------------------------------------------------------
 
-class DuplicateProvenanceIdError(LedgerError):
-    code = "DuplicateProvenanceId"
-
-
 class RecordNotFoundError(LedgerError):
     code = "RecordNotFound"
 
@@ -29,10 +25,6 @@ class RecordInvalidatedError(LedgerError):
 
 
 # --- token registry -------------------------------------------------------
-
-class DuplicateTokenError(LedgerError):
-    code = "DuplicateToken"
-
 
 class ZeroAddressError(LedgerError):
     code = "ZeroAddress"

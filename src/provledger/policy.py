@@ -235,11 +235,10 @@ def policy_from_dict(data: object) -> UseCasePolicy:
 class PolicyLayer:
     """Runtime enforcement of one use-case policy over the generic layer.
 
-    Also owns the token counter and, under fee assignment, the internal
-    balance ledger (balances, treasury, and the cumulative seeded total for
-    conservation checks). Each balance and whitelist write, including the
-    policy's initial members, is reported to ``on_write`` as a ``balances``
-    or ``whitelist`` leaf.
+    Also owns, under fee assignment, the internal balance ledger (balances,
+    treasury, and the cumulative seeded total for conservation checks). Each
+    balance and whitelist write, including the policy's initial members, is
+    reported to ``on_write`` as a ``balances`` or ``whitelist`` leaf.
     """
 
     def __init__(
@@ -255,7 +254,6 @@ class PolicyLayer:
         self._registry = registry
         self._mint_key = mint_key
         self._on_write = on_write
-        self._next_token_id = 1
         self._balances: dict[ClientId, int] = {}
         self._treasury = 0
         self._seeded_total = 0
@@ -284,7 +282,8 @@ class PolicyLayer:
 
     @property
     def next_token_id(self) -> int:
-        return self._next_token_id
+        """The id the next minted token gets."""
+        return self._registry.token_count() + 1
 
     @property
     def treasury(self) -> int:
@@ -317,9 +316,7 @@ class PolicyLayer:
             if caller not in self._whitelist:
                 raise NotWhitelistedError(f"{caller.hex} is not on the whitelist")
 
-        token_id = self._next_token_id
-        self._registry.mint(self._mint_key, caller, token_id)
-        self._next_token_id += 1
+        token_id = self._registry.mint(self._mint_key, caller)
         if assignment.kind == FEE:
             old = self._balances.get(caller)
             if old is None:
@@ -373,7 +370,7 @@ class PolicyLayer:
 
     def snapshot(self) -> dict:
         """The balance and whitelist maps as plain data; the ledger reads the
-        scalars (token counter, treasury, seeded total) through properties."""
+        scalars (next token id, treasury, seeded total) through properties."""
         return {
             "balances": {
                 client.hex: amount for client, amount in sorted(self._balances.items())

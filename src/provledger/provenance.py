@@ -1,7 +1,7 @@
 """Generic provenance layer.
 
 Ties records to tokens: creation requires authorization on the target token
-and valid inputs, record ids are drawn from a single monotonic counter, and
+and valid inputs, the record store assigns each new record the next id, and
 every record joins one of its token's parallel traces. Every record
 precondition is checked here, once; the record store stores what this layer
 hands it.
@@ -56,7 +56,6 @@ class ProvenanceLayer:
         # record id -> (the trace holding it, the same-token parent of that
         # trace's first record), one tuple shared by the records of a trace
         self._trace_of: dict[int, tuple[list[int], int]] = {}
-        self._next_prov_id = 1
 
     @property
     def records(self) -> RecordStore:
@@ -64,7 +63,8 @@ class ProvenanceLayer:
 
     @property
     def next_prov_id(self) -> int:
-        return self._next_prov_id
+        """The id the next created record gets."""
+        return self._store.record_count() + 1
 
     def _require_authorized(self, caller: ClientId, token_id: int) -> None:
         """Raises ``TokenNotFoundError`` for a missing token, then
@@ -114,11 +114,9 @@ class ProvenanceLayer:
         input_records = self.validate_create(caller, token_id, inputs)
         if context_check is not None:
             context_check(context)
-        prov_id = self._next_prov_id
-        self._store.create_record(
-            self._store_key, prov_id, token_id, (record.id for record in input_records), context
+        prov_id = self._store.create_record(
+            self._store_key, token_id, (record.id for record in input_records), context
         )
-        self._next_prov_id += 1
         same_token = [record.id for record in input_records if record.token_id == token_id]
         parent = same_token[0] if len(same_token) == 1 else -len(same_token)
         # a parent of 0 or below is in no trace: only record ids are keys
@@ -178,7 +176,7 @@ class ProvenanceLayer:
             context_check(new_context)
         if new_context != record.context:
             new = ProvenanceRecord(
-                prov_id, record.token_id, record.input_ids, new_context, record.index, record.status
+                prov_id, record.token_id, record.input_ids, new_context, record.status
             )
             self._store.replace_record(self._store_key, record, new)
 
@@ -187,7 +185,6 @@ class ProvenanceLayer:
         no longer serve as an input to new records."""
         record = self._writable_record(caller, prov_id)
         new = ProvenanceRecord(
-            prov_id, record.token_id, record.input_ids, record.context, record.index,
-            RecordStatus.INVALIDATED,
+            prov_id, record.token_id, record.input_ids, record.context, RecordStatus.INVALIDATED
         )
         self._store.replace_record(self._store_key, record, new)

@@ -1,10 +1,11 @@
 """Storage layer: provenance records in insertion order.
 
-Records are identified by positive 64-bit integers (0 is the reserved nil
-sentinel). Reads are public; mutations require the internal access key held
-by the provenance layer, mirroring the read/write access split of the
-layered design. The store stores what it is handed: the provenance layer
-checks every workflow precondition before it writes.
+Records are identified by positive integers that the store assigns: the
+n-th record created has id n (0 is the reserved nil sentinel). Reads are
+public; mutations require the internal access key held by the provenance
+layer, mirroring the read/write access split of the layered design. The
+store stores what it is handed: the provenance layer checks every workflow
+precondition before it writes.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import reprlib
 from dataclasses import dataclass
 from typing import Iterable, KeysView, Mapping
 
-from .errors import DuplicateProvenanceIdError, RecordNotFoundError
+from .errors import RecordNotFoundError
 from .statehash import WriteHook, ignore_write
 
 
@@ -88,16 +89,16 @@ class Context:
 class ProvenanceRecord:
     """One creation or modification event of a data point.
 
-    ``input_ids`` reference strictly earlier records; ``index`` is the fixed
-    position in the global insertion index. Slots keep a record to one small
-    object, which queries walking many records read faster.
+    ``input_ids`` reference strictly earlier records. The record's position
+    in the global insertion index is ``id - 1``, exported as ``index``.
+    Slots keep a record to one small object, which queries walking many
+    records read faster.
     """
 
     id: int
     token_id: int
     input_ids: tuple[int, ...]
     context: Context
-    index: int
     status: RecordStatus
 
     def as_dict(self) -> dict:
@@ -106,7 +107,7 @@ class ProvenanceRecord:
             "tokenId": self.token_id,
             "inputProvenanceIds": list(self.input_ids),
             "context": self.context.as_dict(),
-            "index": self.index,
+            "index": self.id - 1,
             "status": self.status.value,
         }
 
@@ -117,7 +118,7 @@ class RecordStore:
     Reads are public. Mutations check ``internal_key`` by identity: only the
     holder of the key object given at construction time (the provenance
     layer) may create or replace records. Records are never deleted, so a
-    record's position in the mapping is its ``index``. Each write is reported
+    record's position in the mapping is ``id - 1``. Each write is reported
     to ``on_write`` as a ``records`` leaf.
     """
 
@@ -131,27 +132,17 @@ class RecordStore:
             raise PermissionError("record store mutation requires the internal access key")
 
     def create_record(
-        self,
-        key: object,
-        prov_id: int,
-        token_id: int,
-        input_ids: Iterable[int],
-        context: Context,
+        self, key: object, token_id: int, input_ids: Iterable[int], context: Context
     ) -> int:
-        """Store a new valid record; returns its position in the global index.
-
-        An existing id is refused: overwriting it would add a ``records``
-        leaf without removing the old one from the state digest.
-        """
+        """Store a new valid record under the next id, the record count plus
+        one, and return that id."""
         self._require_internal(key)
-        if prov_id in self._records:
-            raise DuplicateProvenanceIdError(f"record {prov_id} already exists")
-        index = len(self._records)
+        prov_id = len(self._records) + 1
         record = self._records[prov_id] = ProvenanceRecord(
-            prov_id, token_id, tuple(input_ids), context, index, RecordStatus.VALID
+            prov_id, token_id, tuple(input_ids), context, RecordStatus.VALID
         )
         self._on_write("records", prov_id, None, record.as_dict())
-        return index
+        return prov_id
 
     def get_record(self, prov_id: int) -> ProvenanceRecord:
         record = self._records.get(prov_id)

@@ -4,7 +4,8 @@ A token is the entry ticket for writing provenance: only its owner or a
 client the owner approved may create records for the data point it
 identifies. The surface is a reduced non-fungible-token interface
 (mint / owner_of / exists / transfer / approve); minting is restricted to
-the policy layer, which controls assignment.
+the policy layer, which controls assignment. The registry assigns each
+minted token the next id: the n-th token minted has id n.
 """
 
 from __future__ import annotations
@@ -14,24 +15,12 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .canonical import UINT64_MAX
-from .errors import (
-    DuplicateTokenError,
-    NotAuthorizedError,
-    TokenNotFoundError,
-    ZeroAddressError,
-)
+from .errors import NotAuthorizedError, TokenNotFoundError, ZeroAddressError
 from .statehash import WriteHook, ignore_write
 
 ADDRESS_BYTES = 32
 
 _HEX_BODY = re.compile(f"[0-9a-f]{{{ADDRESS_BYTES * 2}}}")
-
-
-def validate_id(value: int, label: str = "id") -> int:
-    if type(value) is not int or not 1 <= value <= UINT64_MAX:
-        raise ValueError(f"{label} must be an integer in [1, 2^64-1], got {value!r}")
-    return value
 
 
 def check_hex_address(text: object) -> str:
@@ -123,16 +112,17 @@ class TokenRegistry:
         self._on_write = on_write
         self._tokens: dict[int, Token] = {}
 
-    def mint(self, key: object, to: ClientId, token_id: int) -> None:
+    def mint(self, key: object, to: ClientId) -> int:
+        """Mint a token to ``to`` under the next id, the token count plus
+        one, and return that id."""
         if key is not self._mint_key:
             raise PermissionError("minting requires the assignment key")
-        validate_id(token_id, "token_id")
         if to.is_zero:
             raise ZeroAddressError("cannot mint to the zero address")
-        if token_id in self._tokens:
-            raise DuplicateTokenError(f"token {token_id} already minted")
+        token_id = len(self._tokens) + 1
         token = self._tokens[token_id] = Token(token_id, to)
         self._on_write("tokens", token_id, None, token.as_dict())
+        return token_id
 
     def exists(self, token_id: int) -> bool:
         return token_id in self._tokens
@@ -176,5 +166,8 @@ class TokenRegistry:
         """Every minted token id in mint order; tokens are never burned."""
         return list(self._tokens)
 
+    def token_count(self) -> int:
+        return len(self._tokens)
+
     def snapshot(self) -> list[dict]:
-        return [self._tokens[token_id].as_dict() for token_id in sorted(self._tokens)]
+        return [token.as_dict() for token in self._tokens.values()]

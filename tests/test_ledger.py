@@ -43,6 +43,7 @@ from provledger.errors import (
 )
 from provledger.ledger import (
     BLOCKS_FILE,
+    CONFIG_FILE,
     NOT_CANONICAL,
     OPS,
     Block,
@@ -1253,6 +1254,11 @@ def resealed(block: dict) -> str:
     return naive_canonical(dict(block, blockHash=naive_hash(header)))
 
 
+def rehash(tx: dict) -> None:
+    """Compute ``tx``'s hash again from its other fields."""
+    tx["hash"] = naive_hash({key: value for key, value in tx.items() if key != "hash"})
+
+
 def resealed_fee(fee):
     """An edit giving the first transaction ``fee`` and computing its hash
     and the block's again: the fee is not state, so the line stays valid."""
@@ -1263,7 +1269,7 @@ def resealed_fee(fee):
             return None
         tx = block["transactions"][0]
         tx["fee"] = fee
-        tx["hash"] = naive_hash({key: value for key, value in tx.items() if key != "hash"})
+        rehash(tx)
         return resealed(block)
 
     return edit
@@ -1372,6 +1378,98 @@ def test_line_check_matches_the_naive_oracle(tmp_path, monkeypatch, name):
         else:
             assert verdict["ok"] is False and verdict["firstCorruptHeight"] == height
     assert edited_lines > 0
+
+
+def resealed_at(height, edit):
+    """A chain edit applying ``edit(block, previous)`` to the parsed block at
+    ``height``, resealing it and relinking every later line, so only the
+    check the edit aims at can fail."""
+
+    def apply(directory):
+        path = directory / BLOCKS_FILE
+        lines = path.read_text(encoding="utf-8").splitlines()
+        block = json.loads(lines[height])
+        edit(block, json.loads(lines[height - 1]))
+        lines[height] = resealed(block)
+        path.write_text("".join(line + "\n" for line in relinked(lines, height)), encoding="utf-8")
+
+    return apply
+
+
+def first_tx(edit):
+    """An edit of the first transaction of a block, whose hash is then
+    computed again."""
+
+    def apply(block, previous):
+        tx = block["transactions"][0]
+        edit(tx)
+        rehash(tx)
+
+    return apply
+
+
+def result_changed(block, previous):
+    block["results"][1] = "ok"  # the logged result is NotAuthorized
+
+
+def fifth_transaction(block, previous):
+    """Append the block's last transaction with the sender's next nonce."""
+    tx = dict(block["transactions"][-1], nonce=block["transactions"][-1]["nonce"] + 1)
+    rehash(tx)
+    block["transactions"].append(tx)
+    block["results"].append("ok")
+
+
+# varied_chain's capacity is 4; height 2 is followed by more blocks, and
+# height 4, the last, holds 4 transactions, the first of them CAROL's create
+REPLAY_EDITS = {
+    "parentHash changed": (
+        2, "broken parent link", resealed_at(2, lambda b, p: b.update(parentHash="1" * 64))
+    ),
+    "timestamp of the previous block": (
+        2, "timestamps must strictly increase",
+        resealed_at(2, lambda b, p: b.update(timestamp=p["timestamp"])),
+    ),
+    "fifth transaction": (4, "block over capacity", resealed_at(4, fifth_transaction)),
+    "nonce raised": (
+        4, f"nonce gap for {CAROL.hex} at height 4",
+        resealed_at(4, first_tx(lambda tx: tx.update(nonce=tx["nonce"] + 1))),
+    ),
+    "result changed": (
+        4, "recorded results diverge from replay at height 4",
+        resealed_at(4, result_changed),
+    ),
+    "transactions an object": (
+        4, "transactions must be a list", resealed_at(4, lambda b, p: b.update(transactions={}))
+    ),
+    "result dropped": (
+        4, "results and transactions must align", resealed_at(4, lambda b, p: b["results"].pop())
+    ),
+    "inputs a number": (
+        4, "inputs must be a list of record ids",
+        resealed_at(4, first_tx(lambda tx: tx["payload"].update(inputs=5))),
+    ),
+    "context a list": (
+        4, "context must be an object of string keys and values",
+        resealed_at(4, first_tx(lambda tx: tx["payload"].update(context=["agent", "é"]))),
+    ),
+    "config a list": (
+        0, "sim config must be a JSON object",
+        lambda directory: (directory / CONFIG_FILE).write_text("[]"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPLAY_EDITS))
+def test_each_replay_check_reports_its_reason_and_height(tmp_path, name):
+    """An edit aimed at one check of ``verify`` fails at that check, with its
+    reason and the height of the edited block."""
+    height, reason, edit = REPLAY_EDITS[name]
+    path = varied_chain(tmp_path / "ledger")
+    edit(path.parent)
+    assert verify_chain(path.parent).as_dict() == {
+        "ok": False, "firstCorruptHeight": height, "reason": reason
+    }
 
 
 # one JSON token: a string, a number, a literal, or one structural character

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -323,3 +324,14 @@ def test_policy_parsing_rejects_bad_shapes():
     for name in (5, ""):
         with pytest.raises(ConfigInvalidError):
             policy_from_dict({"schema": {"name": name}})
+    schema = {"name": "x"}
+    whitelist = {"type": "whitelist", "admin": "carol", "members": "alice"}
+    for data, message in (
+        ({"schema": schema, "assignment": {"type": "auction"}}, "unknown assignment kind 'auction'"),
+        ({"schema": dict(schema, required="agent")}, "schema.required must be a list of strings"),
+        ({"schema": schema, "exposure": []}, "policy exposure must be an object"),
+        ({"schema": schema, "assignment": {}}, "policy assignment requires a type"),
+        ({"schema": schema, "assignment": whitelist}, "assignment.members must be a list"),
+    ):
+        with pytest.raises(ConfigInvalidError, match=f"^{re.escape(message)}$"):
+            policy_from_dict(data)

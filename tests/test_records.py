@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from provledger import Context, RecordStatus, RecordStore
 from provledger.errors import (
-    DuplicateProvenanceIdError,
     InvalidInputError,
     RecordInvalidatedError,
     RecordNotFoundError,
@@ -52,28 +51,20 @@ def mutate(provenance, operation, prov_id):
 def test_create_then_get_roundtrips_all_fields():
     store, key = store_with_key()
     context = Context({"agent": "operator1@SaferVaccinesInc", "time": "5am"})
-    index = store.create_record(key, 1, 1, [], context)
-    assert index == 0
+    assert store.create_record(key, 1, [], context) == 1
     record = store.get_record(1)
     assert record.id == 1
     assert record.token_id == 1
     assert record.input_ids == ()
     assert record.context == context
-    assert record.index == 0
+    assert record.as_dict()["index"] == 0
     assert record.status is RecordStatus.VALID
 
 
 def test_create_returns_previous_record_count():
     store, key = store_with_key()
-    assert store.create_record(key, 1, 1, [], Context({"agent": "a"})) == 0
-    assert store.create_record(key, 2, 1, [1], Context({"agent": "b"})) == 1
-
-
-def test_duplicate_id_rejected():
-    store, key = store_with_key()
-    store.create_record(key, 1, 1, [], Context())
-    with pytest.raises(DuplicateProvenanceIdError):
-        store.create_record(key, 1, 1, [], Context())
+    assert store.create_record(key, 1, [], Context({"agent": "a"})) == 1
+    assert store.create_record(key, 1, [1], Context({"agent": "b"})) == 2
 
 
 def test_get_missing_record():
@@ -84,7 +75,7 @@ def test_get_missing_record():
 
 def test_get_is_pure():
     store, key = store_with_key()
-    store.create_record(key, 1, 2, [], Context({"k": "v"}))
+    store.create_record(key, 2, [], Context({"k": "v"}))
     first = store.get_record(1)
     second = store.get_record(1)
     assert first == second
@@ -139,8 +130,8 @@ def test_count_and_listing():
     store, key = store_with_key()
     assert store.record_count() == 0
     assert record_ids(store) == []
-    for prov_id in (1, 2, 3):
-        store.create_record(key, prov_id, 1, [], Context())
+    for _ in range(3):
+        store.create_record(key, 1, [], Context())
     assert store.record_count() == 3
     assert record_ids(store) == [1, 2, 3]
     # a replaced record keeps its place in the index
@@ -151,8 +142,9 @@ def test_count_and_listing():
 def test_mutations_require_internal_key():
     store, key = store_with_key()
     with pytest.raises(PermissionError):
-        store.create_record(object(), 1, 1, [], Context())
-    store.create_record(key, 1, 1, [], Context())
+        store.create_record(object(), 1, [], Context())
+    assert store.record_count() == 0
+    store.create_record(key, 1, [], Context())
     record = store.get_record(1)
     with pytest.raises(PermissionError):
         store.replace_record(object(), record, replace(record, status=RecordStatus.INVALIDATED))
@@ -208,8 +200,8 @@ def test_a_value_too_deep_to_repr_is_rejected_with_a_bounded_repr():
 
 def test_snapshot_export_shape():
     store, key = store_with_key()
-    store.create_record(key, 1, 4, [], Context({"agent": "a"}))
-    store.create_record(key, 2, 4, [1], Context({"agent": "b"}))
+    store.create_record(key, 4, [], Context({"agent": "a"}))
+    store.create_record(key, 4, [1], Context({"agent": "b"}))
     record = store.get_record(2)
     store.replace_record(key, record, replace(record, status=RecordStatus.INVALIDATED))
     exported = store.snapshot()
@@ -265,12 +257,15 @@ def test_status_machine_only_valid_to_invalidated(ops):
 
 
 @settings(max_examples=100, deadline=None)
-@given(ids=st.lists(st.integers(1, 1000), unique=True, max_size=30))
-def test_index_matches_listing_position(ids):
+@given(count=st.integers(0, 30))
+def test_index_matches_listing_position(count):
+    """n creates give ids 1..n; each record's exported ``index`` is its
+    listing position, ``id - 1``."""
     store = RecordStore(KEY)
-    for prov_id in ids:
-        store.create_record(KEY, prov_id, 1, [], Context())
+    ids = [store.create_record(KEY, 1, [], Context()) for _ in range(count)]
+    assert ids == list(range(1, count + 1))
     listing = record_ids(store)
     assert listing == ids
-    for position, prov_id in enumerate(listing):
-        assert store.get_record(prov_id).index == position
+    for position, item in enumerate(store.snapshot()):
+        assert item["index"] == position == item["id"] - 1
+        assert store.get_record(item["id"]).as_dict()["index"] == position

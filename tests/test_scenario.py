@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -83,6 +84,16 @@ def test_scenario_file_validation(tmp_path):
                                           "mystery": 1}]}), encoding="utf-8")
     with pytest.raises(ConfigInvalidError):
         load_scenario(bad)
+    request = {"op": "requestToken"}
+    for step, message in (
+        ("requestToken", "step 0 must be an object"),
+        ({"as": "x"}, "step 0 requires an op payload"),
+        ({"as": "x", "op": request, "expect": ""}, "step 0 has a bad expectation"),
+        ({"as": "x", "op": request, "fee": -1}, "step 0 has a bad fee"),
+    ):
+        bad.write_text(json.dumps({"steps": [step]}), encoding="utf-8")
+        with pytest.raises(ConfigInvalidError, match=f"^{re.escape(message)}$"):
+            load_scenario(bad)
 
 
 def test_transfer_step_fills_owner(tmp_path):

@@ -7,12 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from provledger import ClientId, TokenRegistry, ZERO_CLIENT
-from provledger.errors import (
-    DuplicateTokenError,
-    NotAuthorizedError,
-    TokenNotFoundError,
-    ZeroAddressError,
-)
+from provledger.errors import NotAuthorizedError, TokenNotFoundError, ZeroAddressError
 from support import ALICE, BOB, CAROL
 
 
@@ -24,28 +19,25 @@ def registry_with_key():
 def test_mint_and_read():
     registry, key = registry_with_key()
     assert registry.exists(1) is False
-    registry.mint(key, ALICE, 1)
+    assert registry.token_count() == 0
+    assert registry.mint(key, ALICE) == 1
     assert registry.exists(1) is True
     assert registry.owner_of(1) == ALICE
-
-
-def test_mint_duplicate():
-    registry, key = registry_with_key()
-    registry.mint(key, ALICE, 1)
-    with pytest.raises(DuplicateTokenError):
-        registry.mint(key, ALICE, 1)
+    assert registry.token_count() == 1
 
 
 def test_mint_zero_address():
     registry, key = registry_with_key()
     with pytest.raises(ZeroAddressError):
-        registry.mint(key, ZERO_CLIENT, 2)
+        registry.mint(key, ZERO_CLIENT)
+    assert registry.token_count() == 0
 
 
 def test_mint_requires_assignment_key():
     registry, _ = registry_with_key()
     with pytest.raises(PermissionError):
-        registry.mint(object(), ALICE, 1)
+        registry.mint(object(), ALICE)
+    assert registry.token_count() == 0
 
 
 def test_owner_of_unminted():
@@ -56,35 +48,35 @@ def test_owner_of_unminted():
 
 def test_transfer_by_owner():
     registry, key = registry_with_key()
-    registry.mint(key, ALICE, 1)
+    registry.mint(key, ALICE)
     registry.transfer(ALICE, ALICE, BOB, 1)
     assert registry.owner_of(1) == BOB
 
 
 def test_transfer_unapproved_caller():
     registry, key = registry_with_key()
-    registry.mint(key, ALICE, 1)
+    registry.mint(key, ALICE)
     with pytest.raises(NotAuthorizedError):
         registry.transfer(CAROL, ALICE, BOB, 1)
 
 
 def test_transfer_wrong_from():
     registry, key = registry_with_key()
-    registry.mint(key, ALICE, 1)
+    registry.mint(key, ALICE)
     with pytest.raises(NotAuthorizedError):
         registry.transfer(ALICE, BOB, CAROL, 1)
 
 
 def test_transfer_to_zero_address():
     registry, key = registry_with_key()
-    registry.mint(key, ALICE, 1)
+    registry.mint(key, ALICE)
     with pytest.raises(ZeroAddressError):
         registry.transfer(ALICE, ALICE, ZERO_CLIENT, 1)
 
 
 def test_self_transfer_allowed_and_clears_approvals():
     registry, key = registry_with_key()
-    registry.mint(key, ALICE, 1)
+    registry.mint(key, ALICE)
     registry.approve(ALICE, BOB, 1)
     registry.transfer(ALICE, ALICE, ALICE, 1)
     assert registry.owner_of(1) == ALICE
@@ -93,7 +85,7 @@ def test_self_transfer_allowed_and_clears_approvals():
 
 def test_approved_operator_can_transfer():
     registry, key = registry_with_key()
-    registry.mint(key, ALICE, 1)
+    registry.mint(key, ALICE)
     registry.approve(ALICE, BOB, 1)
     registry.transfer(BOB, ALICE, CAROL, 1)
     assert registry.owner_of(1) == CAROL
@@ -101,7 +93,7 @@ def test_approved_operator_can_transfer():
 
 def test_approve_and_is_authorized():
     registry, key = registry_with_key()
-    registry.mint(key, ALICE, 1)
+    registry.mint(key, ALICE)
     registry.approve(ALICE, BOB, 1)
     assert registry.is_authorized(BOB, 1) is True
     assert registry.is_authorized(CAROL, 1) is False
@@ -110,19 +102,21 @@ def test_approve_and_is_authorized():
 
 def test_approve_requires_ownership():
     registry, key = registry_with_key()
-    registry.mint(key, ALICE, 1)
+    registry.mint(key, ALICE)
     with pytest.raises(NotAuthorizedError):
         registry.approve(BOB, CAROL, 1)
 
 
 def test_snapshot_export_shape():
     registry, key = registry_with_key()
-    registry.mint(key, ALICE, 2)
-    registry.mint(key, BOB, 1)
-    registry.approve(ALICE, CAROL, 2)
+    assert registry.mint(key, ALICE) == 1
+    assert registry.mint(key, BOB) == 2
+    registry.approve(BOB, CAROL, 2)
     exported = registry.snapshot()
     assert [item["id"] for item in exported] == [1, 2]
     assert all(set(item) == {"id", "owner", "approved"} for item in exported)
+    assert [item["owner"] for item in exported] == [ALICE.hex, BOB.hex]
+    assert exported[0]["approved"] == []
     assert exported[1]["approved"] == [CAROL.hex]
 
 
@@ -160,7 +154,7 @@ action = st.tuples(
     st.sampled_from(["mint", "transfer", "approve"]),
     st.integers(0, 4),  # caller
     st.integers(0, 4),  # counterparty
-    st.integers(1, 6),  # token
+    st.integers(1, 6),  # token; a mint takes the next id instead
 )
 
 
@@ -174,7 +168,8 @@ def test_single_owner_and_approval_hygiene(actions):
         caller, other = clients[caller_i], clients[other_i]
         try:
             if kind == "mint":
-                registry.mint(KEY, caller, token_id)
+                token_id = registry.mint(KEY, caller)
+                assert token_id == len(owners) + 1
                 owners[token_id] = caller
                 approved[token_id] = set()
             elif kind == "transfer":
@@ -184,7 +179,10 @@ def test_single_owner_and_approval_hygiene(actions):
             else:
                 registry.approve(caller, other, token_id)
                 approved[token_id].add(other)
-        except (DuplicateTokenError, TokenNotFoundError, NotAuthorizedError, ZeroAddressError):
+        except TokenNotFoundError:
+            assert token_id not in owners  # an id never minted
+            continue
+        except (NotAuthorizedError, ZeroAddressError):
             continue
         # single owner, matching the shadow model
         for tid, owner in owners.items():
