@@ -55,11 +55,6 @@ def checked_json(value: Any) -> bytes:
     return orjson.dumps(value, option=_ORJSON_OPTIONS)
 
 
-def text_digest(text: str) -> str:
-    """SHA-256 hex digest of a text's UTF-8 bytes."""
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def digest_of(value: Any) -> str:
     """SHA-256 hex digest of a value's canonical JSON form."""
-    return text_digest(canonical_json(value))
+    return hashlib.sha256(canonical_json(value).encode("utf-8")).hexdigest()

@@ -23,6 +23,7 @@ import json
 import random
 import re
 import reprlib
+from binascii import hexlify
 from collections import deque
 from dataclasses import InitVar, dataclass, field
 from pathlib import Path
@@ -30,7 +31,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Seque
 
 import orjson
 
-from .canonical import UINT64_MAX, ZERO_DIGEST, canonical_json, checked_json, digest_of, text_digest
+from .canonical import UINT64_MAX, ZERO_DIGEST, canonical_json, checked_json, digest_of
 from .errors import (
     BadNonceError,
     ClockExhaustedError,
@@ -249,9 +250,11 @@ def _operation(payload: object) -> Operation:
     if not isinstance(payload, dict):
         raise MalformedPayloadError("payload must be a JSON object")
     op = payload.get("op")
-    if type(op) is not str or op not in OPS:
+    # only a str is looked up: another op may be unhashable
+    operation = OPS.get(op) if type(op) is str else None
+    if operation is None:
         raise MalformedPayloadError(f"unknown operation {reprlib.repr(op)}")
-    return OPS[op]
+    return operation
 
 
 def validate_payload(payload: object) -> dict:
@@ -337,24 +340,23 @@ class Transaction:
         _check_uint(self.fee, "fee")
         _check_uint(self.submitted_at, "submittedAt")
         try:
-            payload_text = checked_json(validate_payload(payload)).decode("utf-8")
+            payload_json = checked_json(validate_payload(payload))
         except orjson.JSONEncodeError as exc:  # a lone surrogate, which UTF-8 cannot hold
             raise MalformedPayloadError(f"payload is not UTF-8 text: {exc}") from exc
-        text = self.hashed_text(sender, self.nonce, payload_text, self.fee, self.submitted_at)
-        object.__setattr__(self, "hash", text_digest(text))
-        object.__setattr__(self, "payload_text", payload_text)
+        data = self.hashed_json(sender, self.nonce, payload_json, self.fee, self.submitted_at)
+        object.__setattr__(self, "hash", hashlib.sha256(data).hexdigest())
+        object.__setattr__(self, "payload_text", payload_json.decode("utf-8"))
 
     @staticmethod
-    def hashed_text(
-        sender: ClientId, nonce: int, payload_text: str, fee: int, submitted_at: int
-    ) -> str:
-        """The canonical JSON text that ``hash`` is the SHA-256 of, for
-        checked fields and the payload's canonical text: the sorted outer
-        keys are written around that text, since an ``int``'s text is its
-        JSON and an address holds nothing to escape."""
-        return (
-            f'{{"fee":{fee},"nonce":{nonce},"payload":{payload_text},'
-            f'"sender":"{sender.hex}","submittedAt":{submitted_at}}}'
+    def hashed_json(
+        sender: ClientId, nonce: int, payload_json: bytes, fee: int, submitted_at: int
+    ) -> bytes:
+        """The canonical JSON bytes that ``hash`` is the SHA-256 of, for
+        checked fields and the payload's canonical JSON bytes: the sorted
+        outer keys are written around those bytes, since an ``int``'s text is
+        its JSON and an address holds nothing to escape."""
+        return b'{"fee":%d,"nonce":%d,"payload":%b,"sender":"0x%b","submittedAt":%d}' % (
+            fee, nonce, payload_json, hexlify(sender.raw), submitted_at
         )
 
     @classmethod
@@ -377,7 +379,7 @@ class Transaction:
 
     def wire_text(self) -> str:
         """The canonical JSON text of :meth:`wire_dict`, written around the
-        kept payload text as :meth:`hashed_text` is, with the hash after
+        kept payload text as :meth:`hashed_json` is, with the hash after
         ``fee``, where sorted keys place it."""
         return (
             f'{{"fee":{self.fee},"hash":"{self.hash}","nonce":{self.nonce},'
@@ -399,11 +401,11 @@ class Transaction:
                 f"transaction must have exactly fields {sorted(_TX_FIELDS)}"
             )
         tx = cls(
-            sender=_sender(data["sender"], senders),
-            nonce=data["nonce"],
-            payload=data["payload"],
-            fee=data["fee"],
-            submitted_at=data["submittedAt"],
+            _sender(data["sender"], senders),
+            data["nonce"],
+            data["payload"],
+            data["fee"],
+            data["submittedAt"],
         )
         if tx.hash != data["hash"]:
             # a hash equal to the computed one is well-formed
@@ -501,14 +503,15 @@ class Block:
     def from_wire(
         cls,
         data: object,
-        line: str | None = None,
+        line: bytes | None = None,
         senders: dict[str, ClientId] | None = None,
     ) -> "Block":
-        """The block ``data`` describes. With ``line``, the text ``data`` was
-        parsed from, which must be the block's canonical JSON: it is checked
-        against :meth:`wire_line`, written from the payload texts that hashing
-        the transactions encodes anyway, so no payload is encoded twice.
-        ``senders`` is passed to :meth:`Transaction.from_wire`."""
+        """The block ``data`` describes. With ``line``, the UTF-8 bytes
+        ``data`` was parsed from, which must be the block's canonical JSON:
+        after every value and hash check, ``line`` is compared with the
+        canonical JSON of ``data`` itself, which equals :meth:`wire_line`'s
+        once those checks pass. ``senders`` is passed to
+        :meth:`Transaction.from_wire`."""
         if not isinstance(data, dict):
             raise MalformedPayloadError("block must be a JSON object")
         if data.keys() != _BLOCK_FIELDS:
@@ -538,7 +541,7 @@ class Block:
         )
         if block.block_hash != data["blockHash"]:
             raise MalformedPayloadError("block hash does not match its contents")
-        if line is not None and line != block.wire_line():
+        if line is not None and checked_json(data) != line:
             raise MalformedPayloadError(NOT_CANONICAL)
         return block
 
@@ -725,7 +728,7 @@ class Ledger:
 
     def _execute(self, tx: Transaction) -> dict:
         # decoded from the hashed text: a new dict, which the op's contexts take over
-        payload = tx.payload
+        payload = orjson.loads(tx.payload_text)
         return OPS[payload["op"]].handler(self._machine, tx.sender, payload) or {}
 
     def _select_transactions(self, timestamp: int) -> list[Transaction]:
@@ -782,20 +785,27 @@ class Ledger:
         disk; production passes none and seals one with the post-state digest.
         """
         height = self.height + 1
+        executed_nonce = self._executed_nonce
+        count = self._accumulator.count
+        execute = self._execute
         outcomes: list[ExecutionOutcome] = []
+        statuses: list[str] = []
         for tx in transactions:
             sender = tx.sender
-            if tx.nonce != self._executed_nonce.get(sender.raw, 0):
+            raw = sender.raw
+            if tx.nonce != executed_nonce.get(raw, 0):
                 raise CorruptLogError(
                     f"nonce gap for {sender.hex} at height {height}", height=height
                 )
             try:
-                outcomes.append(ExecutionOutcome(tx, "ok", self._execute(tx)))
+                outcome = ExecutionOutcome(tx, "ok", execute(tx))
             except LedgerError as exc:
-                outcomes.append(ExecutionOutcome(tx, exc.code, None, str(exc)))
-            self._accumulator.count("nonces", sender.hex)
-            self._executed_nonce[sender.raw] = tx.nonce + 1
-        results = tuple(outcome.status for outcome in outcomes)
+                outcome = ExecutionOutcome(tx, exc.code, None, str(exc))
+            outcomes.append(outcome)
+            statuses.append(outcome.status)
+            count("nonces", sender.hex)
+            executed_nonce[raw] = tx.nonce + 1
+        results = tuple(statuses)
         if block is None:
             block = Block.seal(
                 height, self.head.block_hash, timestamp, tuple(transactions), results,
@@ -986,7 +996,7 @@ def _parse_block(raw: bytes, height: int, senders: dict[str, ClientId]) -> Block
     which no field accepts.
     """
     try:
-        return Block.from_wire(orjson.loads(raw), raw.decode("utf-8"), senders)
+        return Block.from_wire(orjson.loads(raw), raw, senders)
     except orjson.JSONDecodeError as exc:
         raise CorruptLogError(f"unparseable log line: {exc}", height=height) from exc
     except MalformedPayloadError as exc:

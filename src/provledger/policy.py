@@ -254,6 +254,8 @@ class PolicyLayer:
         self._registry = registry
         self._mint_key = mint_key
         self._on_write = on_write
+        # the policy is fixed at genesis, so its schema check is bound once
+        self._schema_check = policy.schema.validate
         self._balances: dict[ClientId, int] = {}
         self._treasury = 0
         self._seeded_total = 0
@@ -353,14 +355,14 @@ class PolicyLayer:
         then schema.
         """
         return self._provenance.create_provenance(
-            caller, token_id, inputs, context, context_check=self.policy.schema.validate
+            caller, token_id, inputs, context, context_check=self._schema_check
         )
 
     def gate_update(self, caller: ClientId, prov_id: int, new_context: Context) -> None:
         if not self.policy.exposure.allow_update:
             raise PolicyForbiddenError("policy does not expose update")
         self._provenance.update_provenance(
-            caller, prov_id, new_context, context_check=self.policy.schema.validate
+            caller, prov_id, new_context, context_check=self._schema_check
         )
 
     def gate_invalidate(self, caller: ClientId, prov_id: int) -> None:

@@ -14,6 +14,7 @@ reports writes to the state digest.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import defaultdict
 from itertools import chain
 from typing import Callable, Iterable, Iterator
 
@@ -24,7 +25,7 @@ from .errors import (
     RecordNotFoundError,
     TokenNotFoundError,
 )
-from .records import Context, ProvenanceRecord, RecordStatus, RecordStore
+from .records import VALID, Context, ProvenanceRecord, RecordStatus, RecordStore
 from .tokens import ClientId, TokenRegistry
 
 
@@ -52,7 +53,7 @@ class ProvenanceLayer:
         self._store = store
         self._registry = registry
         self._store_key = store_key
-        self._traces: dict[int, list[list[int]]] = {}
+        self._traces: defaultdict[int, list[list[int]]] = defaultdict(list)
         # record id -> (the trace holding it, the same-token parent of that
         # trace's first record), one tuple shared by the records of a trace
         self._trace_of: dict[int, tuple[list[int], int]] = {}
@@ -76,11 +77,13 @@ class ProvenanceLayer:
 
     def validate_create(
         self, caller: ClientId, token_id: int, inputs: Iterable[int]
-    ) -> tuple[ProvenanceRecord, ...]:
+    ) -> dict[int, ProvenanceRecord]:
         """Run the creation preconditions without mutating anything.
 
         Check order is fixed: token existence, then authorization, then input
-        validity. Returns the input records, each looked up once.
+        validity. Returns the input records in input order, each looked up
+        once, keyed by their own ids, which the new record's input ids then
+        share instead of holding the caller's copies.
         """
         self._require_authorized(caller, token_id)
         records: dict[int, ProvenanceRecord] = {}
@@ -88,12 +91,13 @@ class ProvenanceLayer:
             if input_id in records:
                 raise InvalidInputError(f"duplicate input record {input_id}")
             try:
-                record = records[input_id] = self._store.get_record(input_id)
+                record = self._store.get_record(input_id)
             except RecordNotFoundError:
                 raise InvalidInputError(f"input record {input_id} does not exist") from None
-            if record.status is not RecordStatus.VALID:
+            if record.status is not VALID:
                 raise InvalidInputError(f"input record {input_id} is invalidated")
-        return tuple(records.values())
+            records[record.id] = record
+        return records
 
     def create_provenance(
         self,
@@ -115,15 +119,20 @@ class ProvenanceLayer:
         if context_check is not None:
             context_check(context)
         prov_id = self._store.create_record(
-            self._store_key, token_id, (record.id for record in input_records), context
+            self._store_key, token_id, tuple(input_records), context
         )
-        same_token = [record.id for record in input_records if record.token_id == token_id]
-        parent = same_token[0] if len(same_token) == 1 else -len(same_token)
+        same_token = 0
+        for record in input_records.values():
+            if record.token_id == token_id:
+                same_token += 1
+                parent = record.id
+        if same_token != 1:
+            parent = -same_token
         # a parent of 0 or below is in no trace: only record ids are keys
         entry = self._trace_of.get(parent)
         if entry is None or entry[0][-1] != parent:
             entry = ([], parent)
-            self._traces.setdefault(token_id, []).append(entry[0])
+            self._traces[token_id].append(entry[0])
         entry[0].append(prov_id)
         self._trace_of[prov_id] = entry
         return prov_id
@@ -157,7 +166,7 @@ class ProvenanceLayer:
         token, and it is still valid, checked in that order."""
         record = self._store.get_record(prov_id)
         self._require_authorized(caller, record.token_id)
-        if record.status is not RecordStatus.VALID:
+        if record.status is not VALID:
             raise RecordInvalidatedError(f"record {prov_id} is invalidated")
         return record
 

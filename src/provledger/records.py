@@ -19,9 +19,16 @@ from .errors import RecordNotFoundError
 from .statehash import WriteHook, ignore_write
 
 
+_KEY_REQUIRED = "record store mutation requires the internal access key"
+
+
 class RecordStatus(enum.Enum):
     VALID = "valid"
     INVALIDATED = "invalidated"
+
+
+# read once: an Enum member read off its class costs several plain reads
+VALID = RecordStatus.VALID
 
 
 def check_context_entries(items: Mapping) -> Mapping:
@@ -108,7 +115,8 @@ class ProvenanceRecord:
             "inputProvenanceIds": list(self.input_ids),
             "context": self.context.as_dict(),
             "index": self.id - 1,
-            "status": self.status.value,
+            # the member's own attribute: ``value`` goes through a descriptor
+            "status": self.status._value_,
         }
 
 
@@ -127,19 +135,16 @@ class RecordStore:
         self._on_write = on_write
         self._records: dict[int, ProvenanceRecord] = {}
 
-    def _require_internal(self, key: object) -> None:
-        if key is not self._key:
-            raise PermissionError("record store mutation requires the internal access key")
-
     def create_record(
         self, key: object, token_id: int, input_ids: Iterable[int], context: Context
     ) -> int:
         """Store a new valid record under the next id, the record count plus
         one, and return that id."""
-        self._require_internal(key)
+        if key is not self._key:
+            raise PermissionError(_KEY_REQUIRED)
         prov_id = len(self._records) + 1
         record = self._records[prov_id] = ProvenanceRecord(
-            prov_id, token_id, tuple(input_ids), context, RecordStatus.VALID
+            prov_id, token_id, tuple(input_ids), context, VALID
         )
         self._on_write("records", prov_id, None, record.as_dict())
         return prov_id
@@ -153,7 +158,8 @@ class RecordStore:
     def replace_record(self, key: object, old: ProvenanceRecord, new: ProvenanceRecord) -> None:
         """Store ``new`` in place of ``old``, the record stored under its id,
         which it differs from. History stays in the block log."""
-        self._require_internal(key)
+        if key is not self._key:
+            raise PermissionError(_KEY_REQUIRED)
         self._records[new.id] = new
         self._on_write("records", new.id, old.as_dict, new.as_dict())
 

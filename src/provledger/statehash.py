@@ -110,7 +110,7 @@ class StateAccumulator:
 def _digest(total: int, scalars: dict) -> str:
     """SHA-256 over the reduced sum ``total`` and the canonical JSON of the
     scalar fields, written around their values as
-    :meth:`~provledger.ledger.Transaction.hashed_text` is: the digests are
+    :meth:`~provledger.ledger.Transaction.hashed_json` is: the digests are
     hex and the rest ints, whose text is their JSON. ``seededTotal`` and
     ``treasury`` are sums, which may pass the 64 bits ``checked_json``
     encodes."""

@@ -21,6 +21,7 @@ from .statehash import WriteHook, ignore_write
 ADDRESS_BYTES = 32
 
 _HEX_BODY = re.compile(f"[0-9a-f]{{{ADDRESS_BYTES * 2}}}")
+_ZERO_RAW = bytes(ADDRESS_BYTES)
 
 
 def check_hex_address(text: object) -> str:
@@ -75,13 +76,13 @@ class ClientId:
 
     @property
     def is_zero(self) -> bool:
-        return self.raw == b"\x00" * ADDRESS_BYTES
+        return self.raw == _ZERO_RAW
 
     def __repr__(self) -> str:
         return f"ClientId({self.hex})"
 
 
-ZERO_CLIENT = ClientId(b"\x00" * ADDRESS_BYTES)
+ZERO_CLIENT = ClientId(_ZERO_RAW)
 
 
 class Token(NamedTuple):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from provledger import Block, ClientId, Transaction, load_ledger, verify_chain
 from provledger import canonical
 from provledger import ledger as ledger_module
-from provledger.canonical import UINT64_MAX, canonical_json
+from provledger.canonical import UINT64_MAX, canonical_json, checked_json
 from provledger.ledger import BLOCKS_FILE, OPS
 from oracles import naive_canonical
 from support import ALICE, BOB, CAROL, quick_ledger
@@ -104,8 +104,8 @@ def test_hashed_text_matches_the_oracle(sender, nonce, payload, fee, submitted_a
         "sender": sender.hex,
         "submittedAt": submitted_at,
     }
-    text = Transaction.hashed_text(sender, nonce, canonical_json(payload), fee, submitted_at)
-    assert text == naive_canonical(plain)
+    data = Transaction.hashed_json(sender, nonce, checked_json(payload), fee, submitted_at)
+    assert data == naive_canonical(plain).encode("utf-8")
     tx = Transaction(sender, nonce, payload, fee, submitted_at)
     assert tx.payload_text == naive_canonical(payload)
     parsed = Transaction.from_wire(tx.wire_dict())
@@ -139,7 +139,7 @@ def test_block_line_matches_the_oracle(height, parent_hash, timestamp, txs, stat
         assert tx.wire_text() == naive_canonical(tx.wire_dict())
     line = block.wire_line()
     assert line == naive_canonical(block.wire_dict())
-    assert Block.from_wire(json.loads(line), line) == block
+    assert Block.from_wire(json.loads(line), line.encode("utf-8")) == block
 
 
 def test_every_persisted_line_matches_the_oracle(tmp_path):

@@ -389,7 +389,7 @@ def test_submit_payload_validates_and_hashes_once(monkeypatch):
 
     calls = {"validate": 0, "hash": 0}
     real_validate = ledger_mod.validate_payload
-    real_hash = Transaction.hashed_text
+    real_hash = Transaction.hashed_json
 
     def counting_validate(payload):
         calls["validate"] += 1
@@ -400,7 +400,7 @@ def test_submit_payload_validates_and_hashes_once(monkeypatch):
         return real_hash(*args)
 
     monkeypatch.setattr(ledger_mod, "validate_payload", counting_validate)
-    monkeypatch.setattr(Transaction, "hashed_text", staticmethod(counting_hash))
+    monkeypatch.setattr(Transaction, "hashed_json", staticmethod(counting_hash))
     ledger = quick_ledger()
     ledger.submit_payload(ALICE, REQUEST)
     assert calls == {"validate": 1, "hash": 1}
@@ -412,6 +412,39 @@ def test_submit_payload_validates_and_hashes_once(monkeypatch):
     ledger.submit(replaced)
     assert calls == {"validate": 3, "hash": 3}
     assert ledger.pending_count() == 3
+
+
+def test_load_does_each_step_of_a_transaction_once(tmp_path, monkeypatch):
+    """Loading a log of N transactions validates each payload and hashes
+    each transaction once, and seals and digests each block once, genesis
+    included."""
+    from provledger import ledger as ledger_mod
+
+    path = varied_chain(tmp_path / "ledger")
+    lines = path.read_bytes().splitlines()
+    transactions = sum(len(json.loads(line)["transactions"]) for line in lines)
+    calls = {"validate": 0, "hash": 0, "seal": 0, "digest": 0}
+
+    def counting(name, real):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(
+        ledger_mod, "validate_payload", counting("validate", ledger_mod.validate_payload)
+    )
+    monkeypatch.setattr(
+        Transaction, "hashed_json", staticmethod(counting("hash", Transaction.hashed_json))
+    )
+    monkeypatch.setattr(Block, "seal", classmethod(counting("seal", Block.seal.__func__)))
+    monkeypatch.setattr(Ledger, "state_digest", counting("digest", Ledger.state_digest))
+    loaded = load_ledger(path.parent)
+    assert loaded.height == len(lines) - 1 == 4 and transactions == 8
+    assert calls == {
+        "validate": transactions, "hash": transactions, "seal": len(lines), "digest": len(lines)
+    }
 
 
 def test_every_transaction_is_checked_and_hashed_when_made():

@@ -43,6 +43,24 @@ def test_lineage_creation_returns_fresh_ids(stack):
     assert stack.provenance.get_associated_provenance(token) == [p1, p2, p3]
 
 
+def test_a_record_holds_its_inputs_own_ids(stack):
+    """A new record's input ids, in input order, are the input records' own
+    id objects, not the caller's equal copies, such as the ints a replayed
+    payload decodes: a loaded log holds each id once."""
+    token = stack.request_token(ALICE)
+    ids = [
+        stack.provenance.create_provenance(ALICE, token, [], Context({"agent": "a"}))
+        for _ in range(300)
+    ]
+    own = [ids[299], ids[257], ids[0]]  # ids 300, 258 and 1
+    copies = [int(str(prov_id)) for prov_id in own]
+    assert copies == own and copies[0] is not own[0]
+    new = stack.provenance.create_provenance(ALICE, token, copies, Context({"agent": "b"}))
+    input_ids = stack.provenance.records.get_record(new).input_ids
+    assert input_ids == (300, 258, 1)
+    assert all(held is record_id for held, record_id in zip(input_ids, own))
+
+
 def test_unauthorized_creation_raises(stack):
     token = stack.request_token(ALICE)
     with pytest.raises(NotAuthorizedError):

@@ -313,6 +313,8 @@ def test_derivation_graph_depth_zero_and_missing():
     assert len(graph.nodes) == 1 and graph.edges == ()
     with pytest.raises(RecordNotFoundError):
         derivation_graph(stack.provenance, 777, 1)
+    with pytest.raises(ValueError, match="^max_depth must be non-negative$"):
+        derivation_graph(stack.provenance, ids["conv"], -1)
 
 
 def test_traces_parallel_aircraft():

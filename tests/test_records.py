@@ -188,6 +188,21 @@ def test_context_rejects_bad_entries():
         Context({"k": 3})  # type: ignore[dict-item]
 
 
+def test_context_equality_hash_length_and_repr():
+    """A context equals only a context with the same entries; equal contexts
+    hash equally whatever order they were given in, ``len`` counts the
+    entries, and the repr shows them sorted."""
+    context = Context({"zulu": "1", "alpha": "2"})
+    same = Context([("alpha", "2"), ("zulu", "1")])
+    assert context.__eq__({"alpha": "2", "zulu": "1"}) is NotImplemented
+    assert context != {"alpha": "2", "zulu": "1"} and context != "alpha"
+    assert hash(context) == hash(same) and {context, same} == {context}
+    assert hash(Context()) == hash(()) and hash(context) != hash(Context({"alpha": "2"}))
+    assert len(context) == 2 and len(Context()) == 0
+    assert repr(context) == "Context({'alpha': '2', 'zulu': '1'})"
+    assert repr(Context()) == "Context({})"
+
+
 def test_a_value_too_deep_to_repr_is_rejected_with_a_bounded_repr():
     """A context value parsed near the recursion limit has no full repr, so
     the rejection shows a bounded one rather than raising RecursionError."""

@@ -131,6 +131,19 @@ def test_client_id_formats():
         ClientId.from_hex(ALICE.hex.upper())
 
 
+@pytest.mark.parametrize(
+    "raw", [b"", b"\x01" * 31, b"\x01" * 33, bytearray(32)], ids=["0", "31", "33", "bytearray"]
+)
+def test_client_id_that_is_not_32_bytes_is_refused(raw):
+    with pytest.raises(ValueError, match="^client address must be 32 bytes$"):
+        ClientId(raw)
+
+
+def test_empty_alias_is_refused():
+    with pytest.raises(ValueError, match="^alias must be non-empty$"):
+        ClientId.from_alias("")
+
+
 @given(st.lists(st.binary(min_size=32, max_size=32), min_size=1, max_size=8))
 def test_client_id_equality_hashing_and_order_follow_raw(raws):
     """Equal addresses are equal and hash equally as distinct objects, are
