@@ -13,13 +13,26 @@ on; the hashes are unkeyed.
 
 Failed transactions are recorded on-chain with their error code; they
 consume the sender's nonce but leave the state machine untouched.
+
+A load may start from ``checkpoint.json``, a cache beside the log that
+holds the state after some block ``h``, instead of from genesis. It is used
+only if it binds: the line at its byte offset passes every check a line
+gets on its own as block ``h`` with the file's block hash, and the state
+restored from it has, recomputed from scratch, that block's state digest.
+The lines after ``h`` are replayed with every check; the lines before it
+are not read, so an edit there that keeps every line's length is caught by
+:func:`verify_chain`, which always replays from genesis, and not by a load.
+Nothing hashes the file: it is safe to delete, and it is written without
+``fsync``, since a torn file only fails to bind and costs a full replay.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import heapq
 import json
+import os
 import random
 import re
 import reprlib
@@ -27,7 +40,7 @@ from binascii import hexlify
 from collections import deque
 from dataclasses import InitVar, dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Any, BinaryIO, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import orjson
 
@@ -49,6 +62,7 @@ from .tokens import ClientId, check_hex_address
 BLOCKS_FILE = "blocks.jsonl"
 POLICY_FILE = "policy.json"
 CONFIG_FILE = "config.json"
+CHECKPOINT_FILE = "checkpoint.json"
 
 NOT_CANONICAL = "log line is not in canonical form"
 
@@ -609,6 +623,45 @@ class Ledger:
         # next append writes first
         self._unterminated = False
 
+    @classmethod
+    def restore(
+        cls, policy: UseCasePolicy, config: SimConfig, head: Block, snapshot: dict
+    ) -> "Ledger":
+        """The ledger at ``head`` whose state is ``snapshot``, shaped as
+        :meth:`state_snapshot` returns it, with an empty mempool and bound
+        to no directory.
+
+        Every layer and derived index is built from the snapshot, and the
+        accumulator is computed from scratch over the built state, whose
+        digest must be ``head.state_digest``; otherwise, or if the snapshot
+        cannot be built, this raises. The snapshot's derived scalars are not
+        read: the next ids follow from the built collections, the policy
+        and config digests from ``policy`` and ``config``. So the built
+        state is the one ``head`` commits to, whatever else ``snapshot``
+        holds.
+        """
+        ledger = cls(policy, config)
+        clients: dict[str, ClientId] = {}
+
+        def client(text: str) -> ClientId:
+            address = clients.get(text)
+            if address is None:
+                address = clients[text] = ClientId.from_hex(text)
+            return address
+
+        ledger._machine.restore(snapshot, client)
+        nonces = ledger._executed_nonce
+        for text, count in snapshot["nonces"].items():
+            # a count multiplies its leaf: the one value whose type the digest misses
+            if type(count) is not int or count < 1:
+                raise ValueError(f"nonce count must be a positive integer, got {count!r}")
+            nonces[client(text).raw] = count
+        ledger._accumulator.recompute(ledger.state_snapshot())
+        if ledger.state_digest() != head.state_digest:
+            raise ValueError(f"the state differs from the one block {head.height} commits to")
+        ledger._blocks = [head]
+        return ledger
+
     # -- read access --------------------------------------------------------
 
     @property
@@ -921,7 +974,7 @@ def init_ledger_dir(
     return ledger
 
 
-def load_ledger(directory: str | Path) -> Ledger:
+def load_ledger(directory: str | Path, *, checkpoint: bool = True) -> Ledger:
     """Reconstruct a ledger by replaying and fully validating its directory,
     read one line at a time; the result holds only its head and is bound to
     ``directory`` as :meth:`Ledger.persist` binds a ledger.
@@ -932,6 +985,16 @@ def load_ledger(directory: str | Path) -> Ledger:
     parent links, strictly increasing timestamps, result agreement under
     re-execution, and the post-state digest of every block.
 
+    With ``checkpoint``, the default, the replay starts after the block of
+    ``checkpoint.json`` if that file binds to the log (see
+    :func:`_restore_checkpoint`), and from genesis otherwise; every block
+    after the start gets every check above. A load that replayed at least
+    one block, and at least as many transactions as the state it started
+    from holds records and tokens, then writes a checkpoint at its head
+    (see :func:`_write_checkpoint`), so the replay a later load makes is
+    never much longer than a restore. Without ``checkpoint``, the file is
+    neither read nor written.
+
     Each line after genesis is read by :func:`_parse_block`, with
     ``orjson`` alone. The load builds one address per distinct sender text,
     shared by every transaction it reads.
@@ -940,48 +1003,64 @@ def load_ledger(directory: str | Path) -> Ledger:
     policy = policy_from_dict(read_json_file(path / POLICY_FILE, "policy file"))
     config = SimConfig.from_dict(read_json_file(path / CONFIG_FILE, "config file"))
 
-    ledger = Ledger(policy, config)
+    try:
+        with open(path / BLOCKS_FILE, "rb") as log:
+            start = _restore_checkpoint(path, policy, config, log) if checkpoint else None
+            if start is None:
+                ledger, offset, raw = Ledger(policy, config), 0, log.readline()
+                if not raw:
+                    raise CorruptLogError("empty block log", height=0)
+                # the genesis block is fully determined by policy and config, so
+                # its line must be exactly the expected one, byte for byte
+                if raw.removesuffix(b"\n") != ledger.head.wire_line().encode("utf-8"):
+                    raise CorruptLogError("genesis block mismatch", height=0)
+            else:
+                ledger, offset, raw = start
+            machine = ledger.machine
+            held = machine.provenance.records.record_count() + machine.tokens.token_count()
+            start_height, replayed = ledger.height, 0
+            senders: dict[str, ClientId] = {}
+            for line in log:
+                # offset is where the head's line starts
+                offset += len(raw)
+                raw = line
+                block = _read_block(line.removesuffix(b"\n"), ledger.height + 1, ledger.head,
+                                    config, senders)
+                ledger._append_block(block.timestamp, block.transactions, block)
+                replayed += len(block.transactions)
+    except OSError as exc:
+        raise IoFailureError(f"cannot read block log: {exc}") from exc
     ledger._bind(directory)
-    senders: dict[str, ClientId] = {}
-    height, raw = -1, b""
-    for height, raw in enumerate(_log_lines(ledger._log)):
-        line = raw.removesuffix(b"\n")
-        if height == 0:
-            # the genesis block is fully determined by policy and config, so
-            # its line must be exactly the expected one, byte for byte
-            if line != ledger.head.wire_line().encode("utf-8"):
-                raise CorruptLogError("genesis block mismatch", height=0)
-        else:
-            block = _parse_block(line, height, senders)
-            if block.height != height:
-                raise CorruptLogError(
-                    f"expected height {height}, found {block.height}", height=height
-                )
-            previous = ledger.head
-            if block.parent_hash != previous.block_hash:
-                raise CorruptLogError("broken parent link", height=height)
-            if block.timestamp <= previous.timestamp:
-                raise CorruptLogError("timestamps must strictly increase", height=height)
-            if len(block.transactions) > config.block_capacity:
-                raise CorruptLogError("block over capacity", height=height)
-            if any(tx.submitted_at > block.timestamp for tx in block.transactions):
-                raise CorruptLogError("transaction submitted after its block", height=height)
-            ledger._append_block(block.timestamp, block.transactions, block)
-    if height < 0:
-        raise CorruptLogError("empty block log", height=0)
     # a last line that lost its newline still loads; persist ends it first
     ledger._unterminated = not raw.endswith(b"\n")
+    if checkpoint and ledger.height > start_height and replayed >= held:
+        _write_checkpoint(ledger, offset)
     return ledger
 
 
-def _log_lines(path: Path) -> Iterator[bytes]:
-    """The log's lines, read one at a time, each with its newline if it has
-    one."""
-    try:
-        with open(path, "rb") as handle:
-            yield from handle
-    except OSError as exc:
-        raise IoFailureError(f"cannot read block log: {exc}") from exc
+def _read_block(
+    line: bytes,
+    height: int,
+    previous: Block | None,
+    config: SimConfig,
+    senders: dict[str, ClientId],
+) -> Block:
+    """The block on log line ``height``, after genesis, with every check a
+    line gets before it is executed; without ``previous``, the block before
+    it, the parent link and the timestamp order are not checked."""
+    block = _parse_block(line, height, senders)
+    if block.height != height:
+        raise CorruptLogError(f"expected height {height}, found {block.height}", height=height)
+    if previous is not None:
+        if block.parent_hash != previous.block_hash:
+            raise CorruptLogError("broken parent link", height=height)
+        if block.timestamp <= previous.timestamp:
+            raise CorruptLogError("timestamps must strictly increase", height=height)
+    if len(block.transactions) > config.block_capacity:
+        raise CorruptLogError("block over capacity", height=height)
+    if any(tx.submitted_at > block.timestamp for tx in block.transactions):
+        raise CorruptLogError("transaction submitted after its block", height=height)
+    return block
 
 
 def _parse_block(raw: bytes, height: int, senders: dict[str, ClientId]) -> Block:
@@ -1003,9 +1082,83 @@ def _parse_block(raw: bytes, height: int, senders: dict[str, ClientId]) -> Block
         raise CorruptLogError(str(exc), height=height) from exc
 
 
+# --- checkpoints ---------------------------------------------------------------
+
+# What reading, binding and restoring a checkpoint raise on a file that does
+# not bind: the file is a cache that nothing hashes, so whatever it holds,
+# the outcome is a replay from genesis. A JSONDecodeError is a ValueError.
+_UNBOUND = (
+    OSError, ValueError, TypeError, LookupError, AttributeError, ArithmeticError, LedgerError
+)
+
+
+def _restore_checkpoint(
+    directory: Path, policy: UseCasePolicy, config: SimConfig, log: BinaryIO
+) -> tuple[Ledger, int, bytes] | None:
+    """The ledger ``checkpoint.json`` holds, with the byte offset and the
+    line of its head in ``log``, if the file binds to ``log``; otherwise
+    ``None``, with ``log`` at its start.
+
+    The file binds when the line at its byte offset passes every check
+    :func:`_read_block` makes of a line on its own as the block of the
+    file's height and hash, and :meth:`Ledger.restore` builds the file's
+    state for that block, whose from-scratch digest is then that block's
+    state digest. The lines before it are not read.
+    """
+    try:
+        data = orjson.loads((directory / CHECKPOINT_FILE).read_bytes())
+        height, offset = data["height"], data["offset"]
+        log.seek(offset)
+        raw = log.readline()
+        block = _read_block(raw.removesuffix(b"\n"), height, None, config, {})
+        if block.block_hash == data["blockHash"]:
+            return Ledger.restore(policy, config, block, data["state"]), offset, raw
+    except _UNBOUND:
+        pass
+    log.seek(0)
+    return None
+
+
+def _write_checkpoint(ledger: Ledger, offset: int) -> None:
+    """Write the bound directory's ``checkpoint.json`` for ``ledger``, whose
+    head's line starts at byte ``offset`` of the log: the head's height and
+    block hash, the offset, and :meth:`~Ledger.state_snapshot`.
+
+    The file is written to a new temporary file beside it, named with the
+    process id and random bytes and created as the log is, under the umask,
+    which ``os.replace`` moves into place; so concurrent loads each write a
+    whole file. No ``fsync``: a file torn by a crash fails to bind and costs
+    one replay. A failed write removes its temporary file and is otherwise
+    ignored, as is a state whose sums pass 64 bits, which orjson cannot
+    write.
+    """
+    head, directory = ledger.head, ledger._directory
+    temp = directory / f"{CHECKPOINT_FILE}.{os.getpid()}.{os.urandom(6).hex()}.tmp"
+    try:
+        data = orjson.dumps(
+            {
+                "blockHash": head.block_hash,
+                "height": head.height,
+                "offset": offset,
+                "state": ledger.state_snapshot(),
+            }
+        )
+        handle = open(temp, "xb")
+    except (orjson.JSONEncodeError, OSError):
+        return
+    try:
+        with handle:
+            handle.write(data)
+        os.replace(temp, directory / CHECKPOINT_FILE)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(temp)
+
+
 def verify_chain(directory: str | Path) -> ChainVerification:
     """Check integrity of a persisted ledger without raising on corruption.
 
+    It replays every block from genesis and never opens ``checkpoint.json``.
     Beyond :func:`load_ledger`'s checks, the head's logged state digest must
     equal the digest recomputed from scratch over the replayed state, which
     ties the incrementally kept digest to its definition. An unparseable
@@ -1013,7 +1166,7 @@ def verify_chain(directory: str | Path) -> ChainVerification:
     state digest.
     """
     try:
-        ledger = load_ledger(directory)
+        ledger = load_ledger(directory, checkpoint=False)
     except (CorruptLogError, ConfigInvalidError) as exc:
         height = getattr(exc, "height", None) or 0
         return ChainVerification(ok=False, first_corrupt_height=height, reason=str(exc))

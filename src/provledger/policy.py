@@ -9,6 +9,7 @@ admin-managed whitelist). Exactly one policy is active per ledger instance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .canonical import UINT64_MAX, digest_of
 from .errors import (
@@ -273,6 +274,19 @@ class PolicyLayer:
         registry = TokenRegistry(mint_key, on_write)
         provenance = ProvenanceLayer(store, registry, store_key)
         return cls(policy, provenance, registry, mint_key, on_write)
+
+    def restore(self, snapshot: dict, client: Callable[[str], ClientId]) -> None:
+        """Give this stack, fresh from :meth:`build`, the state of
+        ``snapshot``, a :meth:`Ledger.state_snapshot`, with the addresses
+        ``client`` builds from its texts; no write is reported. The derived
+        scalars (next record and token ids) follow from the restored
+        collections, so the snapshot's are not read."""
+        self._balances = {client(text): amount for text, amount in snapshot["balances"].items()}
+        self._whitelist = set(map(client, snapshot["whitelist"]))
+        self._treasury = snapshot["treasury"]
+        self._seeded_total = snapshot["seededTotal"]
+        self._registry.restore(self._mint_key, snapshot["tokens"], client)
+        self._provenance.restore(snapshot["records"])
 
     @property
     def provenance(self) -> ProvenanceLayer:

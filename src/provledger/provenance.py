@@ -40,8 +40,9 @@ class ProvenanceLayer:
     so each trace holds ascending ids. A lineage is then one slice per trace
     segment, read with :meth:`trace_segment`, and the only link it reads is
     that of a trace's first record, kept once per trace. None of these is
-    hashed: the ``records`` leaves fix them, and replay rebuilds them by
-    re-executing every create. No caller is handed a list the layer keeps.
+    hashed: the ``records`` leaves fix them. Replay rebuilds them by
+    re-executing every create, a restore with :meth:`rebuild_indexes`. No
+    caller is handed a list the layer keeps.
     """
 
     def __init__(
@@ -121,8 +122,15 @@ class ProvenanceLayer:
         prov_id = self._store.create_record(
             self._store_key, token_id, tuple(input_records), context
         )
+        self._index(prov_id, token_id, input_records.values())
+        return prov_id
+
+    def _index(self, prov_id: int, token_id: int, inputs: Iterable[ProvenanceRecord]) -> None:
+        """Enter the newest record, ``prov_id`` of token ``token_id`` with
+        input records ``inputs``, in its token's traces and the record →
+        trace map."""
         same_token = 0
-        for record in input_records.values():
+        for record in inputs:
             if record.token_id == token_id:
                 same_token += 1
                 parent = record.id
@@ -135,7 +143,23 @@ class ProvenanceLayer:
             self._traces[token_id].append(entry[0])
         entry[0].append(prov_id)
         self._trace_of[prov_id] = entry
-        return prov_id
+
+    def restore(self, items: Iterable[dict]) -> None:
+        """Fill the empty record store from :meth:`RecordStore.snapshot`-shaped
+        ``items`` (see :meth:`RecordStore.restore`) and derive the indexes."""
+        self._store.restore(self._store_key, items)
+        self.rebuild_indexes()
+
+    def rebuild_indexes(self) -> None:
+        """Derive the traces, the record → trace map and the same-token
+        links anew from the record store, entering the records in id order
+        as their creates did: the one rebuild of the indexes, which replay
+        instead keeps create by create."""
+        self._traces.clear()
+        self._trace_of.clear()
+        get = self._store.get_record
+        for record in self._store:
+            self._index(record.id, record.token_id, map(get, record.input_ids))
 
     def trace_segment(self, prov_id: int) -> tuple[list[int], int]:
         """The ascending ids of ``prov_id``'s trace up to ``prov_id``, in a

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import reprlib
 from dataclasses import dataclass
-from typing import Iterable, KeysView, Mapping
+from typing import Iterable, Iterator, KeysView, Mapping
 
 from .errors import RecordNotFoundError
 from .statehash import WriteHook, ignore_write
@@ -163,8 +163,32 @@ class RecordStore:
         self._records[new.id] = new
         self._on_write("records", new.id, old.as_dict, new.as_dict())
 
+    def restore(self, key: object, items: Iterable[Mapping]) -> None:
+        """Fill an empty store from :meth:`snapshot`-shaped ``items``, without
+        reporting a write. The n-th item becomes record n, whatever id it
+        names, and its input ids are the stored inputs' own id objects, as
+        :meth:`create_record` is handed them; an input that is not an earlier
+        record raises ``KeyError``. Contexts and statuses are checked by their
+        constructors; every other value is taken as given, so only the
+        digest of the restored state shows whether it is right."""
+        if key is not self._key:
+            raise PermissionError(_KEY_REQUIRED)
+        records = self._records
+        for prov_id, item in enumerate(items, start=1):
+            records[prov_id] = ProvenanceRecord(
+                prov_id,
+                item["tokenId"],
+                tuple([records[input_id].id for input_id in item["inputProvenanceIds"]]),
+                Context(item["context"]),
+                RecordStatus(item["status"]),
+            )
+
     def record_count(self) -> int:
         return len(self._records)
+
+    def __iter__(self) -> Iterator[ProvenanceRecord]:
+        """Every record, in id order."""
+        return iter(self._records.values())
 
     def snapshot(self) -> list[dict]:
         return [record.as_dict() for record in self._records.values()]

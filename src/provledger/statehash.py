@@ -106,6 +106,13 @@ class StateAccumulator:
         self._sum &= _MASK  # also maps a negative sum to its residue
         return _digest(self._sum, scalars)
 
+    def recompute(self, snapshot: dict) -> None:
+        """Set the sum from scratch over every leaf of ``snapshot``, a
+        :meth:`Ledger.state_snapshot`, as :func:`snapshot_digest` sums them,
+        and drop the held leaves."""
+        self._sum = _snapshot_sum(snapshot)
+        self._held.clear()
+
 
 def _digest(total: int, scalars: dict) -> str:
     """SHA-256 over the reduced sum ``total`` and the canonical JSON of the
@@ -128,6 +135,11 @@ def snapshot_digest(snapshot: dict) -> str:
     :meth:`Ledger.state_snapshot`: the oracle of the incremental one, and
     O(state), so it is kept off the per-block path. It hashes every leaf
     itself and reads no memo."""
+    return _digest(_snapshot_sum(snapshot) & _MASK, {name: snapshot[name] for name in SCALARS})
+
+
+def _snapshot_sum(snapshot: dict) -> int:
+    """The sum of every leaf of ``snapshot``, each hashed here, unreduced."""
     total = 0
     for kind in ("records", "tokens"):
         for item in snapshot[kind]:
@@ -138,4 +150,4 @@ def snapshot_digest(snapshot: dict) -> str:
         total += nonce * _leaf("nonces", client, True)
     for client in snapshot["whitelist"]:
         total += _leaf("whitelist", client, True)
-    return _digest(total & _MASK, {name: snapshot[name] for name in SCALARS})
+    return total

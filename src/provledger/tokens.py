@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .errors import NotAuthorizedError, TokenNotFoundError, ZeroAddressError
 from .statehash import WriteHook, ignore_write
@@ -124,6 +124,20 @@ class TokenRegistry:
         token = self._tokens[token_id] = Token(token_id, to)
         self._on_write("tokens", token_id, None, token.as_dict())
         return token_id
+
+    def restore(
+        self, key: object, items: Iterable[Mapping], client: Callable[[str], ClientId]
+    ) -> None:
+        """Fill an empty registry from :meth:`snapshot`-shaped ``items``,
+        without reporting a write: the n-th item becomes token n, whatever id
+        it names, with the addresses ``client`` builds from its texts."""
+        if key is not self._mint_key:
+            raise PermissionError("minting requires the assignment key")
+        tokens = self._tokens
+        for token_id, item in enumerate(items, start=1):
+            tokens[token_id] = Token(
+                token_id, client(item["owner"]), frozenset(map(client, item["approved"]))
+            )
 
     def exists(self, token_id: int) -> bool:
         return token_id in self._tokens

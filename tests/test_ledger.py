@@ -2299,16 +2299,26 @@ def test_each_ledger_holds_its_own_leaves():
 
 
 def test_block_production_and_replay_never_snapshot_the_state(tmp_path, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a full state snapshot on the per-block path")
+    """Only a checkpoint snapshots the state: a load writing one, once,
+    after its replay, and a load restoring one. Producing and replaying a
+    block never does."""
+    calls = []
 
-    for owner, name in (
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    snapshots = (
         (Ledger, "state_snapshot"),
         (RecordStore, "snapshot"),
         (TokenRegistry, "snapshot"),
         (PolicyLayer, "snapshot"),
-    ):
-        monkeypatch.setattr(owner, name, refuse)
+    )
+    for owner, name in snapshots + ((Ledger, "_append_block"),):
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
     rng = random.Random(5)
     ledger = quick_ledger(policy=FAILURE_POLICIES["fee"])
     clients = [ALICE, BOB, CAROL]
@@ -2319,7 +2329,16 @@ def test_block_production_and_replay_never_snapshot_the_state(tmp_path, monkeypa
         ledger.produce_block()
     directory = tmp_path / "ledger"
     ledger.persist(directory)
+    assert load_ledger(directory, checkpoint=False).head == ledger.head
+    assert calls == ["_append_block"] * 80
+    calls.clear()
     assert load_ledger(directory).head == ledger.head
+    assert calls[:40] == ["_append_block"] * 40
+    assert sorted(calls[40:]) == sorted(name for _, name in snapshots)
+    calls.clear()
+    restored = load_ledger(directory)
+    assert sorted(calls) == sorted(name for _, name in snapshots)
+    assert restored.state_snapshot() == ledger.state_snapshot()
 
 
 def test_verify_recomputes_the_head_digest_from_scratch(tmp_path, monkeypatch):
