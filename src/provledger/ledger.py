@@ -19,11 +19,16 @@ holds the state after some block ``h``, instead of from genesis. It is used
 only if it binds: the line at its byte offset passes every check a line
 gets on its own as block ``h`` with the file's block hash, and the state
 restored from it has, recomputed from scratch, that block's state digest.
-The lines after ``h`` are replayed with every check; the lines before it
-are not read, so an edit there that keeps every line's length is caught by
-:func:`verify_chain`, which always replays from genesis, and not by a load.
-Nothing hashes the file: it is safe to delete, and it is written without
-``fsync``, since a torn file only fails to bind and costs a full replay.
+The lines after ``h`` are replayed with every check. The lines before it
+are not read; line ``h``'s parent link is not checked and its transactions
+are not re-executed, so its state digest is taken as given. Two edits thus
+pass a load and are caught only by :func:`verify_chain`, which always
+replays from genesis: an edit before ``h`` that keeps every line's length,
+and a rewrite of line ``h`` (and of every line after it) made together
+with the file, which serves whatever state the file holds, even one no
+valid transactions reach. Nothing hashes the file: it is safe to delete,
+and it is written without ``fsync``, since a torn file only fails to bind
+and costs a full replay.
 """
 
 from __future__ import annotations
@@ -1128,9 +1133,11 @@ def _write_checkpoint(ledger: Ledger, offset: int) -> None:
     process id and random bytes and created as the log is, under the umask,
     which ``os.replace`` moves into place; so concurrent loads each write a
     whole file. No ``fsync``: a file torn by a crash fails to bind and costs
-    one replay. A failed write removes its temporary file and is otherwise
-    ignored, as is a state whose sums pass 64 bits, which orjson cannot
-    write.
+    one replay. A write that fails, or is interrupted by an exception such
+    as ``KeyboardInterrupt``, removes its temporary file; a failure is
+    otherwise ignored, as is a state whose sums pass 64 bits, which orjson
+    cannot write. A process killed outright leaves its temporary file, which
+    nothing removes.
     """
     head, directory = ledger.head, ledger._directory
     temp = directory / f"{CHECKPOINT_FILE}.{os.getpid()}.{os.urandom(6).hex()}.tmp"
@@ -1146,13 +1153,18 @@ def _write_checkpoint(ledger: Ledger, offset: int) -> None:
         handle = open(temp, "xb")
     except (orjson.JSONEncodeError, OSError):
         return
+    replaced = False
     try:
         with handle:
             handle.write(data)
         os.replace(temp, directory / CHECKPOINT_FILE)
+        replaced = True
     except OSError:
-        with contextlib.suppress(OSError):
-            os.unlink(temp)
+        pass
+    finally:
+        if not replaced:
+            with contextlib.suppress(OSError):
+                os.unlink(temp)
 
 
 def verify_chain(directory: str | Path) -> ChainVerification:

@@ -26,6 +26,7 @@ from provledger import Block, Ledger, load_ledger, verify_chain
 from provledger.cli import main
 from provledger.errors import CorruptLogError
 from provledger.ledger import BLOCKS_FILE, CHECKPOINT_FILE
+from provledger.statehash import snapshot_digest
 from support import ALICE, BOB, CAROL, FIXTURES, MALLORY, fee_policy, quick_ledger
 from test_ledger import (
     FAILURE_POLICIES,
@@ -304,6 +305,27 @@ def test_a_state_orjson_cannot_write_loads_without_a_checkpoint(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("interrupt", [KeyboardInterrupt, SystemExit, OSError])
+def test_an_interrupted_write_leaves_no_temporary_file(tmp_path, monkeypatch, interrupt):
+    """Whatever stops the write before ``os.replace`` finishes, its temporary
+    file is removed; an interruption still reaches the caller, a failure
+    does not."""
+    directory = tmp_path / "ledger"
+    varied_chain(directory)
+
+    def stopped(*args):
+        raise interrupt("stopped")
+
+    monkeypatch.setattr(os, "replace", stopped)
+    if interrupt is OSError:
+        assert load_ledger(directory).height > 0
+    else:
+        with pytest.raises(interrupt):
+            load_ledger(directory)
+    assert sorted(path.name for path in directory.iterdir()) == [
+        BLOCKS_FILE, "config.json", "policy.json"
+    ]
+
 def test_verify_never_opens_the_checkpoint(tmp_path):
     """``verify_chain`` replays from genesis: no file named
     ``checkpoint.json``, or a temporary file beside it, is ever opened."""
@@ -423,7 +445,8 @@ def test_a_bad_checkpoint_falls_back_to_a_full_replay(cold_chain, tmp_path, monk
         row = {**BAD_CHECKPOINTS, **BINDING}[name]
         data = row(json.loads(good))
         if name == "offset of the line before":
-            data = data.replace(b'"previous line"', str(checkpoint["offset"] - len(lines[-2])).encode())
+            before = checkpoint["offset"] - len(lines[-2])
+            data = data.replace(b'"previous line"', str(before).encode())
         path.write_bytes(data)
         if name.startswith("a temporary file"):
             (directory / f"{CHECKPOINT_FILE}.k1ll3d.tmp").write_bytes(good[: len(good) // 2])
@@ -450,8 +473,48 @@ def test_a_bad_checkpoint_falls_back_to_a_full_replay(cold_chain, tmp_path, monk
         path.rmdir()
     else:
         os.remove(path)
+    if name.startswith("a temporary file"):
+        # nothing removes another process's temporary file
+        assert (directory / f"{CHECKPOINT_FILE}.k1ll3d.tmp").exists()
     assert runner.invoke(main, ["verify", str(directory)]).output == with_file == '{"ok":true}\n'
 
+
+def test_a_head_line_rewritten_with_its_checkpoint_is_caught_by_verify_not_by_reads(
+    cold_chain, tmp_path
+):
+    """A read takes the bound line's state digest as given: it does not
+    re-execute that block nor check its parent link. A rewrite of the last
+    line, sealed over a made-up state, together with a checkpoint holding
+    that state, is served by every read, even a context outside the schema
+    and a treasury no transaction made; only ``verify`` replays the line."""
+    source, outputs, state, good = cold_chain
+    directory = tmp_path / "ledger"
+    shutil.copytree(source, directory)
+    head = load_ledger(directory, checkpoint=False).head
+    checkpoint = json.loads(good)
+    forged_state = checkpoint["state"]
+    forged_state["records"][2]["context"] = {"forged": "yes"}
+    forged_state["treasury"] = 1
+    forged = Block.seal(head.height, head.parent_hash, head.timestamp, head.transactions,
+                        head.results, snapshot_digest(forged_state))
+    log = directory / BLOCKS_FILE
+    text = log.read_bytes()
+    log.write_bytes(text[: checkpoint["offset"]] + forged.wire_line().encode() + b"\n")
+    (directory / CHECKPOINT_FILE).write_bytes(
+        json.dumps({**checkpoint, "blockHash": forged.block_hash, "state": forged_state}).encode()
+    )
+    assert load_ledger(directory).state_snapshot()["records"][2]["context"] == {"forged": "yes"}
+    runner = CliRunner()
+    printed = runner.invoke(main, ["prov", "get", "--id", "3", "--dir", str(directory)]).output
+    assert json.loads(printed)["context"] == {"forged": "yes"}
+    verified = json.loads(runner.invoke(main, ["verify", str(directory)]).output)
+    assert verified["ok"] is False
+    assert verified["firstCorruptHeight"] == head.height
+    # the same without the file: a load replays the line and refuses it
+    os.remove(directory / CHECKPOINT_FILE)
+    with pytest.raises(CorruptLogError) as raised:
+        load_ledger(directory)
+    assert raised.value.height == head.height
 
 # --- corruption with a checkpoint present ---------------------------------------------
 
