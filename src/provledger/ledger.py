@@ -18,7 +18,8 @@ A load may start from ``checkpoint.json``, a cache beside the log that
 holds the state after some block ``h``, instead of from genesis. It is used
 only if it binds: the line at its byte offset passes every check a line
 gets on its own as block ``h`` with the file's block hash, and the state
-restored from it has, recomputed from scratch, that block's state digest.
+it holds has, its leaves hashed from scratch as read, that block's state
+digest (see :meth:`Ledger.restore`).
 The lines after ``h`` are replayed with every check. The lines before it
 are not read; line ``h``'s parent link is not checked and its transactions
 are not re-executed, so its state digest is taken as given. Two edits thus
@@ -61,7 +62,7 @@ from .errors import (
 )
 from .policy import PolicyLayer, UseCasePolicy, policy_from_dict, resolve_client
 from .records import Context, check_context_entries
-from .statehash import StateAccumulator, snapshot_digest
+from .statehash import StateAccumulator, snapshot_digest, snapshot_sum
 from .tokens import ClientId, check_hex_address
 
 BLOCKS_FILE = "blocks.jsonl"
@@ -634,18 +635,46 @@ class Ledger:
     ) -> "Ledger":
         """The ledger at ``head`` whose state is ``snapshot``, shaped as
         :meth:`state_snapshot` returns it, with an empty mempool and bound
-        to no directory.
+        to no directory; it takes over ``snapshot``'s context dicts.
 
-        Every layer and derived index is built from the snapshot, and the
-        accumulator is computed from scratch over the built state, whose
-        digest must be ``head.state_digest``; otherwise, or if the snapshot
-        cannot be built, this raises. The snapshot's derived scalars are not
-        read: the next ids follow from the built collections, the policy
-        and config digests from ``policy`` and ``config``. So the built
-        state is the one ``head`` commits to, whatever else ``snapshot``
-        holds.
+        Before anything is built, the leaves of ``snapshot`` as given are
+        hashed from scratch and, with the scalars, must give
+        ``head.state_digest``. The derived scalars are not read: the next
+        ids are the record and token counts plus one, the policy and config
+        digests those of ``policy`` and ``config``. A matching sum proves
+        the items are the committed leaves, but not three things, checked
+        here too: record and token n each name id n, as an ``int``; each
+        nonce count is an ``int`` of at least 1, since a count multiplies
+        its leaf; and each context's keys are sorted, since the canonical
+        form sorts them. Otherwise this raises. The state is then built
+        from the items without checking them again, so it is the one
+        ``head`` commits to, whatever else ``snapshot`` holds.
         """
+        records, tokens = snapshot["records"], snapshot["tokens"]
+        for items in (records, tokens):
+            for n, item in enumerate(items, start=1):
+                if type(item["id"]) is not int or item["id"] != n:
+                    raise ValueError(f"item {n} names id {item['id']!r}")
+        for item in records:
+            keys = list(item["context"])
+            if keys != sorted(keys):
+                raise ValueError(f"record {item['id']} has its context keys out of order")
+        for count in snapshot["nonces"].values():
+            if type(count) is not int or count < 1:
+                raise ValueError(f"nonce count must be a positive integer, got {count!r}")
         ledger = cls(policy, config)
+        accumulator = ledger._accumulator
+        accumulator.reset(snapshot_sum(snapshot))
+        scalars = {
+            "configDigest": ledger._config_digest,
+            "nextProvId": len(records) + 1,
+            "nextTokenId": len(tokens) + 1,
+            "policyDigest": ledger._policy_digest,
+            "seededTotal": snapshot["seededTotal"],
+            "treasury": snapshot["treasury"],
+        }
+        if accumulator.digest(scalars) != head.state_digest:
+            raise ValueError(f"the state differs from the one block {head.height} commits to")
         clients: dict[str, ClientId] = {}
 
         def client(text: str) -> ClientId:
@@ -657,13 +686,7 @@ class Ledger:
         ledger._machine.restore(snapshot, client)
         nonces = ledger._executed_nonce
         for text, count in snapshot["nonces"].items():
-            # a count multiplies its leaf: the one value whose type the digest misses
-            if type(count) is not int or count < 1:
-                raise ValueError(f"nonce count must be a positive integer, got {count!r}")
             nonces[client(text).raw] = count
-        ledger._accumulator.recompute(ledger.state_snapshot())
-        if ledger.state_digest() != head.state_digest:
-            raise ValueError(f"the state differs from the one block {head.height} commits to")
         ledger._blocks = [head]
         return ledger
 
@@ -1106,9 +1129,9 @@ def _restore_checkpoint(
 
     The file binds when the line at its byte offset passes every check
     :func:`_read_block` makes of a line on its own as the block of the
-    file's height and hash, and :meth:`Ledger.restore` builds the file's
-    state for that block, whose from-scratch digest is then that block's
-    state digest. The lines before it are not read.
+    file's height and hash, and :meth:`Ledger.restore` finds that the
+    file's state, hashed from scratch, has that block's state digest and
+    builds it. The lines before it are not read.
     """
     try:
         data = orjson.loads((directory / CHECKPOINT_FILE).read_bytes())

@@ -29,6 +29,8 @@ class RecordStatus(enum.Enum):
 
 # read once: an Enum member read off its class costs several plain reads
 VALID = RecordStatus.VALID
+# each status by its text, read by a dict lookup rather than the Enum's call
+STATUS_OF_TEXT = {status.value: status for status in RecordStatus}
 
 
 def check_context_entries(items: Mapping) -> Mapping:
@@ -62,7 +64,8 @@ class Context:
         """A context that takes ownership of ``entries``: a new dict, held by
         no caller, whose keys are already sorted, as in a dict decoded from
         canonical JSON, and which :func:`check_context_entries` already
-        accepted. It is neither checked, sorted nor copied again."""
+        accepted, or which a checked state digest proves is a committed
+        record's. It is neither checked, sorted nor copied again."""
         context = cls.__new__(cls)
         context._entries = entries
         return context
@@ -165,22 +168,24 @@ class RecordStore:
 
     def restore(self, key: object, items: Iterable[Mapping]) -> None:
         """Fill an empty store from :meth:`snapshot`-shaped ``items``, without
-        reporting a write. The n-th item becomes record n, whatever id it
-        names, and its input ids are the stored inputs' own id objects, as
-        :meth:`create_record` is handed them; an input that is not an earlier
-        record raises ``KeyError``. Contexts and statuses are checked by their
-        constructors; every other value is taken as given, so only the
-        digest of the restored state shows whether it is right."""
+        reporting a write: the caller has checked them (see
+        :meth:`~provledger.ledger.Ledger.restore`), so they are taken as
+        given. The n-th item becomes record n, whatever id it names. Its
+        context dict is taken over, neither checked, sorted nor copied, its
+        status read by its text, and its input ids are the stored inputs'
+        own id objects, as :meth:`create_record` is handed them; an input
+        that is not an earlier record raises ``KeyError``."""
         if key is not self._key:
             raise PermissionError(_KEY_REQUIRED)
         records = self._records
+        from_checked = Context.from_checked
         for prov_id, item in enumerate(items, start=1):
             records[prov_id] = ProvenanceRecord(
                 prov_id,
                 item["tokenId"],
                 tuple([records[input_id].id for input_id in item["inputProvenanceIds"]]),
-                Context(item["context"]),
-                RecordStatus(item["status"]),
+                from_checked(item["context"]),
+                STATUS_OF_TEXT[item["status"]],
             )
 
     def record_count(self) -> int:

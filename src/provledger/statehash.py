@@ -106,11 +106,10 @@ class StateAccumulator:
         self._sum &= _MASK  # also maps a negative sum to its residue
         return _digest(self._sum, scalars)
 
-    def recompute(self, snapshot: dict) -> None:
-        """Set the sum from scratch over every leaf of ``snapshot``, a
-        :meth:`Ledger.state_snapshot`, as :func:`snapshot_digest` sums them,
-        and drop the held leaves."""
-        self._sum = _snapshot_sum(snapshot)
+    def reset(self, total: int) -> None:
+        """Set the sum to ``total``, the sum of every live leaf as
+        :func:`snapshot_sum` gives it, and drop the held leaves."""
+        self._sum = total
         self._held.clear()
 
 
@@ -135,11 +134,13 @@ def snapshot_digest(snapshot: dict) -> str:
     :meth:`Ledger.state_snapshot`: the oracle of the incremental one, and
     O(state), so it is kept off the per-block path. It hashes every leaf
     itself and reads no memo."""
-    return _digest(_snapshot_sum(snapshot) & _MASK, {name: snapshot[name] for name in SCALARS})
+    return _digest(snapshot_sum(snapshot) & _MASK, {name: snapshot[name] for name in SCALARS})
 
 
-def _snapshot_sum(snapshot: dict) -> int:
-    """The sum of every leaf of ``snapshot``, each hashed here, unreduced."""
+def snapshot_sum(snapshot: dict) -> int:
+    """The sum of every leaf of ``snapshot``, each hashed here, unreduced.
+    It reads the collections as given: it does not see their order, a nonce
+    count's type, nor a key order that the canonical form sorts."""
     total = 0
     for kind in ("records", "tokens"):
         for item in snapshot[kind]:

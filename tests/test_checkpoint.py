@@ -26,6 +26,7 @@ from provledger import Block, Ledger, load_ledger, verify_chain
 from provledger.cli import main
 from provledger.errors import CorruptLogError
 from provledger.ledger import BLOCKS_FILE, CHECKPOINT_FILE
+from provledger.records import Context
 from provledger.statehash import snapshot_digest
 from support import ALICE, BOB, CAROL, FIXTURES, MALLORY, fee_policy, quick_ledger
 from test_ledger import (
@@ -124,6 +125,8 @@ def test_restore_then_replay_equals_a_full_replay(policy_name, seed):
         restored = Ledger.restore(ledger.policy, ledger.config, block, snapshot)
         assert restored.head == block
         assert restored.state_snapshot() == snapshot
+        # the oracle: a restore hashes the leaves it read, not the state it built
+        assert snapshot_digest(restored.state_snapshot()) == block.state_digest
         for later, _, _ in steps[height + 1 :]:
             for tx in later.transactions:
                 restored.submit(tx)
@@ -143,12 +146,54 @@ def test_restore_refuses_a_state_its_head_does_not_commit_to():
     for key, value in (("treasury", snapshot["treasury"] + 1), ("whitelist", [BOB.hex])):
         with pytest.raises(ValueError, match="commits to"):
             Ledger.restore(ledger.policy, ledger.config, block, {**snapshot, key: value})
+    # what the leaf sum does not see is refused before it is taken: an
+    # item's position, the type of its id, a context's key order
+    records, tokens = snapshot["records"], snapshot["tokens"]
+    unsorted = {**records[0], "context": {"time": "5am", "agent": "a"}}
+    for key, value, match in (
+        ("records", [records[1], records[0], *records[2:]], "^item 1 names id 2$"),
+        ("tokens", tokens[::-1], f"^item 1 names id {len(tokens)}$"),
+        ("records", [{**records[0], "id": True}, *records[1:]], "^item 1 names id True$"),
+        ("records", [unsorted, *records[1:]], "context keys out of order"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            Ledger.restore(ledger.policy, ledger.config, block, {**snapshot, key: value})
     # a count the digest multiplies its leaf by: True would count as 1
     sender = next(iter(snapshot["nonces"]))
     for count in (True, 0, 1.0):
         nonces = {**snapshot["nonces"], sender: count}
         with pytest.raises(ValueError, match="nonce count"):
             Ledger.restore(ledger.policy, ledger.config, block, {**snapshot, "nonces": nonces})
+
+
+def test_a_restore_checks_and_builds_no_context_again(monkeypatch):
+    """A restore hashes each record leaf as read, so the contexts the digest
+    proves are taken over: none is checked or built by the constructor."""
+    from provledger import ledger as ledger_mod
+    from provledger import records as records_mod
+
+    ledger, steps = seeded_schedule("fee", 2)
+    block, snapshot, _ = steps[-1]
+    assert any(item["context"] for item in snapshot["records"])
+    calls = {"check": 0, "init": 0}
+
+    def counting(name, real):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return counted
+
+    check = counting("check", records_mod.check_context_entries)
+    monkeypatch.setattr(records_mod, "check_context_entries", check)
+    monkeypatch.setattr(ledger_mod, "check_context_entries", check)
+    monkeypatch.setattr(Context, "__init__", counting("init", Context.__init__))
+    restored = Ledger.restore(ledger.policy, ledger.config, block, snapshot)
+    assert calls == {"check": 0, "init": 0}
+    assert restored.state_snapshot() == snapshot
+    # the counters count: a context made by its constructor is checked
+    Context({"agent": "a"})
+    assert calls == {"check": 1, "init": 1}
 
 
 def test_a_restored_record_holds_its_inputs_own_ids():
@@ -362,6 +407,10 @@ def edit_state(edit):
     return row
 
 
+def swap(items: list, i: int, j: int) -> None:
+    items[i], items[j] = items[j], items[i]
+
+
 def edit_field(name, value):
     def row(checkpoint: dict) -> bytes:
         checkpoint[name] = value(checkpoint[name])
@@ -389,6 +438,25 @@ BAD_CHECKPOINTS = {
     ),
     "a record dropped": edit_state(lambda state: state["records"].pop()),
     "a nonce": edit_state(lambda state: state["nonces"].update({ALICE.hex: 1})),
+    # the leaf sum holds no order: each item's position is checked on its own
+    "records permuted": edit_state(lambda state: swap(state["records"], 3, 4)),
+    "tokens permuted": edit_state(lambda state: swap(state["tokens"], 0, 1)),
+    "a record naming another position's id": edit_state(
+        lambda state: state["records"][2].update(id=2)
+    ),
+    # nor a key order, which the canonical form sorts
+    "a context out of order": edit_state(
+        lambda state: state["records"][2].update(
+            context=dict(reversed(state["records"][2]["context"].items()))
+        )
+    ),
+    "an extra key in a record": edit_state(lambda state: state["records"][2].update(extra="x")),
+    # nor a count's type: true multiplies its leaf as a count of 1 does
+    "a nonce count of true": edit_state(
+        lambda state: state["nonces"].update(
+            {next(key for key, count in state["nonces"].items() if count == 1): True}
+        )
+    ),
     "truncated JSON": lambda checkpoint: json.dumps(checkpoint).encode()[:-40],
     "not an object": lambda checkpoint: json.dumps([checkpoint]).encode(),
     "empty": lambda checkpoint: b"",
@@ -455,6 +523,8 @@ def test_a_bad_checkpoint_falls_back_to_a_full_replay(cold_chain, tmp_path, monk
     place()
     loaded = load_ledger(directory)
     assert loaded.state_snapshot() == state
+    # in the same order too: dicts compare equal whatever their key order
+    assert json.dumps(loaded.state_snapshot()) == json.dumps(state)
     # a bound file leaves one line to parse, its own; else every line after
     # genesis is replayed, after the file's line if it was parsed
     assert len(parsed) in ((1,) if name in BINDING else (len(lines) - 1, len(lines)))
