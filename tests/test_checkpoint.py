@@ -10,6 +10,7 @@ produce, what the CLI prints from it, and the corruption a load reports.
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import os
 import random
@@ -23,6 +24,7 @@ import pytest
 from click.testing import CliRunner
 
 from provledger import Block, Ledger, load_ledger, verify_chain
+from provledger import ledger as ledger_module
 from provledger.cli import main
 from provledger.errors import CorruptLogError
 from provledger.ledger import BLOCKS_FILE, CHECKPOINT_FILE
@@ -38,6 +40,7 @@ from test_ledger import (
     random_payload,
     varied_chain,
 )
+from test_cli import COLD_CHAIN_LOG_SHA256
 
 INDEX_POLICIES = ("open", "fee", "whitelist")
 
@@ -494,6 +497,42 @@ def cold_chain(tmp_path_factory):
         os.remove(directory / CHECKPOINT_FILE)
     state = load_ledger(directory, checkpoint=False).state_snapshot()
     return directory, outputs, state, checkpoint
+
+
+def test_a_checkpoint_an_earlier_build_wrote_still_binds(tmp_path, monkeypatch):
+    """``fixtures/cold_chain_checkpoint.json`` is the file the CLI wrote
+    after the cold-chain walkthrough's first read, before a restore read
+    each leaf kind in one walk; the key order inside its ``state`` is that
+    build's. It still binds: a load parses the head's line alone, leaves
+    the file byte for byte as it was, and holds the full-replay state. A
+    change of the checkpoint's format, such as a record leaf without
+    ``index``, makes it fail to bind, and must replace this file on purpose."""
+    directory = tmp_path / "ledger"
+    runner = CliRunner()
+    for args in (
+        ["init", "--policy", str(FIXTURES / "vaccine_policy.json"),
+         "--config", str(FIXTURES / "sim_config.json"), "--out", str(directory)],
+        ["scenario", "run", str(FIXTURES / "vaccine_cold_chain.json"), "--dir", str(directory)],
+    ):
+        assert runner.invoke(main, args).exit_code == 0
+    log = (directory / BLOCKS_FILE).read_bytes()
+    assert hashlib.sha256(log).hexdigest() == COLD_CHAIN_LOG_SHA256
+    fixture = (FIXTURES / "cold_chain_checkpoint.json").read_bytes()
+    (directory / CHECKPOINT_FILE).write_bytes(fixture)
+    read = []
+    real = ledger_module._read_block
+
+    def counted(*args):
+        read.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(ledger_module, "_read_block", counted)
+    loaded = load_ledger(directory)
+    head = len(log.splitlines()) - 1
+    assert read == [head]
+    assert (directory / CHECKPOINT_FILE).read_bytes() == fixture
+    assert loaded.head.height == head
+    assert loaded.state_snapshot() == load_ledger(directory, checkpoint=False).state_snapshot()
 
 
 @pytest.mark.parametrize("name", sorted({**BAD_CHECKPOINTS, **BINDING, "a directory": None}))
