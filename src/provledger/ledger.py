@@ -35,6 +35,7 @@ and costs a full replay.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import heapq
 import json
@@ -637,56 +638,27 @@ class Ledger:
         :meth:`state_snapshot` returns it, with an empty mempool and bound
         to no directory; it takes over ``snapshot``'s context dicts.
 
-        Before anything is built, the leaves of ``snapshot`` as given are
-        hashed from scratch and, with the scalars, must give
-        ``head.state_digest``. The derived scalars are not read: the next
-        ids are the record and token counts plus one, the policy and config
-        digests those of ``policy`` and ``config``. A matching sum proves
-        the items are the committed leaves, but not three things, checked
-        here too: record and token n each name id n, as an ``int``; each
-        nonce count is an ``int`` of at least 1, since a count multiplies
-        its leaf; and each context's keys are sorted, since the canonical
-        form sorts them. Otherwise this raises. The state is then built
-        from the items without checking them again, so it is the one
+        The leaves of ``snapshot`` as given are hashed from scratch by
+        :func:`~provledger.statehash.snapshot_sum`, which also refuses an
+        item out of its place and a nonce count that is not a positive
+        ``int``. The layers are then built from the items without checking
+        them again, apart from each context's key order, which
+        :meth:`~provledger.records.RecordStore.restore` checks. The built
+        ledger's :meth:`state_digest`, with the sum taken as its
+        accumulator, must be ``head.state_digest``; the derived scalars are
+        thus read off the built state, never from the file. Otherwise this
+        raises ``ValueError``, or whatever a malformed item raises. A match
+        proves the items are the committed leaves, so the state is the one
         ``head`` commits to, whatever else ``snapshot`` holds.
         """
-        records, tokens = snapshot["records"], snapshot["tokens"]
-        for items in (records, tokens):
-            for n, item in enumerate(items, start=1):
-                if type(item["id"]) is not int or item["id"] != n:
-                    raise ValueError(f"item {n} names id {item['id']!r}")
-        for item in records:
-            keys = list(item["context"])
-            if keys != sorted(keys):
-                raise ValueError(f"record {item['id']} has its context keys out of order")
-        for count in snapshot["nonces"].values():
-            if type(count) is not int or count < 1:
-                raise ValueError(f"nonce count must be a positive integer, got {count!r}")
+        total = snapshot_sum(snapshot)
         ledger = cls(policy, config)
-        accumulator = ledger._accumulator
-        accumulator.reset(snapshot_sum(snapshot))
-        scalars = {
-            "configDigest": ledger._config_digest,
-            "nextProvId": len(records) + 1,
-            "nextTokenId": len(tokens) + 1,
-            "policyDigest": ledger._policy_digest,
-            "seededTotal": snapshot["seededTotal"],
-            "treasury": snapshot["treasury"],
-        }
-        if accumulator.digest(scalars) != head.state_digest:
-            raise ValueError(f"the state differs from the one block {head.height} commits to")
-        clients: dict[str, ClientId] = {}
-
-        def client(text: str) -> ClientId:
-            address = clients.get(text)
-            if address is None:
-                address = clients[text] = ClientId.from_hex(text)
-            return address
-
+        client = functools.cache(ClientId.from_hex)
         ledger._machine.restore(snapshot, client)
-        nonces = ledger._executed_nonce
-        for text, count in snapshot["nonces"].items():
-            nonces[client(text).raw] = count
+        ledger._executed_nonce = {client(text).raw: n for text, n in snapshot["nonces"].items()}
+        ledger._accumulator.reset(total)
+        if ledger.state_digest() != head.state_digest:
+            raise ValueError(f"the state differs from the one block {head.height} commits to")
         ledger._blocks = [head]
         return ledger
 
@@ -739,15 +711,12 @@ class Ledger:
     def state_snapshot(self) -> dict:
         """The whole state as plain data: O(state), for tests, tools and
         :func:`~provledger.statehash.snapshot_digest`."""
-        machine = self._machine
         return {
             **self._scalars(),
-            **machine.snapshot(),
+            **self._machine.snapshot(),
             "nonces": {
                 "0x" + raw.hex(): nonce for raw, nonce in sorted(self._executed_nonce.items())
             },
-            "records": machine.provenance.records.snapshot(),
-            "tokens": machine.tokens.snapshot(),
         }
 
     def state_digest(self) -> str:
@@ -1129,9 +1098,9 @@ def _restore_checkpoint(
 
     The file binds when the line at its byte offset passes every check
     :func:`_read_block` makes of a line on its own as the block of the
-    file's height and hash, and :meth:`Ledger.restore` finds that the
-    file's state, hashed from scratch, has that block's state digest and
-    builds it. The lines before it are not read.
+    file's height and hash, and :meth:`Ledger.restore` builds the file's
+    state and finds that its leaves, hashed from scratch as read, give that
+    block's state digest. The lines before it are not read.
     """
     try:
         data = orjson.loads((directory / CHECKPOINT_FILE).read_bytes())

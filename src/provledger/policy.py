@@ -277,14 +277,17 @@ class PolicyLayer:
 
     def restore(self, snapshot: dict, client: Callable[[str], ClientId]) -> None:
         """Give this stack, fresh from :meth:`build`, the state of
-        ``snapshot``, a :meth:`Ledger.state_snapshot`, with the addresses
-        ``client`` builds from its texts; no write is reported. The derived
-        scalars (next record and token ids) follow from the restored
-        collections, so the snapshot's are not read."""
+        ``snapshot``, a :meth:`Ledger.state_snapshot`: the collections
+        :meth:`snapshot` returns and the treasury and seeded total, with the
+        addresses ``client`` builds from their texts. No write is reported.
+        The next record and token ids follow from the restored collections.
+        The treasury and the seeded total must be ``int``: the state digest
+        writes each as its text, which a string of digits has too."""
         self._balances = {client(text): amount for text, amount in snapshot["balances"].items()}
         self._whitelist = set(map(client, snapshot["whitelist"]))
-        self._treasury = snapshot["treasury"]
-        self._seeded_total = snapshot["seededTotal"]
+        self._treasury, self._seeded_total = snapshot["treasury"], snapshot["seededTotal"]
+        if type(self._treasury) is not int or type(self._seeded_total) is not int:
+            raise ValueError("the treasury and the seeded total must be integers")
         self._registry.restore(self._mint_key, snapshot["tokens"], client)
         self._provenance.restore(snapshot["records"])
 
@@ -385,11 +388,14 @@ class PolicyLayer:
         self._provenance.invalidate_provenance(caller, prov_id)
 
     def snapshot(self) -> dict:
-        """The balance and whitelist maps as plain data; the ledger reads the
-        scalars (next token id, treasury, seeded total) through properties."""
+        """The collections :meth:`restore` reads, as plain data: balances,
+        records, tokens and whitelist. The ledger reads the scalars (next
+        ids, treasury, seeded total) through properties."""
         return {
             "balances": {
                 client.hex: amount for client, amount in sorted(self._balances.items())
             },
+            "records": self._provenance.records.snapshot(),
+            "tokens": self._registry.snapshot(),
             "whitelist": sorted(client.hex for client in self._whitelist),
         }

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import defaultdict
-from itertools import chain
 from typing import Callable, Iterable, Iterator
 
 from .errors import (
@@ -41,8 +40,8 @@ class ProvenanceLayer:
     segment, read with :meth:`trace_segment`, and the only link it reads is
     that of a trace's first record, kept once per trace. None of these is
     hashed: the ``records`` leaves fix them. Replay rebuilds them by
-    re-executing every create, a restore with :meth:`rebuild_indexes`. No
-    caller is handed a list the layer keeps.
+    re-executing every create, :meth:`restore` in one pass over the
+    restored records. No caller is handed a list the layer keeps.
     """
 
     def __init__(
@@ -146,17 +145,11 @@ class ProvenanceLayer:
 
     def restore(self, items: Iterable[dict]) -> None:
         """Fill the empty record store from :meth:`RecordStore.snapshot`-shaped
-        ``items`` (see :meth:`RecordStore.restore`) and derive the indexes."""
+        ``items`` (see :meth:`RecordStore.restore`), then derive the traces,
+        the record → trace map and the same-token links from it, entering
+        the records in id order as their creates did: the one rebuild of the
+        indexes, which replay instead keeps create by create."""
         self._store.restore(self._store_key, items)
-        self.rebuild_indexes()
-
-    def rebuild_indexes(self) -> None:
-        """Derive the traces, the record → trace map and the same-token
-        links anew from the record store, entering the records in id order
-        as their creates did: the one rebuild of the indexes, which replay
-        instead keeps create by create."""
-        self._traces.clear()
-        self._trace_of.clear()
         get = self._store.get_record
         for record in self._store:
             self._index(record.id, record.token_id, map(get, record.input_ids))
@@ -180,10 +173,6 @@ class ProvenanceLayer:
         if not self._registry.exists(token_id):
             raise TokenNotFoundError(f"token {token_id} not found")
         return map(tuple, self._traces.get(token_id, ()))
-
-    def get_associated_provenance(self, token_id: int) -> list[int]:
-        """All record ids of a token in creation order (its traces, merged)."""
-        return sorted(chain.from_iterable(self.token_traces(token_id)))
 
     def _writable_record(self, caller: ClientId, prov_id: int) -> ProvenanceRecord:
         """The record ``prov_id`` if it exists, ``caller`` is authorized on its

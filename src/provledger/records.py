@@ -168,23 +168,32 @@ class RecordStore:
 
     def restore(self, key: object, items: Iterable[Mapping]) -> None:
         """Fill an empty store from :meth:`snapshot`-shaped ``items``, without
-        reporting a write: the caller has checked them (see
-        :meth:`~provledger.ledger.Ledger.restore`), so they are taken as
-        given. The n-th item becomes record n, whatever id it names. Its
-        context dict is taken over, neither checked, sorted nor copied, its
-        status read by its text, and its input ids are the stored inputs'
-        own id objects, as :meth:`create_record` is handed them; an input
-        that is not an earlier record raises ``KeyError``."""
+        reporting a write. The caller proves the items with the state digest
+        (see :meth:`~provledger.ledger.Ledger.restore`), which does not see
+        a dict's key order; so each context's keys must be sorted, as the
+        canonical form sorts them, or this raises ``ValueError``. Nothing
+        else is checked again. The n-th item becomes record n. Its context
+        dict is taken over, neither sorted nor copied, its status read by
+        its text, and its input ids are the stored inputs' own id objects,
+        as :meth:`create_record` is handed them; an input that is not an
+        earlier record raises ``KeyError``."""
         if key is not self._key:
             raise PermissionError(_KEY_REQUIRED)
         records = self._records
         from_checked = Context.from_checked
+        orders = set()  # key orders found sorted: records of one schema share a few
         for prov_id, item in enumerate(items, start=1):
+            context = item["context"]
+            order = tuple(context)
+            if order not in orders:
+                if list(order) != sorted(order):
+                    raise ValueError(f"record {prov_id} has its context keys out of order")
+                orders.add(order)
             records[prov_id] = ProvenanceRecord(
                 prov_id,
                 item["tokenId"],
                 tuple([records[input_id].id for input_id in item["inputProvenanceIds"]]),
-                from_checked(item["context"]),
+                from_checked(context),
                 STATUS_OF_TEXT[item["status"]],
             )
 

@@ -138,17 +138,27 @@ def snapshot_digest(snapshot: dict) -> str:
 
 
 def snapshot_sum(snapshot: dict) -> int:
-    """The sum of every leaf of ``snapshot``, each hashed here, unreduced.
-    It reads the collections as given: it does not see their order, a nonce
-    count's type, nor a key order that the canonical form sorts."""
+    """The sum of every leaf of ``snapshot``, each hashed here, unreduced:
+    the one walk that names each leaf kind and the form it is held in.
+
+    The sum does not see the order of the collections, nor what multiplies
+    a leaf, so this raises ``ValueError`` unless item n of ``records`` and
+    of ``tokens`` names id n, as an ``int``, and each nonce count is an
+    ``int`` of at least 1 (``True`` multiplies a leaf as 1 does). A
+    context's key order, which the canonical form sorts, is left to
+    :meth:`~provledger.records.RecordStore.restore`."""
     total = 0
     for kind in ("records", "tokens"):
-        for item in snapshot[kind]:
-            total += _leaf(kind, item["id"], item)
+        for n, item in enumerate(snapshot[kind], start=1):
+            if type(item["id"]) is not int or item["id"] != n:
+                raise ValueError(f"item {n} names id {item['id']!r}")
+            total += _leaf(kind, n, item)
     for client, amount in snapshot["balances"].items():
         total += _leaf("balances", client, amount)
-    for client, nonce in snapshot["nonces"].items():
-        total += nonce * _leaf("nonces", client, True)
+    for client, count in snapshot["nonces"].items():
+        if type(count) is not int or count < 1:
+            raise ValueError(f"nonce count must be a positive integer, got {count!r}")
+        total += count * _leaf("nonces", client, True)
     for client in snapshot["whitelist"]:
         total += _leaf("whitelist", client, True)
     return total

@@ -129,8 +129,10 @@ class TokenRegistry:
         self, key: object, items: Iterable[Mapping], client: Callable[[str], ClientId]
     ) -> None:
         """Fill an empty registry from :meth:`snapshot`-shaped ``items``,
-        without reporting a write: the n-th item becomes token n, whatever id
-        it names, with the addresses ``client`` builds from its texts."""
+        without reporting a write and without checking them: the caller
+        proves them with the state digest (see
+        :meth:`~provledger.ledger.Ledger.restore`). The n-th item becomes
+        token n, with the addresses ``client`` builds from its texts."""
         if key is not self._mint_key:
             raise PermissionError("minting requires the assignment key")
         tokens = self._tokens
@@ -176,10 +178,6 @@ class TokenRegistry:
         """True iff caller is the owner or approved for the token."""
         token = self._get(token_id)
         return caller == token.owner or caller in token.approved
-
-    def token_ids(self) -> list[int]:
-        """Every minted token id in mint order; tokens are never burned."""
-        return list(self._tokens)
 
     def token_count(self) -> int:
         return len(self._tokens)

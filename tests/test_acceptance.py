@@ -321,7 +321,7 @@ def test_criterion_8_replay_determinism(tmp_path):
             while submitted < 200:
                 sender = rng.choice(clients)
                 kind = rng.choice(ops)
-                tokens = ledger.machine.tokens.token_ids()
+                tokens = range(1, ledger.machine.next_token_id)
                 payload = None
                 if kind == "request" or not tokens:
                     payload = {"op": "requestToken", "payment": 0}

@@ -142,7 +142,7 @@ def seeded_chain(directory, seed: int, wide: bool) -> Ledger:
     for _ in range(40):
         for _ in range(rng.randint(0, 5)):
             sender, other = rng.sample(clients, 2)
-            owned = [t for t in tokens.token_ids() if tokens.owner_of(t) == sender]
+            owned = [t for t in range(1, ledger.machine.next_token_id) if tokens.owner_of(t) == sender]
             token = rng.choice(owned) if owned and rng.random() < 0.9 else rng.randint(1, 9)
             record = rng.randint(1, records.record_count() + 1)
             context = {"agent": rng.choice(texts)}

@@ -161,6 +161,10 @@ def test_restore_refuses_a_state_its_head_does_not_commit_to():
     ):
         with pytest.raises(ValueError, match=match):
             Ledger.restore(ledger.policy, ledger.config, block, {**snapshot, key: value})
+    # a scalar the digest writes as its text, which a string of its digits has too
+    for key in ("treasury", "seededTotal"):
+        with pytest.raises(ValueError, match="must be integers"):
+            Ledger.restore(ledger.policy, ledger.config, block, {**snapshot, key: str(snapshot[key])})
     # a count the digest multiplies its leaf by: True would count as 1
     sender = next(iter(snapshot["nonces"]))
     for count in (True, 0, 1.0):
@@ -436,6 +440,8 @@ BAD_CHECKPOINTS = {
     "a context": edit_state(lambda state: state["records"][2]["context"].update(time="6am")),
     "a status": edit_state(lambda state: state["records"][2].update(status="invalidated")),
     "a scalar": edit_state(lambda state: state.update(treasury=1)),
+    # the digest writes a scalar as its text, which a string of its digits has too
+    "a scalar as text": edit_state(lambda state: state.update(treasury=str(state["treasury"]))),
     "a record added": edit_state(
         lambda state: state["records"].append({**state["records"][-1], "id": 11, "index": 10})
     ),

@@ -6,8 +6,10 @@ import dataclasses
 import gc
 import hashlib
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -15,6 +17,7 @@ from pathlib import Path
 import orjson
 import pytest
 
+import provledger
 from provledger import (
     AssignmentStrategy,
     ClientId,
@@ -43,6 +46,7 @@ from provledger.errors import (
 )
 from provledger.ledger import (
     BLOCKS_FILE,
+    CHECKPOINT_FILE,
     CONFIG_FILE,
     NOT_CANONICAL,
     OPS,
@@ -1606,6 +1610,57 @@ def test_determinism_identical_schedules_identical_logs(tmp_path):
     first = build(tmp_path / "a")
     second = build(tmp_path / "b")
     assert first == second
+
+
+def print_seeded_chains(out: str) -> None:
+    """Build one seeded chain under the whitelist policy and one under the
+    fee policy, persist each in a directory under ``out``, and load it once,
+    so that the load writes its checkpoint. Print, per chain, the SHA-256
+    of the log and of the checkpoint and the ops that succeeded; then this
+    process's hash of a fixed text."""
+    for name in ("whitelist", "fee"):
+        rng = random.Random(2026)
+        ledger = quick_ledger(policy=FAILURE_POLICIES[name], capacity=6)
+        clients = [ALICE, BOB, CAROL, MALLORY]
+        for client in clients:
+            ledger.submit_payload(client, {"op": "requestToken", "payment": 2})
+        done = set()
+        for _ in range(40):
+            for _ in range(rng.randint(0, 6)):
+                payload = random_payload(rng, ledger, clients)
+                sender = plausible_sender(rng, ledger, payload, clients)
+                ledger.submit_payload(sender, payload, fee=rng.randint(1, 3))
+            _, outcomes = ledger.produce_block()
+            done.update(outcome.tx.payload["op"] for outcome in outcomes if outcome.ok)
+        directory = Path(out) / name
+        ledger.persist(directory)
+        load_ledger(directory)
+        files = [(directory / file).read_bytes() for file in (BLOCKS_FILE, CHECKPOINT_FILE)]
+        print(name, *(hashlib.sha256(data).hexdigest() for data in files), *sorted(done))
+    print(hash("provledger"))
+
+
+def test_logs_and_checkpoints_do_not_depend_on_the_hash_seed(tmp_path):
+    """Sets of addresses, such as the whitelist and a token's approvals,
+    iterate in an order ``PYTHONHASHSEED`` sets; no log or checkpoint byte
+    may follow it. Two processes under different seeds, run one after the
+    other, build the same chains and write the same files."""
+    paths = [str(Path(provledger.__file__).resolve().parent.parent), str(Path(__file__).parent)]
+    script = "import sys, test_ledger; test_ledger.print_seeded_chains(sys.argv[1])"
+    printed = []
+    for seed in ("0", "12345"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(paths))
+        run = subprocess.run([sys.executable, "-c", script, str(tmp_path / seed)], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        printed.append(run.stdout.splitlines())
+    (*chains, first_hash), (*again, second_hash) = printed
+    assert first_hash != second_hash  # the seeds took effect
+    assert chains == again
+    # each chain holds the ops whose state is a set of addresses
+    ops = {line.split()[0]: set(line.split()[3:]) for line in chains}
+    assert {"approve", "transfer", "whitelistAdd", "whitelistRemove"} <= ops["whitelist"]
+    assert {"approve", "transfer"} <= ops["fee"]
 
 
 def test_replay_digest_equality_each_block(tmp_path):

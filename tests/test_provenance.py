@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Mapping
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from provledger.errors import (
     RecordNotFoundError,
     TokenNotFoundError,
 )
-from oracles import export_records, topological_order, random_dag_plan
+from oracles import export_records, naive_association, topological_order, random_dag_plan
 from support import ALICE, BOB, CAROL, layer, open_policy
 
 
@@ -40,7 +41,7 @@ def vaccine_chain(stack):
 def test_lineage_creation_returns_fresh_ids(stack):
     token, (p1, p2, p3) = vaccine_chain(stack)
     assert (p1, p2, p3) == (1, 2, 3)
-    assert stack.provenance.get_associated_provenance(token) == [p1, p2, p3]
+    assert list(stack.provenance.token_traces(token)) == [(p1, p2, p3)]
 
 
 def test_a_record_holds_its_inputs_own_ids(stack):
@@ -127,9 +128,9 @@ def test_four_sensor_derivation(stack):
 
 def test_association_empty_and_missing(stack):
     token = stack.request_token(ALICE)
-    assert stack.provenance.get_associated_provenance(token) == []
+    assert list(stack.provenance.token_traces(token)) == []
     with pytest.raises(TokenNotFoundError):
-        stack.provenance.get_associated_provenance(42)
+        stack.provenance.token_traces(42)
 
 
 def test_parallel_traces_survive_invalidation(stack):
@@ -145,11 +146,12 @@ def test_parallel_traces_survive_invalidation(stack):
         ALICE, token, [location], Context({"agent": "gps1@air1", "location": "48N,16E"})
     )
     stack.provenance.invalidate_provenance(ALICE, temperature)
-    assert stack.provenance.get_associated_provenance(token) == [
+    assert naive_association(export_records(stack.provenance))[token] == [
         temperature,
         location,
         location2,
     ]
+    assert list(stack.provenance.token_traces(token)) == [(temperature,), (location, location2)]
     from provledger import lineage
 
     assert lineage(stack.provenance, location2) == [location, location2]
@@ -277,7 +279,7 @@ def test_random_histories_are_acyclic_and_fully_associated(seed):
     # association completeness: every record appears under exactly its token
     seen: list[int] = []
     for token in tokens:
-        for prov_id in stack.provenance.get_associated_provenance(token):
+        for prov_id in chain.from_iterable(stack.provenance.token_traces(token)):
             assert records[prov_id]["tokenId"] == token
             seen.append(prov_id)
     assert sorted(seen) == sorted(records)

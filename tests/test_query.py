@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import chain
 
 import pytest
 
@@ -416,7 +417,7 @@ def random_ledger(rng: random.Random):
     machine = ledger.machine
     for _ in range(60):
         for _ in range(rng.randint(1, 6)):
-            tokens = machine.tokens.token_ids()
+            tokens = range(1, machine.next_token_id)
             count = machine.provenance.records.record_count()
             roll = rng.random()
             sender = rng.choice(clients)
@@ -439,7 +440,7 @@ def random_ledger(rng: random.Random):
             else:
                 token = rng.choice(tokens)
                 sender = machine.tokens.owner_of(token)
-                own = machine.provenance.get_associated_provenance(token)[-4:]
+                own = sorted(chain.from_iterable(machine.provenance.token_traces(token)))[-4:]
                 inputs = set(rng.sample(own, min(len(own), rng.choice((0, 1, 1, 1, 2, 3)))))
                 if count and rng.random() < 0.3:
                     inputs.add(rng.randint(1, count))
@@ -466,8 +467,9 @@ def trace_segments(provenance) -> dict:
 
 def assert_queries_match_oracles(machine, rng: random.Random) -> set[str]:
     """Every record's lineage and a random-depth graph, and every token's
-    association list and traces, against the plain-data oracles, with the
-    token answers checked to be copies; returns the lineage kinds seen."""
+    association list, read off its traces, and traces, against the
+    plain-data oracles, with the traces answer checked to be a copy;
+    returns the lineage kinds seen."""
     provenance = machine.provenance
     records = export_records(provenance)
     by_token = naive_association(records)
@@ -483,22 +485,21 @@ def assert_queries_match_oracles(machine, rng: random.Random) -> set[str]:
         nodes, edges = naive_derivation(records, prov_id, depth)
         graph = derivation_graph(provenance, prov_id, depth)
         assert canonical_json(graph.as_dict()) == serialize_graph(records, nodes, edges)
-    for token in machine.tokens.token_ids():
+    for token in range(1, machine.next_token_id):
         associated = by_token.pop(token, [])
         expected = [
             Trace(head=chain[-1], records=tuple(chain))
             for chain in naive_traces(records, associated)
         ]
         answer = traces(provenance, token)
-        listed = provenance.get_associated_provenance(token)
+        listed = sorted(chain.from_iterable(provenance.token_traces(token)))
         assert (answer, listed) == (expected, associated)
         # every answer is a copy: changing one leaves the next unchanged
         for trace in answer:
             object.__setattr__(trace, "records", trace.records + (0,))
         answer.clear()
-        listed.append(0)
         assert traces(provenance, token) == expected
-        assert provenance.get_associated_provenance(token) == associated
+        assert sorted(chain.from_iterable(provenance.token_traces(token))) == associated
     assert by_token == {}
     return seen
 

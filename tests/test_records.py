@@ -116,7 +116,7 @@ def test_invalidate_keeps_record_readable():
     provenance.invalidate_provenance(ALICE, prov_id)
     assert provenance.records.get_record(prov_id).status is RecordStatus.INVALIDATED
     assert provenance.records.record_count() == 1
-    assert provenance.get_associated_provenance(token) == [prov_id]
+    assert list(provenance.token_traces(token)) == [(prov_id,)]
 
 
 def test_double_invalidation_rejected():
