@@ -24,6 +24,8 @@ _BENCH_POLICY = UseCasePolicy(
     assignment=AssignmentStrategy("open"),
 )
 _BENCH_CLIENT_ALIAS = "bench-loadgen"
+# the ledger of a run is never persisted, so it holds every block of the window
+MAX_WINDOW_INTERVALS = 100_000
 
 
 @dataclass(frozen=True)
@@ -70,7 +72,11 @@ def run_benchmark(config: SimConfig, tx_count: int, window_ms: int, fee: int) ->
     """Drive a fresh in-memory ledger under uniform load and measure it.
 
     A setup block mints the benchmark token before the window opens, so the
-    window itself contains only record-creation traffic.
+    window itself contains only record-creation traffic. One loop submits
+    each transaction when it falls due and counts each block's outcomes as
+    it is sealed, until the mempool drains: after the last submission each
+    block seals at least one transaction, so no block limit is needed. The
+    run's ledger holds every block, hence ``MAX_WINDOW_INTERVALS``.
     """
     if type(tx_count) is not int or tx_count < 1:
         raise ConfigInvalidError("tx count must be an integer >= 1")
@@ -78,6 +84,8 @@ def run_benchmark(config: SimConfig, tx_count: int, window_ms: int, fee: int) ->
         raise ConfigInvalidError("window must be an integer from 1 to 2**64 - 1 ms")
     if type(fee) is not int or not 0 <= fee <= UINT64_MAX:
         raise ConfigInvalidError("fee must be an unsigned 64-bit integer")
+    if window_ms > MAX_WINDOW_INTERVALS * config.block_interval_ms:
+        raise ConfigInvalidError(f"window must span at most {MAX_WINDOW_INTERVALS} block intervals")
 
     ledger = Ledger(_BENCH_POLICY, config)
     client = ClientId.from_alias(_BENCH_CLIENT_ALIAS)
@@ -88,53 +96,34 @@ def run_benchmark(config: SimConfig, tx_count: int, window_ms: int, fee: int) ->
 
     window_start = ledger.now
     window_end = window_start + window_ms
-    transactions = []
-    for i in range(tx_count):
-        payload = {
-            "op": "createProvenance",
-            "tokenId": token_id,
-            "inputs": [],
-            "context": {"agent": "loadgen", "seq": str(i)},
-        }
-        transactions.append(
-            ledger.build_transaction(
-                client,
-                payload,
-                fee=fee,
-                submitted_at=window_start + (i * window_ms) // tx_count,
-                nonce=i + 1,
-            )
-        )
-
-    # discrete-event loop: feed each scheduled submission before the first
-    # block that could include it, then let the chain drain
-    confirmed_at: dict[str, int] = {}
-    next_index = 0
-    drain_limit = -(-tx_count // config.block_capacity) + window_ms // config.block_interval_ms + 4
-    produced = 0
-    while (next_index < len(transactions) or ledger.pending_count() > 0) and produced < drain_limit:
+    latencies: list[int] = []
+    confirmed_total = 0
+    submitted = 0
+    while submitted < tx_count or ledger.pending_count():
         boundary = ledger.next_block_timestamp()
-        while next_index < len(transactions) and transactions[next_index].submitted_at <= boundary:
-            ledger.submit(transactions[next_index])
-            next_index += 1
-        block, block_outcomes = ledger.produce_block()
-        produced += 1
-        for outcome in block_outcomes:
-            confirmed_at[outcome.tx.hash] = block.timestamp
+        while submitted < tx_count:
+            at = window_start + (submitted * window_ms) // tx_count
+            if at > boundary:
+                break
+            payload = {
+                "op": "createProvenance",
+                "tokenId": token_id,
+                "inputs": [],
+                "context": {"agent": "loadgen", "seq": str(submitted)},
+            }
+            ledger.submit_payload(client, payload, fee=fee, submitted_at=at)
+            submitted += 1
+        block, outcomes = ledger.produce_block()
+        confirmed_total += len(outcomes)
+        if block.timestamp <= window_end:
+            latencies.extend(block.timestamp - outcome.tx.submitted_at for outcome in outcomes)
 
-    in_window = [
-        (tx, confirmed_at[tx.hash])
-        for tx in transactions
-        if tx.hash in confirmed_at and confirmed_at[tx.hash] <= window_end
-    ]
-    latencies = [confirmed - tx.submitted_at for tx, confirmed in in_window]
-    confirmed_total = sum(1 for tx in transactions if tx.hash in confirmed_at)
     return BenchmarkReport(
         submitted=tx_count,
-        confirmed=len(in_window),
+        confirmed=len(latencies),
         confirmed_total=confirmed_total,
         window_ms=window_ms,
-        tps=len(in_window) / (window_ms / 1000.0),
+        tps=len(latencies) / (window_ms / 1000.0),
         latencies_ms=tuple(latencies),
         mean_latency_ms=statistics.mean(latencies) if latencies else None,
         median_latency_ms=statistics.median(latencies) if latencies else None,

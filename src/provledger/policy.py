@@ -207,27 +207,21 @@ def policy_from_dict(data: object) -> UseCasePolicy:
     assignment_data = data.get("assignment", {"type": OPEN})
     if not isinstance(assignment_data, dict) or "type" not in assignment_data:
         raise ConfigInvalidError("policy assignment requires a type")
-    kind = assignment_data["type"]
-    allowed = {"type", "initialBalance"}
-    if kind == FEE:
-        allowed |= {"price"}
-    elif kind == WHITELIST:
-        allowed |= {"admin", "members"}
-    _reject_unknown_fields(assignment_data, allowed, "assignment")
-    admin, members = None, frozenset()
-    if kind == WHITELIST:
-        admin = resolve_client(assignment_data.get("admin"), "assignment.admin")
-        members_data = assignment_data.get("members", [])
-        if not isinstance(members_data, list):
-            raise ConfigInvalidError("assignment.members must be a list")
-        members = frozenset(
-            resolve_client(member, "assignment.member") for member in members_data
-        )
+    # only shapes here: AssignmentStrategy checks which fields each kind takes
+    _reject_unknown_fields(
+        assignment_data, {"type", "price", "admin", "members", "initialBalance"}, "assignment"
+    )
+    admin = None
+    if "admin" in assignment_data:  # a null admin is refused, not dropped
+        admin = resolve_client(assignment_data["admin"], "assignment.admin")
+    members = assignment_data.get("members", [])
+    if not isinstance(members, list):
+        raise ConfigInvalidError("assignment.members must be a list")
     assignment = AssignmentStrategy(
-        kind,
+        assignment_data["type"],
         price=assignment_data.get("price", 0),
         admin=admin,
-        members=members,
+        members=frozenset(resolve_client(member, "assignment.member") for member in members),
         initial_balance=assignment_data.get("initialBalance", 0),
     )
     return UseCasePolicy(schema=schema, exposure=exposure, assignment=assignment)

@@ -82,7 +82,11 @@ def load_scenario(path: str | Path) -> list[ScenarioStep]:
 
 
 def run_scenario(ledger: Ledger, steps: list[ScenarioStep]) -> list[StepOutcome]:
-    """Execute steps one block each; stops after the first expectation mismatch.
+    """Execute steps in order; stops after the first expectation mismatch.
+
+    Blocks are produced until each step's transaction is sealed, and the
+    step reports the block that sealed it: one block, unless pending
+    transactions with higher fees fill it.
 
     Submission-time rejections (bad nonce, malformed payload, a transfer of
     a missing token) never reach a block; they are reported with the current
@@ -99,8 +103,10 @@ def run_scenario(ledger: Ledger, steps: list[ScenarioStep]) -> list[StepOutcome]
                 index, step.alias, "", ledger.height, exc.code, step.expect, None, str(exc)
             )
         else:
-            block, block_outcomes = ledger.produce_block()
-            executed = next(o for o in block_outcomes if o.tx.hash == tx.hash)
+            executed = None
+            while executed is None:  # pending higher fees may fill the next blocks
+                block, block_outcomes = ledger.produce_block()
+                executed = next((o for o in block_outcomes if o.tx.hash == tx.hash), None)
             outcome = StepOutcome(
                 index, step.alias, tx.hash, block.height, executed.status, step.expect,
                 executed.value, executed.message,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from provledger import ClientId, SimConfig, run_benchmark
+from provledger.bench import MAX_WINDOW_INTERVALS
 from provledger.errors import ConfigInvalidError
 from oracles import schedule_confirmations
 from support import quick_ledger
@@ -113,6 +114,21 @@ def test_benchmark_validates_load():
         run_benchmark(HEADLINE, tx_count=10, window_ms=1000, fee=2**64)
     with pytest.raises(ConfigInvalidError, match=r"^window must be an integer from 1 to 2\*\*64 - 1 ms$"):
         run_benchmark(HEADLINE, tx_count=10, window_ms=2**64, fee=1)
+    # the run's ledger holds every block, so the window is bounded in intervals
+    too_long = (MAX_WINDOW_INTERVALS + 1) * HEADLINE.block_interval_ms
+    message = f"^window must span at most {MAX_WINDOW_INTERVALS} block intervals$"
+    with pytest.raises(ConfigInvalidError, match=message):
+        run_benchmark(HEADLINE, tx_count=10, window_ms=too_long, fee=1)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 7, 19])
+def test_jittered_run_drains(seed):
+    """Jittered intervals add up to a random walk over the window, so no
+    block count fixed in advance bounds the drain; every transaction is
+    still confirmed."""
+    config = SimConfig(block_interval_ms=1000, block_capacity=2000, rng_seed=seed, jitter=True)
+    report = run_benchmark(config, tx_count=2000, window_ms=2_000_000, fee=1)
+    assert report.confirmed_total == report.submitted == 2000
 
 
 def test_latency_ordering_under_contention():

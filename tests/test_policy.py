@@ -332,6 +332,19 @@ def test_policy_parsing_rejects_bad_shapes():
         ({"schema": schema, "exposure": []}, "policy exposure must be an object"),
         ({"schema": schema, "assignment": {}}, "policy assignment requires a type"),
         ({"schema": schema, "assignment": whitelist}, "assignment.members must be a list"),
+        # the parser checks shapes only; each kind's fields are the constructor's rule
+        (
+            {"schema": schema, "assignment": {"type": "open", "price": 3}},
+            "open assignment takes no price",
+        ),
+        (
+            {"schema": schema, "assignment": {"type": "whitelist"}},
+            "whitelist assignment requires an admin",
+        ),
+        (
+            {"schema": schema, "assignment": {"type": "fee", "price": 5, "admin": "carol"}},
+            "fee assignment takes no admin or members",
+        ),
     ):
         with pytest.raises(ConfigInvalidError, match=f"^{re.escape(message)}$"):
             policy_from_dict(data)

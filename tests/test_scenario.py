@@ -9,6 +9,7 @@ import pytest
 
 from provledger import (
     Ledger,
+    ScenarioStep,
     SimConfig,
     lineage,
     load_scenario,
@@ -18,7 +19,7 @@ from provledger import (
 )
 from provledger.errors import ConfigInvalidError
 from provledger.ledger import BLOCKS_FILE
-from support import FIXTURES
+from support import FIXTURES, quick_ledger
 
 
 def fixture_ledger() -> Ledger:
@@ -147,3 +148,20 @@ def test_step_client_may_be_hex_address(tmp_path):
     outcomes = run_scenario(ledger, load_scenario(path))
     assert [o.status for o in outcomes] == ["ok"]
     assert ledger.machine.tokens.owner_of(1) == alice
+
+
+def test_step_waits_out_pending_higher_fees():
+    """A pending transaction with a higher fee fills the first block after
+    the step, so the step is sealed in the second and reports that block."""
+    from provledger import ClientId
+
+    ledger = quick_ledger(capacity=1)
+    pending = ledger.submit_payload(
+        ClientId.from_alias("bob"), {"op": "requestToken", "payment": 0}, fee=50
+    )
+    step = ScenarioStep(alias="alice", payload={"op": "requestToken"}, expect="ok", fee=1)
+    outcomes = run_scenario(ledger, [step])
+    assert [(o.status, o.block_height) for o in outcomes] == [("ok", 2)]
+    assert outcomes[0].value == {"tokenId": 2}
+    assert ledger.blocks[1].transactions[0].hash == pending.hash
+    assert ledger.height == 2 and ledger.pending_count() == 0
