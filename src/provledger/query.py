@@ -7,17 +7,19 @@ identical bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from .errors import AmbiguousLineageError
 from .provenance import ProvenanceLayer
 from .records import ProvenanceRecord
 
 
-@dataclass(frozen=True)
-class ProvenanceGraph:
-    """Derivation DAG slice: edge (a, b) means record b is an input of record a."""
+class ProvenanceGraph(NamedTuple):
+    """Derivation DAG slice: edge (a, b) means record b is an input of record a.
+
+    A named tuple, as :class:`~provledger.tokens.Token` is: immutable, and
+    equal to the plain tuple of its fields."""
 
     nodes: tuple[ProvenanceRecord, ...]
     edges: tuple[tuple[int, int], ...]
@@ -40,9 +42,9 @@ class ProvenanceGraph:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True, slots=True)
-class Trace:
-    """One parallel provenance chain of a token; ``head`` is the latest record."""
+class Trace(NamedTuple):
+    """One parallel provenance chain of a token; ``head`` is the latest record.
+    A named tuple, as :class:`ProvenanceGraph` is."""
 
     head: int
     records: tuple[int, ...]
@@ -87,12 +89,17 @@ def derivation_graph(layer: ProvenanceLayer, prov_id: int, max_depth: int) -> Pr
 
     Depth 0 is the record alone. Edges are included only when both endpoints
     fall within the depth bound. Each node is expanded once and a record's
-    inputs are distinct, so no edge is found twice.
+    inputs are distinct, so no edge is found twice. Only the root is looked
+    up by :meth:`~provledger.records.RecordStore.get_record`, which reports
+    an unknown id; an input always names an earlier record, so inputs are
+    read through the store's read-only
+    :meth:`~provledger.records.RecordStore.view`.
     """
     if max_depth < 0:
         raise ValueError("max_depth must be non-negative")
-    get_record = layer.records.get_record
-    found = {prov_id: get_record(prov_id)}
+    store = layer.records
+    found = {prov_id: store.get_record(prov_id)}
+    stored = store.view()
     edges: list[tuple[int, int]] = []
     level = [prov_id]
     for _ in range(max_depth):
@@ -101,14 +108,13 @@ def derivation_graph(layer: ProvenanceLayer, prov_id: int, max_depth: int) -> Pr
             for input_id in found[current].input_ids:
                 edges.append((current, input_id))
                 if input_id not in found:
-                    found[input_id] = get_record(input_id)
+                    found[input_id] = stored[input_id]
                     next_level.append(input_id)
         if not next_level:
             break
         level = next_level
     edges.sort()
-    nodes = tuple(found[rid] for rid in sorted(found))
-    return ProvenanceGraph(nodes=nodes, edges=tuple(edges))
+    return ProvenanceGraph(tuple(map(found.__getitem__, sorted(found))), tuple(edges))
 
 
 def traces(layer: ProvenanceLayer, token_id: int) -> list[Trace]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import reprlib
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Iterator, KeysView, Mapping
 
 from .errors import RecordNotFoundError
@@ -137,6 +138,8 @@ class RecordStore:
         self._key = internal_key
         self._on_write = on_write
         self._records: dict[int, ProvenanceRecord] = {}
+        # the one dict every write goes to, so the view never goes stale
+        self._view = MappingProxyType(self._records)
 
     def create_record(
         self, key: object, token_id: int, input_ids: Iterable[int], context: Context
@@ -157,6 +160,12 @@ class RecordStore:
         if record is None:
             raise RecordNotFoundError(f"record {prov_id} not found")
         return record
+
+    def view(self) -> Mapping[int, ProvenanceRecord]:
+        """A read-only mapping of id to record that follows every write: the
+        same object on every call, copying nothing. An unknown id raises
+        ``KeyError``, where :meth:`get_record` raises ``RecordNotFoundError``."""
+        return self._view
 
     def replace_record(self, key: object, old: ProvenanceRecord, new: ProvenanceRecord) -> None:
         """Store ``new`` in place of ``old``, the record stored under its id,

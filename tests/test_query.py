@@ -5,11 +5,13 @@ from __future__ import annotations
 import random
 from itertools import chain
 
+import orjson
 import pytest
 
 from provledger import (
     ClientId,
     Context,
+    Ledger,
     RecordStore,
     Trace,
     canonical_json,
@@ -468,8 +470,8 @@ def trace_segments(provenance) -> dict:
 def assert_queries_match_oracles(machine, rng: random.Random) -> set[str]:
     """Every record's lineage and a random-depth graph, and every token's
     association list, read off its traces, and traces, against the
-    plain-data oracles, with the traces answer checked to be a copy;
-    returns the lineage kinds seen."""
+    plain-data oracles, with each answer checked to be immutable and the
+    traces answer a copy; returns the lineage kinds seen."""
     provenance = machine.provenance
     records = export_records(provenance)
     by_token = naive_association(records)
@@ -485,6 +487,13 @@ def assert_queries_match_oracles(machine, rng: random.Random) -> set[str]:
         nodes, edges = naive_derivation(records, prov_id, depth)
         graph = derivation_graph(provenance, prov_id, depth)
         assert canonical_json(graph.as_dict()) == serialize_graph(records, nodes, edges)
+        for field in ("nodes", "edges"):
+            with pytest.raises(AttributeError):
+                setattr(graph, field, ())
+            assert type(getattr(graph, field)) is tuple
+        assert all(type(edge) is tuple for edge in graph.edges)
+        graph = derivation_graph(provenance, prov_id, depth)
+        assert canonical_json(graph.as_dict()) == serialize_graph(records, nodes, edges)
     for token in range(1, machine.next_token_id):
         associated = by_token.pop(token, [])
         expected = [
@@ -494,9 +503,12 @@ def assert_queries_match_oracles(machine, rng: random.Random) -> set[str]:
         answer = traces(provenance, token)
         listed = sorted(chain.from_iterable(provenance.token_traces(token)))
         assert (answer, listed) == (expected, associated)
-        # every answer is a copy: changing one leaves the next unchanged
+        # a trace cannot be changed, and the list it comes in is a copy:
+        # clearing it leaves the next answer unchanged
         for trace in answer:
-            object.__setattr__(trace, "records", trace.records + (0,))
+            with pytest.raises(AttributeError):
+                trace.records = trace.records + (0,)
+            assert type(trace.records) is tuple
         answer.clear()
         assert traces(provenance, token) == expected
         assert sorted(chain.from_iterable(provenance.token_traces(token))) == associated
@@ -538,3 +550,61 @@ def test_record_trace_map_on_ledger_and_replay(tmp_path, seed):
     assert trace_segments(reloaded.machine.provenance) == trace_segments(
         ledger.machine.provenance
     )
+
+
+def assert_graphs_read_the_stored_records(provenance, monkeypatch) -> None:
+    """Every record's graph at depths 0, 1, 2 and 8 against the oracle, its
+    nodes the stored record objects themselves, and one ``get_record`` call
+    per graph: the root's. The stored records are read by iterating the
+    store, not through its view."""
+    records = export_records(provenance)
+    stored = {record.id: record for record in provenance.records}
+    lookups: list[int] = []
+    get_record = RecordStore.get_record
+
+    def counting(self, prov_id):
+        lookups.append(prov_id)
+        return get_record(self, prov_id)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(RecordStore, "get_record", counting)
+        for prov_id in records:
+            for depth in (0, 1, 2, 8):
+                graph = derivation_graph(provenance, prov_id, depth)
+                assert lookups == [prov_id]
+                lookups.clear()
+                nodes, edges = naive_derivation(records, prov_id, depth)
+                assert canonical_json(graph.as_dict()) == serialize_graph(records, nodes, edges)
+                assert all(node is stored[node.id] for node in graph.nodes)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_derivation_graph_on_restored_and_replayed_stores(tmp_path, seed, monkeypatch):
+    """``derivation_graph`` reads inputs through ``RecordStore.view()``. The
+    view follows the store whether replay or a checkpoint restore filled it,
+    and through the creates after a restore."""
+    ledger = random_ledger(random.Random(7_000 + seed))
+    ledger.persist(tmp_path)
+    replayed = load_ledger(tmp_path, checkpoint=False)
+    snapshot = orjson.loads(orjson.dumps(ledger.state_snapshot()))
+    restored = Ledger.restore(ledger.policy, ledger.config, ledger.head, snapshot)
+    rng = random.Random(seed)
+    for loaded in (replayed, restored):
+        store = loaded.machine.provenance.records
+        view = store.view()
+        assert view is store.view()
+        assert len(view) == store.record_count() > 100
+        with pytest.raises(TypeError):
+            view[1] = None
+        assert_graphs_read_the_stored_records(loaded.machine.provenance, monkeypatch)
+        machine, count = loaded.machine, store.record_count()
+        for _ in range(20):
+            token = rng.randint(1, machine.next_token_id - 1)
+            inputs = sorted(rng.sample(range(1, store.record_count() + 1), rng.randint(0, 3)))
+            payload = {"op": "createProvenance", "tokenId": token, "inputs": inputs,
+                       "context": {"agent": "c"}}
+            loaded.submit_payload(machine.tokens.owner_of(token), payload)
+        while loaded.pending_count():
+            loaded.produce_block()
+        assert len(view) == store.record_count() > count
+        assert_graphs_read_the_stored_records(loaded.machine.provenance, monkeypatch)
