@@ -32,6 +32,7 @@ from .ledger import (
     load_ledger,
     read_json_file,
     resolve_payload,
+    unique_keys,
     verify_chain,
 )
 from .policy import resolve_client
@@ -88,7 +89,7 @@ def _parse_inputs(text: str) -> list[int]:
 def _parse_context(text: str) -> object:
     """The JSON value of a ``--context`` argument."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique_keys)
     except (ValueError, RecursionError) as exc:  # nesting too deep raises RecursionError
         raise ConfigInvalidError(f"bad context: {exc}") from exc
 

@@ -35,7 +35,6 @@ and costs a full replay.
 from __future__ import annotations
 
 import contextlib
-import functools
 import hashlib
 import heapq
 import json
@@ -61,7 +60,9 @@ from .errors import (
     LedgerError,
     MalformedPayloadError,
 )
-from .policy import PolicyLayer, UseCasePolicy, policy_from_dict, resolve_client
+from .policy import (
+    PolicyLayer, UseCasePolicy, policy_from_dict, reject_unknown_fields, resolve_client
+)
 from .records import Context, check_context_entries
 from .statehash import StateAccumulator, snapshot_digest, snapshot_sum
 from .tokens import ClientId, check_hex_address
@@ -111,9 +112,9 @@ class SimConfig:
     def from_dict(cls, data: object) -> "SimConfig":
         if not isinstance(data, dict):
             raise ConfigInvalidError("sim config must be a JSON object")
-        unknown = set(data) - {"blockIntervalMs", "blockCapacity", "rngSeed", "jitter"}
-        if unknown:
-            raise ConfigInvalidError(f"unknown sim config fields: {sorted(unknown)}")
+        reject_unknown_fields(
+            data, {"blockIntervalMs", "blockCapacity", "rngSeed", "jitter"}, "sim config"
+        )
         for field in ("blockIntervalMs", "blockCapacity"):
             if field not in data:
                 raise ConfigInvalidError(f"sim config requires {field}")
@@ -145,17 +146,6 @@ def _check_address(value: object, label: str) -> str:
         return check_hex_address(value)
     except ValueError as exc:
         raise MalformedPayloadError(f"bad {label}: {exc}") from exc
-
-
-def _sender(text: object, senders: dict[str, ClientId] | None) -> ClientId:
-    """The sender address ``text`` names. ``senders``, when given, maps each
-    accepted text to its address, so that each distinct text is built once."""
-    if senders is not None and type(text) is str:
-        sender = senders.get(text)
-        if sender is None:
-            sender = senders[text] = ClientId.from_checked_hex(_check_address(text, "sender"))
-        return sender
-    return ClientId.from_checked_hex(_check_address(text, "sender"))
 
 
 def _check_context(value: object, label: str) -> dict:
@@ -409,25 +399,20 @@ class Transaction:
         )
 
     @classmethod
-    def from_wire(
-        cls, data: object, senders: dict[str, ClientId] | None = None
-    ) -> "Transaction":
-        """The transaction ``data`` describes. ``senders``, shared by the
-        transactions of one load, keeps each sender address built once;
-        without it, as for a one-off parse, the sender is built anew."""
+    def from_wire(cls, data: object) -> "Transaction":
+        """The transaction ``data`` describes."""
         if not isinstance(data, dict):
             raise MalformedPayloadError("transaction must be a JSON object")
         if data.keys() != _TX_FIELDS:
             raise MalformedPayloadError(
                 f"transaction must have exactly fields {sorted(_TX_FIELDS)}"
             )
-        tx = cls(
-            _sender(data["sender"], senders),
-            data["nonce"],
-            data["payload"],
-            data["fee"],
-            data["submittedAt"],
-        )
+        try:
+            sender = ClientId.from_hex(data["sender"])
+        except ValueError:
+            _check_address(data["sender"], "sender")  # refuses it too, in the sender's words
+            raise
+        tx = cls(sender, data["nonce"], data["payload"], data["fee"], data["submittedAt"])
         if tx.hash != data["hash"]:
             # a hash equal to the computed one is well-formed
             _check_hash_hex(data["hash"], "transaction hash")
@@ -521,18 +506,12 @@ class Block:
         return header[:-2] + ",".join(tx.wire_text() for tx in self.transactions) + "]}"
 
     @classmethod
-    def from_wire(
-        cls,
-        data: object,
-        line: bytes | None = None,
-        senders: dict[str, ClientId] | None = None,
-    ) -> "Block":
+    def from_wire(cls, data: object, line: bytes | None = None) -> "Block":
         """The block ``data`` describes. With ``line``, the UTF-8 bytes
         ``data`` was parsed from, which must be the block's canonical JSON:
         after every value and hash check, ``line`` is compared with the
         canonical JSON of ``data`` itself, which equals :meth:`wire_line`'s
-        once those checks pass. ``senders`` is passed to
-        :meth:`Transaction.from_wire`."""
+        once those checks pass."""
         if not isinstance(data, dict):
             raise MalformedPayloadError("block must be a JSON object")
         if data.keys() != _BLOCK_FIELDS:
@@ -544,7 +523,7 @@ class Block:
         _check_hash_hex(data["blockHash"], "blockHash")
         if not isinstance(data["transactions"], list):
             raise MalformedPayloadError("transactions must be a list")
-        transactions = tuple(Transaction.from_wire(item, senders) for item in data["transactions"])
+        transactions = tuple(Transaction.from_wire(item) for item in data["transactions"])
         results = data["results"]
         if not isinstance(results, list) or any(
             type(r) is not str or not r for r in results
@@ -643,7 +622,8 @@ class Ledger:
         item out of its place and a nonce count that is not a positive
         ``int``. The layers are then built from the items without checking
         them again, apart from each context's key order, which
-        :meth:`~provledger.records.RecordStore.restore` checks. The built
+        :meth:`~provledger.records.RecordStore.restore` checks, and each
+        address's form, which :meth:`ClientId.from_hex` checks. The built
         ledger's :meth:`state_digest`, with the sum taken as its
         accumulator, must be ``head.state_digest``; the derived scalars are
         thus read off the built state, never from the file. Otherwise this
@@ -653,9 +633,10 @@ class Ledger:
         """
         total = snapshot_sum(snapshot)
         ledger = cls(policy, config)
-        client = functools.cache(ClientId.from_hex)
-        ledger._machine.restore(snapshot, client)
-        ledger._executed_nonce = {client(text).raw: n for text, n in snapshot["nonces"].items()}
+        ledger._machine.restore(snapshot)
+        ledger._executed_nonce = {
+            ClientId.from_hex(text).raw: n for text, n in snapshot["nonces"].items()
+        }
         ledger._accumulator.reset(total)
         if ledger.state_digest() != head.state_digest:
             raise ValueError(f"the state differs from the one block {head.height} commits to")
@@ -947,15 +928,26 @@ def _append_lines(log: Path, blocks: Iterable[Block], end_line: bool = False) ->
 
 # --- ledger directories ------------------------------------------------------
 
+def unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """The ``object_pairs_hook`` of JSON input: a repeated key, whose last
+    value would otherwise silently win, raises ``ValueError``."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"duplicate key {key!r}")
+        data[key] = value
+    return data
+
+
 def read_json_file(path: str | Path, label: str) -> Any:
     """The one reader of JSON input files: an unreadable file raises
-    ``IoFailureError``, one that is not UTF-8 JSON ``ConfigInvalidError``."""
+    ``IoFailureError``, one that is not UTF-8 JSON or repeats a key ``ConfigInvalidError``."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise IoFailureError(f"cannot read {label}: {exc}") from exc
     try:
-        return json.loads(data.decode("utf-8"))
+        return json.loads(data.decode("utf-8"), object_pairs_hook=unique_keys)
     # UnicodeDecodeError is a ValueError; nesting too deep raises RecursionError
     except (ValueError, RecursionError) as exc:
         raise ConfigInvalidError(f"{label} is not valid UTF-8 JSON: {exc}") from exc
@@ -993,8 +985,7 @@ def load_ledger(directory: str | Path, *, checkpoint: bool = True) -> Ledger:
     neither read nor written.
 
     Each line after genesis is read by :func:`_parse_block`, with
-    ``orjson`` alone. The load builds one address per distinct sender text,
-    shared by every transaction it reads.
+    ``orjson`` alone.
     """
     path = Path(directory)
     policy = policy_from_dict(read_json_file(path / POLICY_FILE, "policy file"))
@@ -1016,13 +1007,12 @@ def load_ledger(directory: str | Path, *, checkpoint: bool = True) -> Ledger:
             machine = ledger.machine
             held = machine.provenance.records.record_count() + machine.tokens.token_count()
             start_height, replayed = ledger.height, 0
-            senders: dict[str, ClientId] = {}
             for line in log:
                 # offset is where the head's line starts
                 offset += len(raw)
                 raw = line
                 block = _read_block(line.removesuffix(b"\n"), ledger.height + 1, ledger.head,
-                                    config, senders)
+                                    config)
                 ledger._append_block(block.timestamp, block.transactions, block)
                 replayed += len(block.transactions)
     except OSError as exc:
@@ -1035,17 +1025,11 @@ def load_ledger(directory: str | Path, *, checkpoint: bool = True) -> Ledger:
     return ledger
 
 
-def _read_block(
-    line: bytes,
-    height: int,
-    previous: Block | None,
-    config: SimConfig,
-    senders: dict[str, ClientId],
-) -> Block:
+def _read_block(line: bytes, height: int, previous: Block | None, config: SimConfig) -> Block:
     """The block on log line ``height``, after genesis, with every check a
     line gets before it is executed; without ``previous``, the block before
     it, the parent link and the timestamp order are not checked."""
-    block = _parse_block(line, height, senders)
+    block = _parse_block(line, height)
     if block.height != height:
         raise CorruptLogError(f"expected height {height}, found {block.height}", height=height)
     if previous is not None:
@@ -1060,9 +1044,9 @@ def _read_block(
     return block
 
 
-def _parse_block(raw: bytes, height: int, senders: dict[str, ClientId]) -> Block:
+def _parse_block(raw: bytes, height: int) -> Block:
     """The block on a log line after genesis, read with ``orjson``, the one
-    reader of log lines; ``senders`` is passed to :meth:`Block.from_wire`.
+    reader of log lines.
 
     A line orjson refuses is ``unparseable log line``: invalid UTF-8 or
     JSON, NaN, a lone surrogate, a number too large for a float. Otherwise
@@ -1072,7 +1056,7 @@ def _parse_block(raw: bytes, height: int, senders: dict[str, ClientId]) -> Block
     which no field accepts.
     """
     try:
-        return Block.from_wire(orjson.loads(raw), raw, senders)
+        return Block.from_wire(orjson.loads(raw), raw)
     except orjson.JSONDecodeError as exc:
         raise CorruptLogError(f"unparseable log line: {exc}", height=height) from exc
     except MalformedPayloadError as exc:
@@ -1107,7 +1091,7 @@ def _restore_checkpoint(
         height, offset = data["height"], data["offset"]
         log.seek(offset)
         raw = log.readline()
-        block = _read_block(raw.removesuffix(b"\n"), height, None, config, {})
+        block = _read_block(raw.removesuffix(b"\n"), height, None, config)
         if block.block_hash == data["blockHash"]:
             return Ledger.restore(policy, config, block, data["state"]), offset, raw
     except _UNBOUND:

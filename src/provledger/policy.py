@@ -9,7 +9,6 @@ admin-managed whitelist). Exactly one policy is active per ledger instance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .canonical import UINT64_MAX, digest_of
 from .errors import (
@@ -169,7 +168,7 @@ def resolve_client(value: object, label: str) -> ClientId:
         raise ConfigInvalidError(f"bad {label} {value!r}: {exc}") from exc
 
 
-def _reject_unknown_fields(data: dict, allowed: set[str], label: str) -> None:
+def reject_unknown_fields(data: dict, allowed: set[str], label: str) -> None:
     unknown = set(data) - allowed
     if unknown:
         raise ConfigInvalidError(f"unknown {label} fields: {sorted(unknown)}")
@@ -179,12 +178,12 @@ def policy_from_dict(data: object) -> UseCasePolicy:
     """Parse the policy definition format loaded at ledger genesis."""
     if not isinstance(data, dict):
         raise ConfigInvalidError("policy definition must be a JSON object")
-    _reject_unknown_fields(data, {"schema", "exposure", "assignment"}, "policy")
+    reject_unknown_fields(data, {"schema", "exposure", "assignment"}, "policy")
 
     schema_data = data.get("schema")
     if not isinstance(schema_data, dict) or "name" not in schema_data:
         raise ConfigInvalidError("policy requires schema {name, required[], optional[]}")
-    _reject_unknown_fields(schema_data, {"name", "required", "optional"}, "schema")
+    reject_unknown_fields(schema_data, {"name", "required", "optional"}, "schema")
     for key_list in ("required", "optional"):
         value = schema_data.get(key_list, [])
         if not isinstance(value, list) or any(type(k) is not str for k in value):
@@ -198,7 +197,7 @@ def policy_from_dict(data: object) -> UseCasePolicy:
     exposure_data = data.get("exposure", {})
     if not isinstance(exposure_data, dict):
         raise ConfigInvalidError("policy exposure must be an object")
-    _reject_unknown_fields(exposure_data, {"allowUpdate", "allowInvalidate"}, "exposure")
+    reject_unknown_fields(exposure_data, {"allowUpdate", "allowInvalidate"}, "exposure")
     exposure = ExposureFlags(
         allow_update=exposure_data.get("allowUpdate", True),
         allow_invalidate=exposure_data.get("allowInvalidate", True),
@@ -208,7 +207,7 @@ def policy_from_dict(data: object) -> UseCasePolicy:
     if not isinstance(assignment_data, dict) or "type" not in assignment_data:
         raise ConfigInvalidError("policy assignment requires a type")
     # only shapes here: AssignmentStrategy checks which fields each kind takes
-    _reject_unknown_fields(
+    reject_unknown_fields(
         assignment_data, {"type", "price", "admin", "members", "initialBalance"}, "assignment"
     )
     admin = None
@@ -269,20 +268,20 @@ class PolicyLayer:
         provenance = ProvenanceLayer(store, registry, store_key)
         return cls(policy, provenance, registry, mint_key, on_write)
 
-    def restore(self, snapshot: dict, client: Callable[[str], ClientId]) -> None:
-        """Give this stack, fresh from :meth:`build`, the state of
-        ``snapshot``, a :meth:`Ledger.state_snapshot`: the collections
-        :meth:`snapshot` returns and the treasury and seeded total, with the
-        addresses ``client`` builds from their texts. No write is reported.
-        The next record and token ids follow from the restored collections.
-        The treasury and the seeded total must be ``int``: the state digest
-        writes each as its text, which a string of digits has too."""
+    def restore(self, snapshot: dict) -> None:
+        """Give this stack, fresh from :meth:`build`, the state of ``snapshot``,
+        a :meth:`Ledger.state_snapshot`: the collections :meth:`snapshot`
+        returns and the treasury and seeded total. No write is reported. The
+        next record and token ids follow from the restored collections. The
+        treasury and the seeded total must be ``int``: the state digest writes
+        each as its text, which a string of digits has too."""
+        client = ClientId.from_hex
         self._balances = {client(text): amount for text, amount in snapshot["balances"].items()}
         self._whitelist = set(map(client, snapshot["whitelist"]))
         self._treasury, self._seeded_total = snapshot["treasury"], snapshot["seededTotal"]
         if type(self._treasury) is not int or type(self._seeded_total) is not int:
             raise ValueError("the treasury and the seeded total must be integers")
-        self._registry.restore(self._mint_key, snapshot["tokens"], client)
+        self._registry.restore(self._mint_key, snapshot["tokens"])
         self._provenance.restore(snapshot["records"])
 
     @property

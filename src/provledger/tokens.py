@@ -10,15 +10,17 @@ minted token the next id: the n-th token minted has id n.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import NotAuthorizedError, TokenNotFoundError, ZeroAddressError
 from .statehash import WriteHook, ignore_write
 
 ADDRESS_BYTES = 32
+ADDRESS_MEMO_SIZE = 1024  # addresses held by ClientId.from_hex: ~300 kB
 
 _HEX_BODY = re.compile(f"[0-9a-f]{{{ADDRESS_BYTES * 2}}}")
 _ZERO_RAW = bytes(ADDRESS_BYTES)
@@ -55,7 +57,10 @@ class ClientId:
 
     @classmethod
     def from_hex(cls, text: str) -> "ClientId":
-        return cls(bytes.fromhex(check_hex_address(text)[2:]))
+        """The address ``text`` names, memoised; a refused text is never held."""
+        if type(text) is not str:  # before the memo, which would hash it
+            check_hex_address(text)
+        return _address(text)
 
     @classmethod
     def from_checked_hex(cls, text: str) -> "ClientId":
@@ -83,6 +88,11 @@ class ClientId:
 
 
 ZERO_CLIENT = ClientId(_ZERO_RAW)
+
+
+@functools.lru_cache(maxsize=ADDRESS_MEMO_SIZE)
+def _address(text: str) -> ClientId:
+    return ClientId(bytes.fromhex(check_hex_address(text)[2:]))
 
 
 class Token(NamedTuple):
@@ -125,17 +135,16 @@ class TokenRegistry:
         self._on_write("tokens", token_id, None, token.as_dict())
         return token_id
 
-    def restore(
-        self, key: object, items: Iterable[Mapping], client: Callable[[str], ClientId]
-    ) -> None:
+    def restore(self, key: object, items: Iterable[Mapping]) -> None:
         """Fill an empty registry from :meth:`snapshot`-shaped ``items``,
         without reporting a write and without checking them: the caller
         proves them with the state digest (see
         :meth:`~provledger.ledger.Ledger.restore`). The n-th item becomes
-        token n, with the addresses ``client`` builds from its texts."""
+        token n."""
         if key is not self._mint_key:
             raise PermissionError("minting requires the assignment key")
         tokens = self._tokens
+        client = ClientId.from_hex
         for token_id, item in enumerate(items, start=1):
             tokens[token_id] = Token(
                 token_id, client(item["owner"]), frozenset(map(client, item["approved"]))

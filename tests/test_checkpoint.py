@@ -466,6 +466,20 @@ BAD_CHECKPOINTS = {
             {next(key for key, count in state["nonces"].items() if count == 1): True}
         )
     ),
+    # nor an address's form: ClientId.from_hex refuses it while building
+    "a token owner that is a list": edit_state(
+        lambda state: state["tokens"][0].update(owner=[state["tokens"][0]["owner"]])
+    ),
+    "an approved address in upper case": edit_state(
+        lambda state: state["tokens"][0]["approved"].append(
+            "0x" + state["tokens"][1]["owner"][2:].upper()
+        )
+    ),
+    "a nonce key that is not an address": edit_state(
+        lambda state: state["nonces"].update(
+            {"not an address": state["nonces"].pop(next(iter(state["nonces"])))}
+        )
+    ),
     "truncated JSON": lambda checkpoint: json.dumps(checkpoint).encode()[:-40],
     "not an object": lambda checkpoint: json.dumps([checkpoint]).encode(),
     "empty": lambda checkpoint: b"",

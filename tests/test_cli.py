@@ -287,6 +287,26 @@ def test_verify_detects_corruption(runner, ledger_dir):
     assert isinstance(verdict["reason"], str) and verdict["reason"]
 
 
+# an object of each kind of JSON input with a repeated key, whose last value
+# would otherwise win: an open ledger, or a stored context {"agent": "b"}
+REPEATED_KEY = {
+    "policy": (
+        '{"schema": {"name": "s", "required": ["agent"]},'
+        ' "assignment": {"type": "fee", "price": 5}, "assignment": {"type": "open"}}',
+        "policy file is not valid UTF-8 JSON: duplicate key 'assignment'",
+    ),
+    "config": (
+        '{"blockIntervalMs": 15000, "blockCapacity": 10, "blockCapacity": 1}',
+        "config file is not valid UTF-8 JSON: duplicate key 'blockCapacity'",
+    ),
+    "scenario": (
+        '{"steps": [{"as": "alice", "op": {"op": "requestToken", "op": "transfer"}}]}',
+        "scenario is not valid UTF-8 JSON: duplicate key 'op'",
+    ),
+    "context": ('{"agent": "a", "agent": "b", "time": "1am"}', "bad context: duplicate key 'agent'"),
+}
+
+
 @pytest.mark.parametrize(
     "name, text",
     [
@@ -474,6 +494,57 @@ def test_an_input_file_nested_too_deep_is_config_invalid(runner, tmp_path, reade
         )
         assert not out.exists()
     assert_config_invalid(result)
+
+
+@pytest.mark.parametrize("name", ["policy.json", "config.json"])
+def test_a_policy_or_config_with_a_repeated_key_fails_load_and_verify(runner, ledger_dir, name):
+    """A directory's own files are written canonical, so only a hand edit
+    repeats a key: here the first one, with the value it has, which used to
+    load as if the file were unedited."""
+    path = ledger_dir / name
+    text = path.read_text()
+    key, value = next(iter(json.loads(text).items()))
+    path.write_text("{" + json.dumps(key) + ":" + json.dumps(value) + "," + text[1:])
+    reason = f"{name.split('.')[0]} file is not valid UTF-8 JSON: duplicate key {key!r}"
+    result = runner.invoke(main, ["query", "traces", "--token", "1", "--dir", str(ledger_dir)])
+    assert_config_invalid(result)
+    assert json.loads(result.stderr)["message"] == reason
+    result = runner.invoke(main, ["verify", str(ledger_dir)])
+    assert result.exit_code == 1
+    assert out_json(result) == {"ok": False, "firstCorruptHeight": 0, "reason": reason}
+
+
+@pytest.mark.parametrize("reader", sorted(REPEATED_KEY))
+def test_a_repeated_key_is_config_invalid(runner, tmp_path, reader):
+    text, message = REPEATED_KEY[reader]
+    policy, config = str(FIXTURES / "vaccine_policy.json"), str(FIXTURES / "sim_config.json")
+    out = tmp_path / "ledger"
+    if reader in ("policy", "config"):
+        path = tmp_path / f"{reader}.json"
+        path.write_text(text)
+        files = {"policy": policy, "config": config, reader: str(path)}
+        result = runner.invoke(
+            main,
+            ["init", "--policy", files["policy"], "--config", files["config"], "--out", str(out)],
+        )
+        assert not out.exists()
+    else:
+        runner.invoke(main, ["init", "--policy", policy, "--config", config, "--out", str(out)])
+        runner.invoke(main, ["token", "request", "--as", "alice", "--dir", str(out)])
+        log = (out / "blocks.jsonl").read_bytes()
+        if reader == "scenario":
+            script = tmp_path / "script.json"
+            script.write_text(text)
+            result = runner.invoke(main, ["scenario", "run", str(script), "--dir", str(out)])
+        else:
+            result = runner.invoke(
+                main,
+                ["prov", "create", "--as", "alice", "--token", "1", "--context", text,
+                 "--dir", str(out)],
+            )
+        assert (out / "blocks.jsonl").read_bytes() == log
+    assert_config_invalid(result)
+    assert json.loads(result.stderr)["message"] == message
 
 
 @pytest.mark.parametrize("name", ["policy.json", "config.json"])

@@ -53,7 +53,7 @@ from provledger.ledger import (
     Block,
     resolve_payload,
 )
-from provledger import statehash
+from provledger import statehash, tokens
 from provledger.statehash import StateAccumulator, snapshot_digest
 from oracles import naive_canonical, naive_line_is_canonical, naive_select, naive_state_digest
 from support import (
@@ -234,10 +234,11 @@ def test_transaction_from_wire_parses_the_sender_once(monkeypatch):
 
 def test_addresses_and_contexts_are_built_once_per_path(tmp_path, monkeypatch):
     """Validation checks a payload's addresses and context without building
-    them; execution builds each once. Replay adds one parse per distinct
-    sender, however many transactions it sends. Every constructor of an
-    address or a context is counted: the checking ones and those that build
-    from already checked text."""
+    them; execution builds each once. Replay, with the address memo cleared,
+    adds one build per distinct sender, however many transactions it sends.
+    Every address built is counted, whatever built it, and every constructor
+    of a context: the checking one and the one that builds from already
+    checked entries."""
     from provledger.records import Context
 
     addresses, contexts = [], []
@@ -251,6 +252,12 @@ def test_addresses_and_contexts_are_built_once_per_path(tmp_path, monkeypatch):
 
         monkeypatch.setattr(cls, name, classmethod(build))
 
+    real_address_check = ClientId.__post_init__
+
+    def counting_address_check(self):
+        real_address_check(self)
+        addresses.append(self.hex)
+
     real_context_init = Context.__init__
 
     def counting_context_init(self, entries=()):
@@ -260,8 +267,7 @@ def test_addresses_and_contexts_are_built_once_per_path(tmp_path, monkeypatch):
     ledger = quick_ledger()
     ledger.submit_payload(ALICE, REQUEST)
     ledger.produce_block()
-    counting(ClientId, "from_hex", addresses)
-    counting(ClientId, "from_checked_hex", addresses)
+    monkeypatch.setattr(ClientId, "__post_init__", counting_address_check)
     counting(Context, "from_checked", contexts)
     monkeypatch.setattr(Context, "__init__", counting_context_init)
     transfer = {"op": "transfer", "tokenId": 1, "from": ALICE.hex, "to": BOB.hex}
@@ -278,6 +284,7 @@ def test_addresses_and_contexts_are_built_once_per_path(tmp_path, monkeypatch):
         addresses.clear()
         contexts.clear()
     ledger.persist(tmp_path)
+    tokens._address.cache_clear()
     assert load_ledger(tmp_path).head == ledger.head
     # the request's sender, whose create and transfer reuse its address, the
     # transfer's addresses, then the last create's sender
@@ -288,8 +295,8 @@ def test_addresses_and_contexts_are_built_once_per_path(tmp_path, monkeypatch):
 def test_each_address_and_context_is_checked_once_per_path(tmp_path, monkeypatch):
     """On the submit -> execute path and again on replay, each address text
     goes through ``check_hex_address`` once and each context through
-    ``check_context_entries`` once. Replay also parses each distinct sender
-    once."""
+    ``check_context_entries`` once. Replay, with the address memo cleared,
+    also checks each distinct sender once."""
     from provledger import ledger as ledger_mod
     from provledger import records as records_mod
     from provledger import tokens as tokens_mod
@@ -327,6 +334,7 @@ def test_each_address_and_context_is_checked_once_per_path(tmp_path, monkeypatch
         addresses.clear()
         contexts.clear()
     ledger.persist(tmp_path)
+    tokens_mod._address.cache_clear()
     assert load_ledger(tmp_path).head == ledger.head
     # the sender of all five transactions once, then each step's payload addresses
     assert addresses == [ALICE.hex] + [address for _, checked, _ in steps for address in checked]
@@ -1225,12 +1233,12 @@ def int_as_orjson_reads(text: str) -> int | float:
     return value if -(2**63) <= value <= 2**64 - 1 else float(text)
 
 
-def naive_parse_block(raw: bytes, height: int, senders: dict) -> Block:
+def naive_parse_block(raw: bytes, height: int) -> Block:
     """The parse step with the stdlib alone: ``json.loads`` refuses NaN and
     Infinity, reads an integer outside 64 bits as orjson does, and a line
     holding a lone surrogate, which no UTF-8 text holds, is refused too.
     The value is checked as a block first; then the whole line is encoded
-    and compared. Every sender is built anew."""
+    and compared."""
     try:
         text = raw.decode("utf-8")
         parsed = json.loads(text, parse_constant=refuse_constant, parse_int=int_as_orjson_reads)

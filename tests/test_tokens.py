@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from provledger import ClientId, TokenRegistry, ZERO_CLIENT
+from provledger import tokens
 from provledger.errors import NotAuthorizedError, TokenNotFoundError, ZeroAddressError
+from provledger.tokens import ADDRESS_MEMO_SIZE, check_hex_address
 from support import ALICE, BOB, CAROL
 
 
@@ -129,6 +133,41 @@ def test_client_id_formats():
         ClientId.from_hex("0x1234")
     with pytest.raises(ValueError):
         ClientId.from_hex(ALICE.hex.upper())
+
+
+def uncached_from_hex(text: object) -> ClientId:
+    """:meth:`ClientId.from_hex` without its memo."""
+    return ClientId(bytes.fromhex(check_hex_address(text)[2:]))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [[], {}, None, 1, "0x" + ALICE.hex[2:].upper(), ALICE.hex[:-1]],
+    ids=["list", "dict", "None", "int", "upper-case hex", "63 hex digits"],
+)
+def test_memoised_from_hex_refuses_what_the_uncached_build_refuses(text):
+    """Refused before or after the memo holds valid texts, with the same
+    message, and never held: a refusal neither hits nor evicts."""
+    with pytest.raises(ValueError) as expected:
+        uncached_from_hex(text)
+    message = f"^{re.escape(str(expected.value))}$"
+    tokens._address.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            ClientId.from_hex(text)
+        assert ClientId.from_hex(ALICE.hex) == ALICE
+        assert ClientId.from_hex(BOB.hex) == BOB
+        assert tokens._address.cache_info().currsize == 2
+
+
+def test_address_memo_is_bounded():
+    tokens._address.cache_clear()
+    texts = [f"0x{i:064x}" for i in range(ADDRESS_MEMO_SIZE + 100)]
+    for text in texts:
+        assert ClientId.from_hex(text) == uncached_from_hex(text)
+        assert tokens._address.cache_info().currsize <= ADDRESS_MEMO_SIZE
+    assert tokens._address.cache_info().currsize == ADDRESS_MEMO_SIZE
+    assert [ClientId.from_hex(text) for text in texts] == list(map(uncached_from_hex, texts))
 
 
 @pytest.mark.parametrize(
